@@ -13,6 +13,7 @@ from .evaluation import EvalReport, UISInput, evaluate, mia_auc, uis
 from .model import (
     LowRankEdit,
     MultiTaskModel,
+    Subset,
     TrainConfig,
     flattened_hessian,
     pair_loss,
@@ -49,6 +50,7 @@ __all__ = [
     "uis",
     "LowRankEdit",
     "MultiTaskModel",
+    "Subset",
     "TrainConfig",
     "flattened_hessian",
     "pair_loss",

@@ -435,6 +435,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _parse_forget_tasks(text: str, n_tasks: int) -> frozenset[int]:
+    try:
+        ids = frozenset(int(t) for t in text.split(",")) if text else frozenset()
+    except ValueError as exc:
+        raise ConfigError(f"--forget-tasks must list integer task ids, got {text!r}") from exc
+    outside = sorted(t for t in ids if not 0 <= t < n_tasks)
+    if outside:
+        raise ConfigError(f"--forget-tasks ids {outside} outside [0, {n_tasks})")
+    return ids
+
+
 def cmd_uis(args) -> int:
     reports = {}
     for name, path in (
@@ -446,9 +457,7 @@ def cmd_uis(args) -> int:
             reports[name] = EvalReport.from_csv(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read {name} CSV {path}: {exc}") from exc
-    forget_tasks = frozenset(
-        int(t) for t in (args.forget_tasks.split(",") if args.forget_tasks else [])
-    )
+    forget_tasks = _parse_forget_tasks(args.forget_tasks, reports["evaluated"].n_tasks)
     score = uis(
         UISInput(
             evaluated=reports["evaluated"],

@@ -1,8 +1,8 @@
 """Synthetic multi-task datasets and the four-way forget/retain partition.
 
 A dataset is a complete supervision grid: every instance carries a target
-for every task. Subsets of the grid are lists of (instance, task) pairs,
-which is what gradient and loss evaluation consume.
+for every task. Subsets of the grid are lists of (instance, task) pairs;
+``model.Subset`` groups them by task for gradient and loss evaluation.
 """
 
 from __future__ import annotations

@@ -21,6 +21,10 @@ class EmptySubsetError(MtUnlearnError):
     """An operation received an empty collection of supervision pairs."""
 
 
+class NonFiniteError(MtUnlearnError):
+    """A value that must be finite is NaN or infinite."""
+
+
 class StepSizeError(MtUnlearnError):
     """Training or unlearning diverged (loss became infinite or NaN)."""
 

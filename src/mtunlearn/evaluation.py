@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultiTaskDataset, PartitionSpec
-from .errors import ConfigError, DimensionError, EmptySubsetError
+from .errors import ConfigError, DimensionError, EmptySubsetError, NonFiniteError
 from .model import MultiTaskModel
 
 SPLITS = ("ret", "unl", "val")
@@ -33,18 +33,29 @@ def per_instance_losses(
     return 0.5 * np.sum(e * e, axis=1)
 
 
+def _finite_losses(losses, name: str) -> np.ndarray:
+    arr = np.asarray(losses, dtype=float)
+    if arr.size == 0:
+        raise EmptySubsetError("mia_auc needs nonempty member and nonmember lists")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"mia_auc: {name} contains a NaN or infinite loss")
+    return arr
+
+
 def mia_auc(member_losses, nonmember_losses) -> float:
     """ROC AUC of the negative-loss membership score (members positive).
 
-    Equals the Mann-Whitney statistic with ties counted as one half.
+    Equals the Mann-Whitney statistic with ties counted as one half. The
+    counts come from a sort of the nonmembers and a binary search per
+    member: O((n + m) log m) time and linear memory.
     """
-    members = np.asarray(member_losses, dtype=float)
-    nonmembers = np.asarray(nonmember_losses, dtype=float)
-    if members.size == 0 or nonmembers.size == 0:
-        raise EmptySubsetError("mia_auc needs nonempty member and nonmember lists")
-    # score = -loss, so a member "wins" when its loss is smaller
-    wins = (members[:, None] < nonmembers[None, :]).sum()
-    ties = (members[:, None] == nonmembers[None, :]).sum()
+    members = _finite_losses(member_losses, "member_losses")
+    nonmembers = np.sort(_finite_losses(nonmember_losses, "nonmember_losses"))
+    # score = -loss, so a member "wins" against every larger nonmember loss
+    below = np.searchsorted(nonmembers, members, side="left")
+    upto = np.searchsorted(nonmembers, members, side="right")
+    wins = (nonmembers.size - upto).sum()
+    ties = (upto - below).sum()
     return float((wins + 0.5 * ties) / (members.size * nonmembers.size))
 
 
@@ -69,9 +80,9 @@ class EvalReport:
             for s in SPLITS:
                 if (t, s) not in self.metrics:
                     raise ConfigError(f"missing metric cell ({t}, {s})")
-            for auc_map in (self.mia_unl, self.mia_ret):
+            for name, auc_map in (("mia", self.mia_unl), ("mia_retain", self.mia_ret)):
                 if t not in auc_map:
-                    raise ConfigError(f"missing AUC cell for task {t}")
+                    raise ConfigError(f"missing {name!r} AUC cell for task {t}")
                 if not 0.0 <= auc_map[t] <= 1.0:
                     raise ConfigError("AUC outside [0, 1]")
 
@@ -113,17 +124,24 @@ class EvalReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "EvalReport":
-        rows = [
-            line.split(",")
-            for line in text.strip().splitlines()[1:]
-            if line.strip()
-        ]
-        tasks = sorted({int(r[0]) for r in rows})
+        rows = []
+        for line in text.strip().splitlines()[1:]:
+            if not line.strip():
+                continue
+            try:
+                task_s, cell, metric, value = line.split(",")
+                rows.append((int(task_s), cell, metric, float(value)))
+            except ValueError as exc:
+                raise ConfigError(f"malformed CSV row {line!r}") from exc
+        if not rows:
+            raise ConfigError("report CSV has no rows")
+        tasks = sorted({r[0] for r in rows})
         if tasks != list(range(len(tasks))):
             raise ConfigError("tasks in CSV must be contiguous from 0")
         rep = cls(n_tasks=len(tasks))
-        for task_s, cell, metric, value in rows:
-            t, v = int(task_s), float(value)
+        for t, cell, metric, v in rows:
+            if not np.isfinite(v):
+                raise ConfigError(f"non-finite value {v!r} for task {t} cell {cell!r}")
             if cell in SPLITS:
                 rep.metrics[(t, cell)] = v
                 rep.metric_name = metric
@@ -133,8 +151,6 @@ class EvalReport:
                 rep.mia_ret[t] = v
             else:
                 raise ConfigError(f"unknown cell name {cell!r}")
-        for t in tasks:
-            rep.mia_ret.setdefault(t, 0.5)
         rep.validate()
         return rep
 

@@ -12,7 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import MultiTaskDataset, SyntheticProblem
-from .errors import DimensionError, EmptySubsetError, SizeGuardError, StepSizeError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    EmptySubsetError,
+    SizeGuardError,
+    StepSizeError,
+)
 
 HESSIAN_PARAM_GUARD = 400
 
@@ -85,39 +91,98 @@ def pair_loss(model: MultiTaskModel, ds: MultiTaskDataset, pair) -> float:
     return 0.5 * float(err @ err)
 
 
-def _group_by_task(pairs):
-    groups: dict[int, list[int]] = {}
-    for i, t in pairs:
-        groups.setdefault(t, []).append(i)
-    return groups
+@dataclass(frozen=True, eq=False)
+class TaskBlock:
+    """The rows of one task in a subset, with their Gram statistics."""
+
+    task: int
+    index: np.ndarray  # instance ids, in pair order (repeats allowed)
+    gram: np.ndarray  # X_t^T X_t, d x d
+    cross: np.ndarray  # X_t^T Y_t, d x m_t
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """This block's rows of a per-instance array, in index order."""
+        # np.take gathers whole rows several times faster than a[index].
+        return np.take(a, self.index, axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class Subset:
+    """(instance, task) pairs of one dataset, grouped by task once.
+
+    ``len()`` is the pair count. Gradients need only each block's cached
+    Gram statistics; losses read the block's rows through its index array.
+    """
+
+    dataset: MultiTaskDataset
+    blocks: tuple[TaskBlock, ...]
+
+    @classmethod
+    def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
+        """Group ``pairs`` by task (ascending), keeping pair order within a task."""
+        arr = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        inst, task = arr[:, 0], arr[:, 1]
+        # Checked here because a negative id would silently index from the end.
+        if np.any((inst < 0) | (inst >= ds.n_instances)):
+            raise DimensionError("subset instance id out of range")
+        if np.any((task < 0) | (task >= ds.n_tasks)):
+            raise DimensionError("subset task id out of range")
+        blocks = []
+        for t in np.unique(task).tolist():
+            idx = inst[task == t]
+            x, y = np.take(ds.inputs, idx, axis=0), np.take(ds.targets[t], idx, axis=0)
+            blocks.append(TaskBlock(t, idx, x.T @ x, x.T @ y))
+        return cls(ds, tuple(blocks))
+
+    def __len__(self) -> int:
+        return sum(b.index.size for b in self.blocks)
+
+    def by_task(self) -> list["Subset"]:
+        """One single-task subset per block, sharing this subset's arrays."""
+        return [Subset(self.dataset, (b,)) for b in self.blocks]
+
+
+def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:
+    subset = pairs if isinstance(pairs, Subset) else Subset.from_pairs(ds, pairs)
+    if subset.dataset is not ds:
+        raise ConfigError(f"{op}: subset was built on a different dataset")
+    if not subset:
+        raise EmptySubsetError(f"{op} over empty subset")
+    return subset
 
 
 def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=False):
-    """Mean per-pair loss over ``pairs``; optionally task-weighted."""
-    if len(pairs) == 0:
-        raise EmptySubsetError("subset_loss over empty subset")
+    """Mean per-pair loss over ``pairs``; optionally task-weighted.
+
+    ``pairs`` is a :class:`Subset` of ``ds`` or a sequence of (instance,
+    task) pairs. The loss is summed over residuals, not the expanded
+    quadratic, which cancels badly near zero loss.
+    """
+    subset = _as_subset(ds, pairs, "subset_loss")
     w_eff = model.edit.effective_weight()
     total = 0.0
-    for t, idx in _group_by_task(pairs).items():
-        e = ds.inputs[idx] @ w_eff @ model.heads[t].T - ds.targets[t][idx]
+    for blk in subset.blocks:
+        t = blk.task
+        e = blk.rows(ds.inputs) @ (w_eff @ model.heads[t].T) - blk.rows(ds.targets[t])
         lam = ds.task_weights[t] if weighted else 1.0
-        total += 0.5 * lam * float(np.sum(e * e))
-    return total / len(pairs)
+        total += 0.5 * lam * float(np.vdot(e, e))
+    return total / len(subset)
 
 
 def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=False):
-    """Analytic gradients of the subset-mean loss w.r.t. (a, b), w_star frozen."""
-    if len(pairs) == 0:
-        raise EmptySubsetError("subset_gradient over empty subset")
+    """Analytic gradients of the subset-mean loss w.r.t. (a, b), w_star frozen.
+
+    Per task, X_t^T (X_t W M_t^T - Y_t) M_t = G_t W M_t^T M_t - C_t M_t, so a
+    call costs O(K d^2 k) given the subset's cached G_t and C_t.
+    """
+    subset = _as_subset(ds, pairs, "subset_gradient")
     w_eff = model.edit.effective_weight()
-    d, k = model.edit.w_star.shape
-    grad_w = np.zeros((d, k))
-    for t, idx in _group_by_task(pairs).items():
-        x = ds.inputs[idx]
-        e = x @ w_eff @ model.heads[t].T - ds.targets[t][idx]
-        lam = ds.task_weights[t] if weighted else 1.0
-        grad_w += lam * x.T @ (e @ model.heads[t])
-    grad_w /= len(pairs)
+    grad_w = np.zeros_like(w_eff)
+    for blk in subset.blocks:
+        m = model.heads[blk.task]
+        lam = ds.task_weights[blk.task] if weighted else 1.0
+        grad_w += lam * (blk.gram @ w_eff @ (m.T @ m) - blk.cross @ m)
+    grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
 
@@ -139,8 +204,7 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
     Parameter order matches :func:`flatten_params`: a.ravel() then
     b.ravel() (row-major). Guarded to r*(k+d) <= 400 parameters.
     """
-    if len(pairs) == 0:
-        raise EmptySubsetError("flattened_hessian over empty subset")
+    subset = _as_subset(ds, pairs, "flattened_hessian")
     edit = model.edit
     d, k = edit.w_star.shape
     r = edit.rank
@@ -152,17 +216,18 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
         )
     h = np.zeros((p_a + p_b, p_a + p_b))
     w_eff = edit.effective_weight()
-    for t, idx in _group_by_task(pairs).items():
-        x = ds.inputs[idx]  # n x d
+    for blk in subset.blocks:
+        t = blk.task
+        x = blk.rows(ds.inputs)  # n x d
         m = model.heads[t]  # m_t x k
         u = x @ edit.b  # n x r
         ma = m @ edit.a  # m_t x r
-        e = x @ w_eff @ m.T - ds.targets[t][idx]  # n x m_t
+        e = x @ w_eff @ m.T - blk.rows(ds.targets[t])  # n x m_t
         mtm = m.T @ m
         # a-a block: kron over (row index of a) x (column index of a)
         h[:p_a, :p_a] += np.kron(mtm, u.T @ u)
         # b-b block
-        h[p_a:, p_a:] += np.kron(x.T @ x, ma.T @ ma)
+        h[p_a:, p_a:] += np.kron(blk.gram, ma.T @ ma)
         # a-b block, Gauss-Newton part: C[i,p] * sum_n u_j x_l
         c = mtm @ edit.a  # k x r (index i, p)
         s = u.T @ x  # r x d (index j, l)
@@ -173,7 +238,7 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
         ab = t_ab.reshape(p_a, p_b)
         h[:p_a, p_a:] += ab
         h[p_a:, :p_a] += ab.T
-    h /= len(pairs)
+    h /= len(subset)
     return 0.5 * (h + h.T)
 
 
@@ -198,9 +263,8 @@ def train_reference(
     Trains (a, b) from a small seeded init over a zero base weight; stops at
     the epoch budget or when the gradient norm drops below ``grad_tol``.
     """
-    if len(pairs) == 0:
-        raise EmptySubsetError("cannot train on an empty subset")
     ds = ds if ds is not None else problem.dataset
+    subset = _as_subset(ds, pairs, "train_reference")
     d, k = problem.config.input_dim, problem.shared_dim
     rank = config.rank if config.rank is not None else problem.config.teacher_rank
     edit = balanced_init_edit(
@@ -208,7 +272,7 @@ def train_reference(
     )
     model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
     for _ in range(config.epochs):
-        ga, gb = subset_gradient(model, ds, pairs, weighted=True)
+        ga, gb = subset_gradient(model, ds, subset, weighted=True)
         gnorm = np.sqrt(np.sum(ga * ga) + np.sum(gb * gb))
         if gnorm < config.grad_tol:
             break
@@ -218,7 +282,7 @@ def train_reference(
             b=edit.b - config.step_size * gb,
         )
         model = model.with_edit(edit)
-        loss = subset_loss(model, ds, pairs, weighted=True)
+        loss = subset_loss(model, ds, subset, weighted=True)
         if not np.isfinite(loss) or loss > 1e12:
             raise StepSizeError(f"training diverged (loss={loss!r})")
     return model

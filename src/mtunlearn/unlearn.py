@@ -18,7 +18,13 @@ import numpy as np
 from .data import MultiTaskDataset, PartitionSpec, SyntheticProblem
 from .errors import ConfigError, EmptySubsetError, StepSizeError
 from .evaluation import mia_auc, per_instance_losses
-from .model import MultiTaskModel, subset_gradient, subset_loss, zero_init_edit
+from .model import (
+    MultiTaskModel,
+    Subset,
+    subset_gradient,
+    subset_loss,
+    zero_init_edit,
+)
 from .subspace import TaskSubspace, regularize_step
 from .surgery import (
     GradientBundle,
@@ -94,23 +100,14 @@ class UnlearnTrace:
         return self.records[epoch]
 
 
-def _group_pairs_by_task(pairs):
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for pair in pairs:
-        groups.setdefault(pair[1], []).append(pair)
-    return groups
-
-
-def _source_gradient(model, ds, pairs, subspaces, project) -> GradientPair | None:
+def _source_gradient(model, ds, task_subsets, subspaces, project) -> GradientPair | None:
     """Sum of per-task (optionally projected) subset-mean gradients."""
-    if not pairs:
-        return None
     total = None
-    for t, task_pairs in sorted(_group_pairs_by_task(pairs).items()):
-        ga, gb = subset_gradient(model, ds, task_pairs)
+    for subset in task_subsets:
+        ga, gb = subset_gradient(model, ds, subset)
         pair = GradientPair(ga, gb)
         if project:
-            pair = project_pair(pair, subspaces[t])
+            pair = project_pair(pair, subspaces[subset.blocks[0].task])
         total = pair if total is None else total + pair
     return total
 
@@ -128,8 +125,8 @@ def _forget_task_auc(model, ds, part, val_ds) -> float:
     return float(np.mean(aucs))
 
 
-def _loss_or_none(model, ds, pairs):
-    return subset_loss(model, ds, pairs) if pairs else None
+def _loss_or_none(model, ds, subset):
+    return subset_loss(model, ds, subset) if subset else None
 
 
 def run_unlearning(
@@ -168,6 +165,19 @@ def run_unlearning(
     else:
         anchor = []
 
+    # Every subset is grouped by task once per run: the loss subsets, and
+    # the per-task gradient sources (the anchor stands in for clean).
+    losses = {
+        name: Subset.from_pairs(ds, getattr(part, name))
+        for name in ("forget", "retain_clean", "retain_inst", "retain_task")
+    }
+    sources = {
+        "forget": losses["forget"].by_task(),
+        "clean": Subset.from_pairs(ds, anchor).by_task(),
+        "inst": losses["retain_inst"].by_task(),
+        "task": losses["retain_task"].by_task(),
+    }
+
     project = cfg.strategy not in ("neggrad_plus", "wo_projection")
     skip = _ABLATION_SKIP.get(cfg.strategy, ())
 
@@ -178,10 +188,10 @@ def run_unlearning(
     def record(epoch):
         rec = EpochRecord(
             epoch=epoch,
-            forget_loss=subset_loss(model, ds, part.forget),
-            clean_loss=_loss_or_none(model, ds, part.retain_clean),
-            inst_loss=_loss_or_none(model, ds, part.retain_inst),
-            task_loss=_loss_or_none(model, ds, part.retain_task),
+            forget_loss=subset_loss(model, ds, losses["forget"]),
+            clean_loss=_loss_or_none(model, ds, losses["retain_clean"]),
+            inst_loss=_loss_or_none(model, ds, losses["retain_inst"]),
+            task_loss=_loss_or_none(model, ds, losses["retain_task"]),
             mia_auc=_forget_task_auc(model, ds, part, val),
         )
         if not np.isfinite(rec.forget_loss):
@@ -193,14 +203,10 @@ def run_unlearning(
     current_subspaces = list(subspaces)
     for epoch in range(1, cfg.max_epochs + 1):
         bundle = GradientBundle(
-            forget=_source_gradient(model, ds, part.forget, current_subspaces, project),
-            clean=_source_gradient(model, ds, anchor, current_subspaces, project),
-            inst=_source_gradient(
-                model, ds, part.retain_inst, current_subspaces, project
-            ),
-            task=_source_gradient(
-                model, ds, part.retain_task, current_subspaces, project
-            ),
+            **{
+                name: _source_gradient(model, ds, subsets, current_subspaces, project)
+                for name, subsets in sources.items()
+            }
         )
         if cfg.strategy == "neggrad_plus":
             forget_dir = bundle.forget

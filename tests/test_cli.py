@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from benchdata import BENCH_A_ORIGINAL, report_from_cells
 from mtunlearn import cli, surgery
 
 
@@ -157,6 +158,26 @@ def test_uis_command_trivial_zero(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "0.0%"
+
+
+@pytest.mark.parametrize("forget_tasks", ["7", "0,-1", "x", "0,"])
+def test_uis_command_rejects_bad_forget_tasks(tmp_path, capsys, forget_tasks):
+    report = tmp_path / "report.csv"
+    report.write_text(report_from_cells(BENCH_A_ORIGINAL).to_csv())  # 3 tasks
+    code = cli.main(
+        [
+            "uis",
+            "--evaluated", str(report),
+            "--original", str(report),
+            "--retrain", str(report),
+            "--setting", "partial",
+            "--forget-tasks", forget_tasks,
+        ]
+    )
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--forget-tasks" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_single_ratio_and_dedup(tmp_path, capsys):

@@ -13,7 +13,12 @@ from mtunlearn import (
     partition,
     uis,
 )
-from mtunlearn.errors import ConfigError, DimensionError, EmptySubsetError
+from mtunlearn.errors import (
+    ConfigError,
+    DimensionError,
+    EmptySubsetError,
+    NonFiniteError,
+)
 from mtunlearn.model import MultiTaskModel, zero_init_edit
 
 
@@ -38,9 +43,38 @@ def test_mia_auc_matches_mann_whitney_oracle(n, m, seed):
     assert mia_auc(members, nonmembers) == pytest.approx(u / (n * m), abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 15),
+    m=st.integers(1, 15),
+    seed=st.integers(0, 10_000),
+)
+def test_mia_auc_equals_pairwise_counts(n, m, seed):
+    """The rank form counts exactly the wins and ties of all n*m comparisons."""
+    rng = np.random.default_rng(seed)
+    members = np.round(rng.standard_normal(n), 1)
+    nonmembers = np.round(rng.standard_normal(m), 1)
+    wins = (members[:, None] < nonmembers[None, :]).sum()
+    ties = (members[:, None] == nonmembers[None, :]).sum()
+    assert mia_auc(members, nonmembers) == float((wins + 0.5 * ties) / (n * m))
+
+
 def test_mia_auc_empty_rejected():
     with pytest.raises(EmptySubsetError):
         mia_auc([], [1.0])
+
+
+@pytest.mark.parametrize(
+    "members, nonmembers, name",
+    [
+        ([np.nan, 1.0], [0.5, 2.0], "member_losses"),
+        ([0.5, 1.0], [np.inf, 2.0], "nonmember_losses"),
+        ([0.5, -np.inf], [1.0], "member_losses"),
+    ],
+)
+def test_mia_auc_rejects_non_finite(members, nonmembers, name):
+    with pytest.raises(NonFiniteError, match=f"\\b{name}"):
+        mia_auc(members, nonmembers)
 
 
 def make_report(n_tasks=2, offset=0.0):
@@ -85,6 +119,35 @@ def test_report_csv_round_trip():
     for key, value in rep.metrics.items():
         assert back.metrics[key] == value
     assert back.mia_unl == rep.mia_unl
+
+
+def test_report_csv_requires_mia_retain_row():
+    text = make_report().to_csv()
+    lines = [line for line in text.splitlines() if not line.startswith("1,mia_retain,")]
+    with pytest.raises(ConfigError, match="'mia_retain' AUC cell for task 1"):
+        EvalReport.from_csv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("cell, bad", [("val", "nan"), ("mia", "inf"), ("ret", "-inf")])
+def test_report_csv_rejects_non_finite(cell, bad):
+    lines = make_report().to_csv().splitlines()
+    i = next(n for n, line in enumerate(lines) if line.startswith(f"1,{cell},"))
+    lines[i] = ",".join(lines[i].split(",")[:3] + [bad])
+    with pytest.raises(ConfigError, match=f"task 1 cell '{cell}'"):
+        EvalReport.from_csv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "row", ["x,ret,exp_neg_loss,0.5", "0,ret,0.5", "0,ret,exp_neg_loss,high"]
+)
+def test_report_csv_rejects_malformed_row(row):
+    with pytest.raises(ConfigError, match="malformed CSV row"):
+        EvalReport.from_csv(make_report().to_csv() + row + "\n")
+
+
+def test_report_csv_rejects_header_only():
+    with pytest.raises(ConfigError, match="no rows"):
+        EvalReport.from_csv("task,cell,metric,value\n")
 
 
 def test_report_validate_rejects_incomplete():

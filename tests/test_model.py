@@ -6,6 +6,7 @@ from mtunlearn import (
     GenConfig,
     LowRankEdit,
     MultiTaskModel,
+    Subset,
     TrainConfig,
     flattened_hessian,
     generate_synthetic,
@@ -15,6 +16,7 @@ from mtunlearn import (
     train_reference,
 )
 from mtunlearn.errors import (
+    ConfigError,
     DimensionError,
     EmptySubsetError,
     SizeGuardError,
@@ -119,8 +121,85 @@ def test_hessian_size_guard(small_problem):
 
 def test_gradient_empty_subset(small_problem):
     model = make_model(small_problem)
-    with pytest.raises(EmptySubsetError):
-        subset_gradient(model, small_problem.dataset, [])
+    ds = small_problem.dataset
+    for empty in ([], Subset.from_pairs(ds, [])):
+        with pytest.raises(EmptySubsetError):
+            subset_gradient(model, ds, empty)
+        with pytest.raises(EmptySubsetError):
+            subset_loss(model, ds, empty)
+
+
+def residual_gradient(model, ds, pairs, weighted):
+    """Reference: sum the per-pair residual gradients one pair at a time."""
+    w_eff = model.edit.effective_weight()
+    grad_w = np.zeros_like(w_eff)
+    for i, t in pairs:
+        x, m = ds.inputs[i], model.heads[t]
+        e = m @ (w_eff.T @ x) - ds.targets[t][i]
+        lam = ds.task_weights[t] if weighted else 1.0
+        grad_w += lam * np.outer(x, e @ m)
+    grad_w /= len(pairs)
+    return grad_w.T @ model.edit.b, grad_w @ model.edit.a
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_subset_gradient_matches_residual_form(weighted):
+    problem = generate_synthetic(
+        GenConfig(
+            n_instances=2000,
+            input_dim=8,
+            n_tasks=3,
+            task_dims=(2, 3, 1),
+            shared_dim=6,
+            teacher_rank=3,
+            noise_std=0.5,
+            seed=3,
+            task_weights=(1.0, 2.0, 0.5),
+        )
+    )
+    ds = problem.dataset
+    model = make_model(problem, rank=3, seed=1)
+    rng = np.random.default_rng(0)
+    # random pairs with repeats, so some rows count more than once
+    instances = rng.integers(0, 2000, 3000).tolist()
+    pairs = list(zip(instances, rng.integers(0, 3, 3000).tolist()))
+    subset = Subset.from_pairs(ds, pairs)
+    assert len(subset) == len(pairs)
+    ga, gb = subset_gradient(model, ds, subset, weighted=weighted)
+    ra, rb = residual_gradient(model, ds, pairs, weighted)
+    got = np.concatenate([ga.ravel(), gb.ravel()])
+    want = np.concatenate([ra.ravel(), rb.ravel()])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # a list of pairs goes through the same Subset
+    la, lb = subset_gradient(model, ds, pairs, weighted=weighted)
+    assert np.array_equal(la, ga) and np.array_equal(lb, gb)
+
+
+def test_subset_single_task_equals_task_slice(small_problem):
+    ds = small_problem.dataset
+    pairs = [(3, 2), (0, 0), (5, 2), (1, 0), (3, 1), (0, 2), (5, 2)]
+    multi = Subset.from_pairs(ds, pairs)
+    assert len(multi) == len(pairs)
+    assert [b.task for b in multi.blocks] == [0, 1, 2]
+    for t, part in zip((0, 1, 2), multi.by_task()):
+        task_pairs = [p for p in pairs if p[1] == t]
+        (single,) = Subset.from_pairs(ds, task_pairs).blocks
+        (block,) = part.blocks
+        assert len(part) == len(task_pairs)
+        assert block.task == single.task == t
+        assert np.array_equal(block.index, [i for i, _ in task_pairs])
+        assert np.array_equal(block.index, single.index)
+        assert np.array_equal(block.gram, single.gram)
+        assert np.array_equal(block.cross, single.cross)
+
+
+def test_subset_rejects_bad_ids_and_foreign_dataset(small_problem):
+    ds, val = small_problem.dataset, small_problem.val_dataset
+    for bad in [(ds.n_instances, 0), (-1, 0), (0, ds.n_tasks), (0, -1)]:
+        with pytest.raises(DimensionError):
+            Subset.from_pairs(ds, [(0, 0), bad])
+    with pytest.raises(ConfigError):
+        subset_loss(make_model(small_problem), val, Subset.from_pairs(ds, [(0, 0)]))
 
 
 def test_train_reference_fits_noiseless_realizable_data():
