@@ -26,7 +26,6 @@ from .surgery import (
     GradientBundle,
     GradientPair,
     apply_update,
-    merge,
     orthogonalize,
     project_task,
     sequential_orthogonalize,
@@ -64,7 +63,6 @@ __all__ = [
     "GradientBundle",
     "GradientPair",
     "apply_update",
-    "merge",
     "orthogonalize",
     "project_task",
     "sequential_orthogonalize",

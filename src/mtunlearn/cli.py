@@ -268,21 +268,7 @@ def cmd_generate(args) -> int:
 def _single_run(resolved: dict, seed: int, out: Path) -> dict:
     """Full pipeline for one seed; writes artifacts and returns summary row."""
     out.mkdir(parents=True, exist_ok=True)
-    dc = resolved["data"]
-    problem = generate_synthetic(
-        GenConfig(
-            n_instances=dc["n_instances"],
-            input_dim=dc["input_dim"],
-            n_tasks=dc["n_tasks"],
-            task_dims=tuple(dc["task_dims"]),
-            shared_dim=dc["shared_dim"],
-            teacher_rank=dc["teacher_rank"],
-            noise_std=dc["noise_std"],
-            seed=seed,
-            n_val=dc["n_val"],
-            task_weights=tuple(dc["task_weights"]) if dc["task_weights"] else None,
-        )
-    )
+    problem = generate_synthetic(gen_config_from_doc(resolved, seed))
     ds = problem.dataset
     ds_path = out / "dataset.json"
     ds_path.write_text(problem_to_json(problem))
@@ -300,7 +286,7 @@ def _single_run(resolved: dict, seed: int, out: Path) -> dict:
     original = train_reference(problem, ds.all_pairs(), tc)
     retrain = train_reference(problem, list(part.retain), tc)
     subspaces = init_subspaces(
-        dc["n_tasks"],
+        resolved["data"]["n_tasks"],
         rank=resolved["train"]["rank"],
         dim=resolved["subspace"]["dim"],
         mode=resolved["subspace"]["mode"],

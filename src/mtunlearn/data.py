@@ -18,13 +18,6 @@ DATASET_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SupervisionTriple:
-    instance_id: int
-    task_id: int
-    target: np.ndarray
-
-
-@dataclass(frozen=True)
 class GenConfig:
     """Parameters of the synthetic multi-task generator."""
 
@@ -77,13 +70,6 @@ class MultiTaskDataset:
     @property
     def task_dims(self) -> tuple[int, ...]:
         return tuple(y.shape[1] for y in self.targets)
-
-    def triples(self) -> list[SupervisionTriple]:
-        return [
-            SupervisionTriple(i, t, self.targets[t][i])
-            for i in range(self.n_instances)
-            for t in range(self.n_tasks)
-        ]
 
     def all_pairs(self) -> list[tuple[int, int]]:
         return [

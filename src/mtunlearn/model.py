@@ -93,25 +93,30 @@ def pair_loss(model: MultiTaskModel, ds: MultiTaskDataset, pair) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TaskBlock:
-    """The rows of one task in a subset, with their Gram statistics."""
+    """One task's pairs in a subset, as sufficient statistics of its rows.
+
+    ``gram`` and ``cross`` give the gradient and Hessian. The loss comes from
+    the R factor of ``[X_t, Y_t] = Q R``: ``r`` and ``z`` are its top rows
+    (at most d) under the X and Y columns, so ``r = Q_1^T X_t`` and
+    ``z = Q_1^T Y_t``, and ``rho`` is the squared norm of its bottom-right
+    block, the part of Y_t outside the column space of X_t.
+    """
 
     task: int
     index: np.ndarray  # instance ids, in pair order (repeats allowed)
     gram: np.ndarray  # X_t^T X_t, d x d
     cross: np.ndarray  # X_t^T Y_t, d x m_t
-
-    def rows(self, a: np.ndarray) -> np.ndarray:
-        """This block's rows of a per-instance array, in index order."""
-        # np.take gathers whole rows several times faster than a[index].
-        return np.take(a, self.index, axis=0)
+    r: np.ndarray  # min(n_t, d) x d, upper triangular
+    z: np.ndarray  # min(n_t, d) x m_t
+    rho: float  # |(I - Q_1 Q_1^T) Y_t|^2
 
 
 @dataclass(frozen=True, eq=False)
 class Subset:
     """(instance, task) pairs of one dataset, grouped by task once.
 
-    ``len()`` is the pair count. Gradients need only each block's cached
-    Gram statistics; losses read the block's rows through its index array.
+    ``len()`` is the pair count. Losses, gradients and Hessians need only
+    each block's cached statistics, so their cost does not grow with N.
     """
 
     dataset: MultiTaskDataset
@@ -127,11 +132,19 @@ class Subset:
             raise DimensionError("subset instance id out of range")
         if np.any((task < 0) | (task >= ds.n_tasks)):
             raise DimensionError("subset task id out of range")
+        d = ds.inputs.shape[1]
         blocks = []
         for t in np.unique(task).tolist():
             idx = inst[task == t]
+            # np.take gathers whole rows several times faster than a[idx].
             x, y = np.take(ds.inputs, idx, axis=0), np.take(ds.targets[t], idx, axis=0)
-            blocks.append(TaskBlock(t, idx, x.T @ x, x.T @ y))
+            r = np.linalg.qr(np.hstack([x, y]), mode="r")
+            tail = r[d:, d:]
+            blocks.append(
+                TaskBlock(
+                    t, idx, x.T @ x, x.T @ y, r[:d, :d], r[:d, d:], float(np.vdot(tail, tail))
+                )
+            )
         return cls(ds, tuple(blocks))
 
     def __len__(self) -> int:
@@ -155,17 +168,18 @@ def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=Fal
     """Mean per-pair loss over ``pairs``; optionally task-weighted.
 
     ``pairs`` is a :class:`Subset` of ``ds`` or a sequence of (instance,
-    task) pairs. The loss is summed over residuals, not the expanded
-    quadratic, which cancels badly near zero loss.
+    task) pairs. Per task, |X_t W M_t^T - Y_t|^2 = |R_t W M_t^T - Z_t|^2 +
+    rho_t, a sum of squares that cannot cancel below zero the way the
+    expanded Gram quadratic does near zero loss; a call costs O(K d^2 m).
     """
     subset = _as_subset(ds, pairs, "subset_loss")
     w_eff = model.edit.effective_weight()
     total = 0.0
     for blk in subset.blocks:
         t = blk.task
-        e = blk.rows(ds.inputs) @ (w_eff @ model.heads[t].T) - blk.rows(ds.targets[t])
+        e = blk.r @ (w_eff @ model.heads[t].T) - blk.z
         lam = ds.task_weights[t] if weighted else 1.0
-        total += 0.5 * lam * float(np.vdot(e, e))
+        total += 0.5 * lam * (float(np.vdot(e, e)) + blk.rho)
     return total / len(subset)
 
 
@@ -202,7 +216,8 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
     """Exact Hessian of the subset-mean loss w.r.t. flattened (a, b).
 
     Parameter order matches :func:`flatten_params`: a.ravel() then
-    b.ravel() (row-major). Guarded to r*(k+d) <= 400 parameters.
+    b.ravel() (row-major). Built from each block's G_t and C_t, so it does
+    not grow with N. Guarded to r*(k+d) <= 400 parameters.
     """
     subset = _as_subset(ds, pairs, "flattened_hessian")
     edit = model.edit
@@ -217,23 +232,20 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
     h = np.zeros((p_a + p_b, p_a + p_b))
     w_eff = edit.effective_weight()
     for blk in subset.blocks:
-        t = blk.task
-        x = blk.rows(ds.inputs)  # n x d
-        m = model.heads[t]  # m_t x k
-        u = x @ edit.b  # n x r
+        m = model.heads[blk.task]  # m_t x k
         ma = m @ edit.a  # m_t x r
-        e = x @ w_eff @ m.T - blk.rows(ds.targets[t])  # n x m_t
         mtm = m.T @ m
+        s = edit.b.T @ blk.gram  # r x d (index j, l): U^T X with U = X b
         # a-a block: kron over (row index of a) x (column index of a)
-        h[:p_a, :p_a] += np.kron(mtm, u.T @ u)
+        h[:p_a, :p_a] += np.kron(mtm, s @ edit.b)
         # b-b block
         h[p_a:, p_a:] += np.kron(blk.gram, ma.T @ ma)
         # a-b block, Gauss-Newton part: C[i,p] * sum_n u_j x_l
         c = mtm @ edit.a  # k x r (index i, p)
-        s = u.T @ x  # r x d (index j, l)
         t_ab = np.einsum("ip,jl->ijlp", c, s)
-        # a-b block, residual curvature part: delta_{jp} * (X^T E M)[l, i]
-        dmat = x.T @ (e @ m)  # d x k (index l, i)
+        # a-b block, residual curvature part: delta_{jp} * (X^T E M)[l, i],
+        # with X^T E M = G W M^T M - C M for residuals E = X W M^T - Y
+        dmat = blk.gram @ w_eff @ mtm - blk.cross @ m  # d x k (index l, i)
         t_ab += np.einsum("li,jp->ijlp", dmat, np.eye(r))
         ab = t_ab.reshape(p_a, p_b)
         h[:p_a, p_a:] += ab
@@ -271,7 +283,7 @@ def train_reference(
         np.zeros((d, k)), rank, config.seed, scale=config.init_scale
     )
     model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         ga, gb = subset_gradient(model, ds, subset, weighted=True)
         gnorm = np.sqrt(np.sum(ga * ga) + np.sum(gb * gb))
         if gnorm < config.grad_tol:
@@ -284,5 +296,5 @@ def train_reference(
         model = model.with_edit(edit)
         loss = subset_loss(model, ds, subset, weighted=True)
         if not np.isfinite(loss) or loss > 1e12:
-            raise StepSizeError(f"training diverged (loss={loss!r})")
+            raise StepSizeError(f"train_reference epoch {epoch}: loss={float(loss)!r}")
     return model

@@ -130,8 +130,3 @@ def apply_update(
         a += eta2 * forget_perp.a
         b += eta2 * forget_perp.b
     return LowRankEdit(w_star=edit.w_star, a=a, b=b)
-
-
-def merge(edit: LowRankEdit) -> np.ndarray:
-    """Dense edited weight w_star + b @ a.T."""
-    return edit.effective_weight()

@@ -186,17 +186,23 @@ def run_unlearning(
     )
 
     def record(epoch):
-        rec = EpochRecord(
-            epoch=epoch,
-            forget_loss=subset_loss(model, ds, losses["forget"]),
-            clean_loss=_loss_or_none(model, ds, losses["retain_clean"]),
-            inst_loss=_loss_or_none(model, ds, losses["retain_inst"]),
-            task_loss=_loss_or_none(model, ds, losses["retain_task"]),
-            mia_auc=_forget_task_auc(model, ds, part, val),
+        # Checked before the membership AUC, which rejects non-finite losses
+        # without naming the epoch.
+        forget_loss = subset_loss(model, ds, losses["forget"])
+        if not np.isfinite(forget_loss):
+            raise StepSizeError(
+                f"run_unlearning epoch {epoch}: forget_loss={forget_loss!r}"
+            )
+        trace.records.append(
+            EpochRecord(
+                epoch=epoch,
+                forget_loss=forget_loss,
+                clean_loss=_loss_or_none(model, ds, losses["retain_clean"]),
+                inst_loss=_loss_or_none(model, ds, losses["retain_inst"]),
+                task_loss=_loss_or_none(model, ds, losses["retain_task"]),
+                mia_auc=_forget_task_auc(model, ds, part, val),
+            )
         )
-        if not np.isfinite(rec.forget_loss):
-            raise StepSizeError("unlearning diverged (forget loss not finite)")
-        trace.records.append(rec)
 
     record(0)
     snapshots = [edit]

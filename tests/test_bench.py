@@ -8,7 +8,14 @@ once as a smoke test. Time them with::
 
 import numpy as np
 
-from mtunlearn import GenConfig, Subset, generate_synthetic, mia_auc, subset_gradient
+from mtunlearn import (
+    GenConfig,
+    Subset,
+    generate_synthetic,
+    mia_auc,
+    subset_gradient,
+    subset_loss,
+)
 from mtunlearn.linalg import orthonormalize
 from mtunlearn.model import MultiTaskModel, balanced_init_edit
 
@@ -25,15 +32,26 @@ SHAPES = GenConfig(
 )
 
 
-def test_bench_subset_gradient(benchmark):
+def prebuilt():
+    """A model and the full N=2000 subset, built outside the timed call."""
     problem = generate_synthetic(SHAPES)
     ds = problem.dataset
-    subset = Subset.from_pairs(ds, ds.all_pairs())
     edit = balanced_init_edit(np.zeros((16, 12)), rank=6, seed=0)
     model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
+    return model, ds, Subset.from_pairs(ds, ds.all_pairs())
+
+
+def test_bench_subset_gradient(benchmark):
+    model, ds, subset = prebuilt()
     ga, gb = benchmark(subset_gradient, model, ds, subset, weighted=True)
     assert ga.shape == (12, 6) and gb.shape == (16, 6)
     assert np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))
+
+
+def test_bench_subset_loss(benchmark):
+    model, ds, subset = prebuilt()
+    loss = benchmark(subset_loss, model, ds, subset, weighted=True)
+    assert np.isfinite(loss) and loss > 0
 
 
 def test_bench_mia_auc(benchmark):

@@ -115,16 +115,6 @@ def test_default_forget_split_fraction_and_determinism():
         default_forget_split(ds, 1.5, [0], seed=3)
 
 
-def test_triples_enumerate_full_grid():
-    ds = generate_synthetic(make_config()).dataset
-    triples = ds.triples()
-    assert len(triples) == ds.n_instances * ds.n_tasks
-    keys = {(tr.instance_id, tr.task_id) for tr in triples}
-    assert len(keys) == len(triples)
-    tr = triples[3]
-    assert np.array_equal(tr.target, ds.targets[tr.task_id][tr.instance_id])
-
-
 def test_json_round_trip_is_value_identical():
     p = generate_synthetic(make_config())
     text = problem_to_json(p)

@@ -142,9 +142,9 @@ def residual_gradient(model, ds, pairs, weighted):
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_subset_gradient_matches_residual_form(weighted):
-    problem = generate_synthetic(
+def large_problem(noise_std=0.5):
+    """N=2000 with unequal task weights, for checks against per-pair sums."""
+    return generate_synthetic(
         GenConfig(
             n_instances=2000,
             input_dim=8,
@@ -152,17 +152,26 @@ def test_subset_gradient_matches_residual_form(weighted):
             task_dims=(2, 3, 1),
             shared_dim=6,
             teacher_rank=3,
-            noise_std=0.5,
+            noise_std=noise_std,
             seed=3,
             task_weights=(1.0, 2.0, 0.5),
         )
     )
+
+
+def random_pairs(n_instances, n_tasks, n, seed=0):
+    """Random pairs with repeats, so some rows count more than once."""
+    rng = np.random.default_rng(seed)
+    instances = rng.integers(0, n_instances, n).tolist()
+    return list(zip(instances, rng.integers(0, n_tasks, n).tolist()))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_subset_gradient_matches_residual_form(weighted):
+    problem = large_problem()
     ds = problem.dataset
     model = make_model(problem, rank=3, seed=1)
-    rng = np.random.default_rng(0)
-    # random pairs with repeats, so some rows count more than once
-    instances = rng.integers(0, 2000, 3000).tolist()
-    pairs = list(zip(instances, rng.integers(0, 3, 3000).tolist()))
+    pairs = random_pairs(2000, 3, 3000)
     subset = Subset.from_pairs(ds, pairs)
     assert len(subset) == len(pairs)
     ga, gb = subset_gradient(model, ds, subset, weighted=weighted)
@@ -173,6 +182,50 @@ def test_subset_gradient_matches_residual_form(weighted):
     # a list of pairs goes through the same Subset
     la, lb = subset_gradient(model, ds, pairs, weighted=weighted)
     assert np.array_equal(la, ga) and np.array_equal(lb, gb)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_subset_loss_matches_residual_sum(weighted):
+    problem = large_problem()
+    ds = problem.dataset
+    model = make_model(problem, rank=3, seed=1)
+    pairs = random_pairs(2000, 3, 3000)
+    w_eff = model.edit.effective_weight()
+    total = 0.0
+    for i, t in pairs:
+        e = model.heads[t] @ (w_eff.T @ ds.inputs[i]) - ds.targets[t][i]
+        total += 0.5 * (ds.task_weights[t] if weighted else 1.0) * float(e @ e)
+    want = total / len(pairs)
+    got = subset_loss(model, ds, Subset.from_pairs(ds, pairs), weighted=weighted)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_subset_loss_of_block_with_fewer_rows_than_inputs():
+    problem = large_problem()
+    ds = problem.dataset
+    model = make_model(problem, rank=3, seed=1)
+    # 3 pairs on task 1 (one repeated) and 1 on task 0, all fewer than d=8
+    pairs = [(5, 1), (17, 1), (5, 1), (40, 0)]
+    subset = Subset.from_pairs(ds, pairs)
+    assert [b.r.shape for b in subset.blocks] == [(1, 8), (3, 8)]
+    expected = np.mean([pair_loss(model, ds, p) for p in pairs])
+    assert subset_loss(model, ds, subset) == pytest.approx(expected, rel=1e-12)
+
+
+def test_subset_loss_at_teacher_on_noiseless_data_is_tiny_not_negative():
+    problem = large_problem(noise_std=0.0)
+    ds = problem.dataset
+    rank = 1
+    edit = LowRankEdit(
+        w_star=problem.teacher,
+        a=np.zeros((problem.shared_dim, rank)),
+        b=np.zeros((ds.inputs.shape[1], rank)),
+    )
+    model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
+    subset = Subset.from_pairs(ds, ds.all_pairs())
+    for weighted in (False, True):
+        loss = subset_loss(model, ds, subset, weighted=weighted)
+        assert 0.0 <= loss <= 1e-20
 
 
 def test_subset_single_task_equals_task_slice(small_problem):
@@ -230,7 +283,7 @@ def test_train_reference_determinism(small_problem):
 
 def test_train_reference_divergence_raises(small_problem):
     tc = TrainConfig(epochs=500, step_size=500.0, seed=0)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(StepSizeError, match=r"^train_reference epoch 2: loss=1\.1441186\d*e\+24$"):
         train_reference(small_problem, small_problem.dataset.all_pairs(), tc)
 
 

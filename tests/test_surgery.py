@@ -9,7 +9,6 @@ from mtunlearn import (
     LowRankEdit,
     apply_update,
     init_subspaces,
-    merge,
     orthogonalize,
     project_task,
     sequential_orthogonalize,
@@ -129,13 +128,3 @@ def test_apply_update_math_and_frozen_base():
     assert np.array_equal(out.w_star, w_star)
     with pytest.raises(ValueError):
         apply_update(edit, retain, ascent, eta1=-1.0, eta2=0.1)
-
-
-def test_merge_matches_effective_weight():
-    rng = np.random.default_rng(11)
-    edit = LowRankEdit(
-        w_star=rng.standard_normal((4, 3)),
-        a=rng.standard_normal((3, 2)),
-        b=rng.standard_normal((4, 2)),
-    )
-    assert np.allclose(merge(edit), edit.w_star + edit.b @ edit.a.T)

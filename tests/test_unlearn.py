@@ -11,7 +11,7 @@ from mtunlearn import (
     run_unlearning,
     train_reference,
 )
-from mtunlearn.errors import ConfigError, EmptySubsetError
+from mtunlearn.errors import ConfigError, EmptySubsetError, StepSizeError
 from mtunlearn.unlearn import STRATEGIES
 
 
@@ -162,3 +162,11 @@ def test_validation_set_is_required(pipeline):
         run_unlearning(
             original, stripped, part, subs, UnlearnConfig(setting="partial"), retrain
         )
+
+
+def test_unlearning_divergence_names_epoch_and_forget_loss(pipeline):
+    problem, part_partial, _, original, retrain_p, _, subs = pipeline
+    cfg = UnlearnConfig(setting="partial", eta2=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepSizeError, match=r"^run_unlearning epoch 1: forget_loss=inf$"):
+            run_unlearning(original, problem, part_partial, subs, cfg, retrain_p)
