@@ -46,6 +46,9 @@ MANIFEST_SCHEMA_VERSION = 1
 CHECKPOINT_SCHEMA_VERSION = 1
 TRACE_SCHEMA_VERSION = 1
 
+# Largest Frobenius norm of Q^T Q - I accepted for a loaded subspace basis.
+BASIS_ORTHONORMAL_TOL = 1e-8
+
 # When set, this environment variable overrides --out for every command.
 OUTPUT_DIR_ENV = "MTUNLEARN_OUT"
 
@@ -200,10 +203,18 @@ def checkpoint_from_json(text: str):
     model = MultiTaskModel(
         edit=edit, heads=tuple(np.asarray(h, dtype=float) for h in doc["heads"])
     )
-    subspaces = [
-        TaskSubspace(t, np.asarray(basis, dtype=float))
-        for t, basis in enumerate(doc["subspace_bases"])
-    ]
+    subspaces = []
+    for t, basis in enumerate(doc["subspace_bases"]):
+        q = np.asarray(basis, dtype=float)
+        if q.ndim != 2 or not np.all(np.isfinite(q)):
+            raise ConfigError(f"checkpoint subspace_bases[{t}] is not a finite matrix")
+        err = float(np.linalg.norm(q.T @ q - np.eye(q.shape[1])))
+        if err > BASIS_ORTHONORMAL_TOL:
+            raise ConfigError(
+                f"checkpoint subspace_bases[{t}] is not orthonormal: "
+                f"|Q^T Q - I| = {err:.3g} > {BASIS_ORTHONORMAL_TOL:g}"
+            )
+        subspaces.append(TaskSubspace(t, q))
     return model, subspaces, doc
 
 

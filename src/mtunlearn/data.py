@@ -7,14 +7,16 @@ for every task. Subsets of the grid are lists of (instance, task) pairs;
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-DATASET_SCHEMA_VERSION = 1
+DATASET_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -204,13 +206,47 @@ def default_forget_split(
     return partition(ds, chosen.tolist(), forget_tasks)
 
 
-def _array_to_lists(a: np.ndarray):
-    return a.tolist()
+def _encode_array(a: np.ndarray) -> dict:
+    """A float array as little-endian float64 bytes in C order, base64-encoded."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {
+        "dtype": "<f8",
+        "shape": list(a.shape),
+        "data": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_array(node, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_encode_array`; ``shape`` is the one ``config`` implies."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"dataset field {field}: expected an encoded array object")
+    if node.get("dtype") != "<f8":
+        raise ConfigError(f"dataset field {field}: dtype {node.get('dtype')!r} is not '<f8'")
+    if node.get("shape") != list(shape):
+        raise ConfigError(
+            f"dataset field {field}: shape {node.get('shape')!r} != {list(shape)}"
+        )
+    try:
+        raw = base64.b64decode(node.get("data"), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dataset field {field}: data is not valid base64 ({exc})") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ConfigError(
+            f"dataset field {field}: {len(raw)} bytes, expected {8 * math.prod(shape)}"
+        )
+    # astype copies into a writable array of the native float64 byte order.
+    a = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(
+            f"dataset field {field}: {int(np.sum(~np.isfinite(a)))} non-finite entries"
+        )
+    return a
 
 
 def problem_to_json(problem: SyntheticProblem) -> str:
-    """Serialize the problem (dataset, heads, teacher, config) as versioned JSON."""
+    """Serialize the problem as versioned JSON, each array as base64 float64."""
     cfg = problem.config
+    val = problem.val_dataset
     doc = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "config": {
@@ -225,63 +261,74 @@ def problem_to_json(problem: SyntheticProblem) -> str:
             "n_val": cfg.n_val,
             "task_weights": list(cfg.task_weights) if cfg.task_weights else None,
         },
-        "inputs": _array_to_lists(problem.dataset.inputs),
-        "targets": [_array_to_lists(y) for y in problem.dataset.targets],
-        "task_weights": _array_to_lists(problem.dataset.task_weights),
-        "heads": [_array_to_lists(h) for h in problem.heads],
-        "teacher": _array_to_lists(problem.teacher),
-        "val_inputs": (
-            _array_to_lists(problem.val_dataset.inputs)
-            if problem.val_dataset is not None
-            else None
-        ),
+        "inputs": _encode_array(problem.dataset.inputs),
+        "targets": [_encode_array(y) for y in problem.dataset.targets],
+        "task_weights": _encode_array(problem.dataset.task_weights),
+        "heads": [_encode_array(h) for h in problem.heads],
+        "teacher": _encode_array(problem.teacher),
+        "val_inputs": _encode_array(val.inputs) if val is not None else None,
         "val_targets": (
-            [_array_to_lists(y) for y in problem.val_dataset.targets]
-            if problem.val_dataset is not None
-            else None
+            [_encode_array(y) for y in val.targets] if val is not None else None
         ),
     }
     return json.dumps(doc, sort_keys=True)
 
 
+def _decode_list(doc: dict, key: str, shapes) -> list[np.ndarray]:
+    nodes = doc.get(key)
+    if not isinstance(nodes, list) or len(nodes) != len(shapes):
+        raise ConfigError(f"dataset field {key}: expected a list of {len(shapes)} arrays")
+    return [
+        _decode_array(node, f"{key}[{t}]", shape)
+        for t, (node, shape) in enumerate(zip(nodes, shapes))
+    ]
+
+
 def problem_from_json(text: str) -> SyntheticProblem:
-    doc = json.loads(text)
-    if doc.get("schema_version") != DATASET_SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported dataset schema_version {doc.get('schema_version')!r}"
+    """Parse :func:`problem_to_json` output; a malformed field raises ConfigError."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"dataset is not valid JSON: {exc}") from exc
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != DATASET_SCHEMA_VERSION:
+        raise ConfigError(f"unsupported dataset schema_version {version!r}")
+    c = doc.get("config")
+    try:
+        cfg = GenConfig(
+            n_instances=c["n_instances"],
+            input_dim=c["input_dim"],
+            n_tasks=c["n_tasks"],
+            task_dims=tuple(c["task_dims"]),
+            shared_dim=c["shared_dim"],
+            teacher_rank=c["teacher_rank"],
+            noise_std=c["noise_std"],
+            seed=c["seed"],
+            n_val=c.get("n_val", 0),
+            task_weights=tuple(c["task_weights"]) if c.get("task_weights") else None,
         )
-    c = doc["config"]
-    cfg = GenConfig(
-        n_instances=c["n_instances"],
-        input_dim=c["input_dim"],
-        n_tasks=c["n_tasks"],
-        task_dims=tuple(c["task_dims"]),
-        shared_dim=c["shared_dim"],
-        teacher_rank=c["teacher_rank"],
-        noise_std=c["noise_std"],
-        seed=c["seed"],
-        n_val=c.get("n_val", 0),
-        task_weights=tuple(c["task_weights"]) if c.get("task_weights") else None,
-    )
-    weights = np.asarray(doc["task_weights"], dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"dataset field config: missing or invalid {exc}") from exc
+    n, d, k = cfg.n_instances, cfg.input_dim, cfg.shared_dim
+    weights = _decode_array(doc.get("task_weights"), "task_weights", (cfg.n_tasks,))
     train = MultiTaskDataset(
-        inputs=np.asarray(doc["inputs"], dtype=float),
-        targets=[np.asarray(y, dtype=float) for y in doc["targets"]],
+        inputs=_decode_array(doc.get("inputs"), "inputs", (n, d)),
+        targets=_decode_list(doc, "targets", [(n, m) for m in cfg.task_dims]),
         task_weights=weights,
     )
     train.validate()
     val = None
-    if doc.get("val_inputs") is not None:
+    if cfg.n_val > 0:
         val = MultiTaskDataset(
-            inputs=np.asarray(doc["val_inputs"], dtype=float),
-            targets=[np.asarray(y, dtype=float) for y in doc["val_targets"]],
+            inputs=_decode_array(doc.get("val_inputs"), "val_inputs", (cfg.n_val, d)),
+            targets=_decode_list(doc, "val_targets", [(cfg.n_val, m) for m in cfg.task_dims]),
             task_weights=weights,
         )
         val.validate()
     return SyntheticProblem(
         dataset=train,
         val_dataset=val,
-        heads=[np.asarray(h, dtype=float) for h in doc["heads"]],
-        teacher=np.asarray(doc["teacher"], dtype=float),
+        heads=_decode_list(doc, "heads", [(m, k) for m in cfg.task_dims]),
+        teacher=_decode_array(doc.get("teacher"), "teacher", (d, k)),
         config=cfg,
     )

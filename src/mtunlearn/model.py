@@ -7,7 +7,8 @@ and the flattened Hessian exactly computable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -99,16 +100,45 @@ class TaskBlock:
     the R factor of ``[X_t, Y_t] = Q R``: ``r`` and ``z`` are its top rows
     (at most d) under the X and Y columns, so ``r = Q_1^T X_t`` and
     ``z = Q_1^T Y_t``, and ``rho`` is the squared norm of its bottom-right
-    block, the part of Y_t outside the column space of X_t.
+    block, the part of Y_t outside the column space of X_t. The factor is
+    computed on first use, so a subset that only feeds gradients never
+    pays for it.
     """
 
+    dataset: MultiTaskDataset = field(repr=False)
     task: int
     index: np.ndarray  # instance ids, in pair order (repeats allowed)
     gram: np.ndarray  # X_t^T X_t, d x d
     cross: np.ndarray  # X_t^T Y_t, d x m_t
-    r: np.ndarray  # min(n_t, d) x d, upper triangular
-    z: np.ndarray  # min(n_t, d) x m_t
-    rho: float  # |(I - Q_1 Q_1^T) Y_t|^2
+
+    # Cached one by one, so that after the first loss call each is a plain
+    # attribute read: subset_loss reads all three for every block.
+    @cached_property
+    def r_factor(self) -> np.ndarray:
+        """R of ``[X_t, Y_t]``, min(n_t, d + m_t) x (d + m_t), upper triangular."""
+        x, y = _rows(self.dataset, self.task, self.index)
+        return np.linalg.qr(np.hstack([x, y]), mode="r")
+
+    @cached_property
+    def r(self) -> np.ndarray:  # min(n_t, d) x d
+        d = self.gram.shape[0]
+        return self.r_factor[:d, :d]
+
+    @cached_property
+    def z(self) -> np.ndarray:  # min(n_t, d) x m_t
+        d = self.gram.shape[0]
+        return self.r_factor[:d, d:]
+
+    @cached_property
+    def rho(self) -> float:  # |(I - Q_1 Q_1^T) Y_t|^2
+        d = self.gram.shape[0]
+        tail = self.r_factor[d:, d:]
+        return float(np.vdot(tail, tail))
+
+
+def _rows(ds: MultiTaskDataset, task: int, index: np.ndarray):
+    # np.take gathers whole rows several times faster than a[idx].
+    return np.take(ds.inputs, index, axis=0), np.take(ds.targets[task], index, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,19 +162,11 @@ class Subset:
             raise DimensionError("subset instance id out of range")
         if np.any((task < 0) | (task >= ds.n_tasks)):
             raise DimensionError("subset task id out of range")
-        d = ds.inputs.shape[1]
         blocks = []
         for t in np.unique(task).tolist():
             idx = inst[task == t]
-            # np.take gathers whole rows several times faster than a[idx].
-            x, y = np.take(ds.inputs, idx, axis=0), np.take(ds.targets[t], idx, axis=0)
-            r = np.linalg.qr(np.hstack([x, y]), mode="r")
-            tail = r[d:, d:]
-            blocks.append(
-                TaskBlock(
-                    t, idx, x.T @ x, x.T @ y, r[:d, :d], r[:d, d:], float(np.vdot(tail, tail))
-                )
-            )
+            x, y = _rows(ds, t, idx)
+            blocks.append(TaskBlock(ds, t, idx, x.T @ x, x.T @ y))
         return cls(ds, tuple(blocks))
 
     def __len__(self) -> int:

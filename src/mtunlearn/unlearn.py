@@ -11,6 +11,7 @@ retrained reference's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,24 @@ def _source_gradient(model, ds, task_subsets, subspaces, project) -> GradientPai
             pair = project_pair(pair, subspaces[subset.blocks[0].task])
         total = pair if total is None else total + pair
     return total
+
+
+def _check_forget_gradient(g: GradientPair, epoch: int):
+    """Name the epoch whose forget gradient overflowed, before surgery squares it.
+
+    Its entries can stay finite while the squared norm that orthogonalization
+    divides by does not, so the check is on the squared norm.
+    """
+    sq_norm = float(np.vdot(g.a, g.a)) + float(np.vdot(g.b, g.b))
+    if not math.isfinite(sq_norm):
+        entries = np.concatenate([g.a.ravel(), g.b.ravel()])
+        finite = np.isfinite(entries)
+        largest = float(np.max(np.abs(entries[finite]))) if finite.any() else None
+        raise StepSizeError(
+            f"run_unlearning epoch {epoch}: forget gradient non-finite "
+            f"(squared norm {sq_norm!r}; {entries.size - int(finite.sum())} of "
+            f"{entries.size} entries non-finite; largest finite |entry| {largest!r})"
+        )
 
 
 def _forget_task_auc(model, ds, part, val_ds) -> float:
@@ -214,6 +233,7 @@ def run_unlearning(
                 for name, subsets in sources.items()
             }
         )
+        _check_forget_gradient(bundle.forget, epoch)
         if cfg.strategy == "neggrad_plus":
             forget_dir = bundle.forget
         else:

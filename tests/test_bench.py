@@ -6,6 +6,8 @@ once as a smoke test. Time them with::
     PYTHONPATH=src python -m pytest tests/test_bench.py --benchmark-enable
 """
 
+import dataclasses
+
 import numpy as np
 
 from mtunlearn import (
@@ -13,9 +15,11 @@ from mtunlearn import (
     Subset,
     generate_synthetic,
     mia_auc,
+    orthogonalize,
     subset_gradient,
     subset_loss,
 )
+from mtunlearn.data import problem_from_json, problem_to_json
 from mtunlearn.linalg import orthonormalize
 from mtunlearn.model import MultiTaskModel, balanced_init_edit
 
@@ -52,6 +56,22 @@ def test_bench_subset_loss(benchmark):
     model, ds, subset = prebuilt()
     loss = benchmark(subset_loss, model, ds, subset, weighted=True)
     assert np.isfinite(loss) and loss > 0
+
+
+def test_bench_problem_to_json(benchmark):
+    # The dataset an `mtunlearn run` at N=2000 writes, with its n_val=1000.
+    problem = generate_synthetic(dataclasses.replace(SHAPES, n_val=1000))
+    text = benchmark(problem_to_json, problem)
+    back = problem_from_json(text)
+    assert back.dataset.inputs.tobytes() == problem.dataset.inputs.tobytes()
+    assert back.val_dataset.n_instances == 1000
+
+
+def test_bench_orthogonalize(benchmark):
+    rng = np.random.default_rng(0)
+    g_f, g_r = rng.standard_normal((16, 6)), rng.standard_normal((16, 6))
+    out = benchmark(orthogonalize, g_f, g_r, 0.0)
+    assert abs(np.vdot(out, g_r)) <= 1e-12 * np.linalg.norm(g_f) * np.linalg.norm(g_r)
 
 
 def test_bench_mia_auc(benchmark):

@@ -1,10 +1,13 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from benchdata import BENCH_A_ORIGINAL, report_from_cells
-from mtunlearn import cli, surgery
+from mtunlearn import MultiTaskModel, cli, init_subspaces, surgery
+from mtunlearn.errors import ConfigError
+from mtunlearn.model import zero_init_edit
 
 
 def write_config(path, **overrides):
@@ -105,6 +108,32 @@ def test_checkpoint_round_trip(tmp_path):
     model, subspaces, doc = cli.checkpoint_from_json(text)
     again = cli.checkpoint_to_json(model, subspaces, doc["dataset_digest"], doc["config"])
     assert again == text
+
+
+def random_checkpoint():
+    """Checkpoint text for a small model with random-mode (dense) subspace bases."""
+    rng = np.random.default_rng(0)
+    edit = zero_init_edit(rng.standard_normal((6, 5)), rank=4, seed=0)
+    model = MultiTaskModel(edit=edit, heads=(rng.standard_normal((2, 5)),) * 3)
+    subspaces = init_subspaces(3, rank=4, dim=2, mode="random", seed=0)
+    return cli.checkpoint_to_json(model, subspaces, "digest", {"seed": 0}), subspaces
+
+
+def test_checkpoint_round_trip_keeps_random_bases():
+    text, subspaces = random_checkpoint()
+    model, loaded, doc = cli.checkpoint_from_json(text)
+    for s, t in zip(subspaces, loaded):
+        assert np.array_equal(s.basis, t.basis) and s.task_id == t.task_id
+    assert cli.checkpoint_to_json(model, loaded, doc["dataset_digest"], doc["config"]) == text
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.0, float("nan")])
+def test_checkpoint_rejects_corrupted_basis_naming_the_task(scale):
+    text, _ = random_checkpoint()
+    doc = json.loads(text)
+    doc["subspace_bases"][1][2][0] *= scale
+    with pytest.raises(ConfigError, match=r"subspace_bases\[1\]"):
+        cli.checkpoint_from_json(json.dumps(doc))
 
 
 def test_run_multi_seed_summary(tmp_path):

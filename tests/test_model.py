@@ -200,6 +200,48 @@ def test_subset_loss_matches_residual_sum(weighted):
     assert abs(got - want) <= 1e-12 * want
 
 
+def counting_qr(monkeypatch):
+    """Count calls to np.linalg.qr while the test runs."""
+    calls = []
+    real = np.linalg.qr
+
+    def qr(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return calls
+
+
+def test_gradient_only_subset_never_computes_its_qr_factor(monkeypatch):
+    calls = counting_qr(monkeypatch)
+    problem = large_problem()
+    ds = problem.dataset
+    model = make_model(problem, rank=3, seed=1)
+    subset = Subset.from_pairs(ds, random_pairs(2000, 3, 3000))
+    for part in (subset, *subset.by_task()):
+        subset_gradient(model, ds, part, weighted=True)
+    assert calls == []
+    subset_loss(model, ds, subset)
+    assert len(calls) == len(subset.blocks) == 3
+    # the factor is cached on the blocks, which by_task() shares
+    for part in subset.by_task():
+        subset_loss(model, ds, part)
+    assert len(calls) == 3
+
+
+def test_lazily_built_loss_matches_residual_reference():
+    problem = large_problem()
+    ds = problem.dataset
+    model = make_model(problem, rank=3, seed=1)
+    pairs = random_pairs(2000, 3, 3000, seed=5)
+    subset = Subset.from_pairs(ds, pairs)
+    subset_gradient(model, ds, subset)
+    want = np.mean([pair_loss(model, ds, p) for p in pairs])
+    got = subset_loss(model, ds, subset)
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_subset_loss_of_block_with_fewer_rows_than_inputs():
     problem = large_problem()
     ds = problem.dataset

@@ -170,3 +170,17 @@ def test_unlearning_divergence_names_epoch_and_forget_loss(pipeline):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StepSizeError, match=r"^run_unlearning epoch 1: forget_loss=inf$"):
             run_unlearning(original, problem, part_partial, subs, cfg, retrain_p)
+
+
+def test_unlearning_overflowing_forget_gradient_names_epoch(pipeline):
+    # The forget loss stays finite, but the next forget gradient's squared
+    # norm overflows, which orthogonalization would turn into NaNs.
+    problem, part_partial, _, original, retrain_p, _, subs = pipeline
+    cfg = UnlearnConfig(setting="partial", eta2=1e3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(
+            StepSizeError,
+            match=r"^run_unlearning epoch 6: forget gradient non-finite \(squared norm inf; "
+            r"0 of 42 entries non-finite; largest finite \|entry\| 2\.37\d*e\+195\)$",
+        ):
+            run_unlearning(original, problem, part_partial, subs, cfg, retrain_p)
