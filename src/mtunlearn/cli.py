@@ -9,11 +9,12 @@ can be checked for byte-identical numeric output. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,9 @@ import numpy as np
 from . import theory
 from .data import (
     GenConfig,
+    PartitionConfig,
+    config_from_doc,
+    config_to_doc,
     default_forget_split,
     generate_synthetic,
     problem_to_json,
@@ -34,7 +38,13 @@ from .model import (
     subset_loss,
     train_reference,
 )
-from .subspace import TaskSubspace, default_subspace_dim, init_subspaces
+from .subspace import (
+    SubspaceConfig,
+    TaskSubspace,
+    check_layout,
+    default_subspace_dim,
+    init_subspaces,
+)
 from .unlearn import UnlearnConfig, UnlearnTrace, run_unlearning
 
 EXIT_OK = 0
@@ -49,127 +59,111 @@ TRACE_SCHEMA_VERSION = 1
 # Largest Frobenius norm of Q^T Q - I accepted for a loaded subspace basis.
 BASIS_ORTHONORMAL_TOL = 1e-8
 
-# When set, this environment variable overrides --out for every command.
-OUTPUT_DIR_ENV = "MTUNLEARN_OUT"
-
 
 def sha256_of_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _require(doc: dict, path: str, types) -> object:
-    """Fetch a dotted field from nested dicts; missing -> error naming it."""
-    node = doc
-    walked = []
-    for key in path.split("."):
-        walked.append(key)
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"missing required field {'.'.join(walked)!r}")
-        node = node[key]
-    if not isinstance(node, types) or isinstance(node, bool):
-        raise ConfigError(f"field {path!r} has invalid type {type(node).__name__}")
-    return node
+@dataclass(frozen=True)
+class _NonFinite:
+    """What :func:`load_config` reads for NaN and Infinity; no field accepts it."""
 
-
-def _optional(doc: dict, path: str, default):
-    node = doc
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
+    literal: str
 
 
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_NonFinite)
+    except ValueError as exc:  # also an integer too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if _require(doc, "schema_version", int) != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported config schema_version {doc['schema_version']!r}"
-        )
-    return doc
 
 
 def gen_config_from_doc(doc: dict, seed: int) -> GenConfig:
-    task_dims = _require(doc, "data.task_dims", list)
-    weights = _optional(doc, "data.task_weights", None)
-    return GenConfig(
-        n_instances=_require(doc, "data.n_instances", int),
-        input_dim=_require(doc, "data.input_dim", int),
-        n_tasks=_require(doc, "data.n_tasks", int),
-        task_dims=tuple(task_dims),
-        shared_dim=_require(doc, "data.shared_dim", int),
-        teacher_rank=_require(doc, "data.teacher_rank", int),
-        noise_std=float(_require(doc, "data.noise_std", (int, float))),
-        seed=seed,
-        n_val=int(_optional(doc, "data.n_val", 0)),
-        task_weights=tuple(weights) if weights else None,
-    )
+    """The generator config of ``doc["data"]``; ``n_val`` defaults to max(50, N // 2)."""
+    cfg = config_from_doc(GenConfig, doc.get("data"), "data", seed=seed)
+    return cfg if "n_val" in doc["data"] else replace(cfg, n_val=max(50, cfg.n_instances // 2))
 
 
-def resolve_run_config(doc: dict, seed_override=None, strategy_override=None) -> dict:
-    """Materialize every default so the manifest records the exact run."""
-    seed = int(seed_override if seed_override is not None else _require(doc, "seed", int))
-    n_tasks = _require(doc, "data.n_tasks", int)
-    rank = _optional(doc, "train.rank", None)
-    if rank is None:
-        rank = _require(doc, "data.teacher_rank", int)
-    forget_tasks = _require(doc, "partition.forget_tasks", list)
-    if not forget_tasks:
-        raise ConfigError("field 'partition.forget_tasks' must be nonempty")
-    setting = "full" if len(set(forget_tasks)) == n_tasks else "partial"
-    resolved = {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "data": {
-            "n_instances": _require(doc, "data.n_instances", int),
-            "input_dim": _require(doc, "data.input_dim", int),
-            "n_tasks": n_tasks,
-            "task_dims": list(_require(doc, "data.task_dims", list)),
-            "shared_dim": _require(doc, "data.shared_dim", int),
-            "teacher_rank": _require(doc, "data.teacher_rank", int),
-            "noise_std": float(_require(doc, "data.noise_std", (int, float))),
-            "n_val": int(_optional(doc, "data.n_val", max(50, _require(doc, "data.n_instances", int) // 2))),
-            "task_weights": _optional(doc, "data.task_weights", None),
-        },
-        "partition": {
-            "forget_fraction": float(_require(doc, "partition.forget_fraction", (int, float))),
-            "forget_tasks": sorted(set(int(t) for t in forget_tasks)),
-        },
-        "train": {
-            "epochs": _require(doc, "train.epochs", int),
-            "step_size": float(_require(doc, "train.step_size", (int, float))),
-            "rank": int(rank),
-            "init_scale": float(_optional(doc, "train.init_scale", 0.1)),
-        },
-        "subspace": {
-            "dim": int(_optional(doc, "subspace.dim", default_subspace_dim(rank, n_tasks))),
-            "mode": _optional(doc, "subspace.mode", "disjoint-blocks"),
-        },
-        "unlearn": {
-            "setting": setting,
-            "eta1": float(_optional(doc, "unlearn.eta1", 1.0)),
-            "eta2": float(_optional(doc, "unlearn.eta2", 0.1)),
-            "eps": float(_optional(doc, "unlearn.eps", 1e-8)),
-            "max_epochs": int(_optional(doc, "unlearn.max_epochs", 20)),
-            "reg_weight": float(_optional(doc, "unlearn.reg_weight", 1.0)),
-            "reg_step_size": float(_optional(doc, "unlearn.reg_step_size", 1e-3)),
-            "strategy": strategy_override or _optional(doc, "unlearn.strategy", "ours"),
-            "anchor_fraction": float(_optional(doc, "unlearn.anchor_fraction", 0.10)),
-        },
-        "seed": seed,
-        "n_seeds": int(_optional(doc, "n_seeds", 1)),
-    }
-    if not 0 < resolved["partition"]["forget_fraction"] < 1:
-        raise ConfigError("field 'partition.forget_fraction' must be in (0, 1)")
-    if resolved["n_seeds"] < 1:
-        raise ConfigError("field 'n_seeds' must be >= 1")
-    return resolved
+@dataclass(frozen=True)
+class _ConfigFile:
+    """The top level of a config file; :meth:`RunConfig.from_doc` reads each section."""
+
+    schema_version: int
+    seed: int
+    data: dict
+    partition: dict
+    train: dict
+    subspace: dict = field(default_factory=dict)
+    unlearn: dict = field(default_factory=dict)
+    n_seeds: int = 1
+
+    def __post_init__(self):
+        if self.schema_version != CONFIG_SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {self.schema_version}")
+        if self.n_seeds < 1:
+            raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A config file with every default filled in; ``from_doc(to_doc())`` gives it back.
+
+    Each section holds the base seed; run ``i`` of ``n_seeds`` uses ``seed + i``.
+    """
+
+    data: GenConfig
+    partition: PartitionConfig
+    train: TrainConfig
+    subspace: SubspaceConfig
+    unlearn: UnlearnConfig
+    n_seeds: int = 1
+
+    @property
+    def seed(self) -> int:
+        return self.data.seed
+
+    @classmethod
+    def from_doc(cls, doc, seed: int | None = None, strategy: str | None = None) -> "RunConfig":
+        """Check a config document and fill in every default; errors name the field.
+
+        ``seed`` and ``strategy`` override the document's; the setting (full
+        or partial) follows from ``partition.forget_tasks``.
+        """
+        top = config_from_doc(_ConfigFile, doc, "config")
+        seed = top.seed if seed is None else seed
+        data = gen_config_from_doc(doc, seed)
+        if data.n_val < 1:
+            raise ConfigError("data.n_val: must be >= 1, early stopping needs a validation set")
+        partition = config_from_doc(PartitionConfig, top.partition, "partition")
+        tasks = tuple(sorted(set(partition.forget_tasks)))
+        if not 0 <= tasks[0] <= tasks[-1] < data.n_tasks:
+            raise ConfigError(f"partition.forget_tasks: {list(tasks)} not in [0, {data.n_tasks})")
+        train = config_from_doc(TrainConfig, top.train, "train", seed=seed)
+        train = replace(train, rank=train.rank_for(data))
+        dim = default_subspace_dim(train.rank, data.n_tasks)
+        sub = config_from_doc(SubspaceConfig, {"dim": dim, **top.subspace}, "subspace")
+        try:
+            check_layout(data.n_tasks, train.rank, sub.dim, sub.mode)
+        except MtUnlearnError as exc:
+            raise ConfigError(f"subspace: {exc}") from None
+        setting = "full" if len(tasks) == data.n_tasks else "partial"
+        node = dict(top.unlearn)
+        if node.pop("setting", setting) != setting:
+            raise ConfigError(f"unlearn.setting: partition.forget_tasks select {setting!r}")
+        if strategy is not None:
+            node["strategy"] = strategy
+        unlearn = config_from_doc(UnlearnConfig, node, "unlearn", seed=seed, setting=setting)
+        return cls(data, replace(partition, forget_tasks=tasks), train, sub, unlearn, top.n_seeds)
+
+    def to_doc(self) -> dict:
+        """The config document that :meth:`from_doc` reads back as this config."""
+        sections = ("data", "partition", "train", "subspace", "unlearn")
+        doc = {name: config_to_doc(getattr(self, name), "seed") for name in sections}
+        return dict(doc, schema_version=CONFIG_SCHEMA_VERSION, seed=self.seed, n_seeds=self.n_seeds)
 
 
 def checkpoint_to_json(
@@ -223,17 +217,7 @@ def trace_to_json(trace: UnlearnTrace) -> str:
         "schema_version": TRACE_SCHEMA_VERSION,
         "reference_auc": trace.reference_auc,
         "selected_epoch": trace.selected_epoch,
-        "records": [
-            {
-                "epoch": r.epoch,
-                "forget_loss": r.forget_loss,
-                "clean_loss": r.clean_loss,
-                "inst_loss": r.inst_loss,
-                "task_loss": r.task_loss,
-                "mia_auc": r.mia_auc,
-            }
-            for r in trace.records
-        ],
+        "records": [dataclasses.asdict(r) for r in trace.records],
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -255,68 +239,44 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed, outputs, sta
 
 
 def _out_dir(args) -> Path:
-    out = os.environ.get(OUTPUT_DIR_ENV) or args.out
-    if out is None:
-        raise ConfigError("no output directory: pass --out or set " + OUTPUT_DIR_ENV)
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def cmd_generate(args) -> int:
     started = time.time()
-    doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else _require(doc, "seed", int)
+    cfg = RunConfig.from_doc(load_config(args.config), args.seed)
     out = _out_dir(args)
-    problem = generate_synthetic(gen_config_from_doc(doc, int(seed)))
+    problem = generate_synthetic(cfg.data)
     ds_path = out / "dataset.json"
     ds_path.write_text(problem_to_json(problem))
-    write_manifest(out, "generate", doc, int(seed), [ds_path], started)
+    write_manifest(out, "generate", cfg.to_doc(), cfg.seed, [ds_path], started)
     print(f"wrote {ds_path}")
     return EXIT_OK
 
 
-def _single_run(resolved: dict, seed: int, out: Path) -> dict:
+def _single_run(cfg: RunConfig, seed: int, out: Path) -> dict:
     """Full pipeline for one seed; writes artifacts and returns summary row."""
     out.mkdir(parents=True, exist_ok=True)
-    problem = generate_synthetic(gen_config_from_doc(resolved, seed))
+    problem = generate_synthetic(replace(cfg.data, seed=seed))
     ds = problem.dataset
     ds_path = out / "dataset.json"
     ds_path.write_text(problem_to_json(problem))
     ds_digest = sha256_of_file(ds_path)
 
-    pc = resolved["partition"]
-    part = default_forget_split(ds, pc["forget_fraction"], pc["forget_tasks"], seed)
-    tc = TrainConfig(
-        epochs=resolved["train"]["epochs"],
-        step_size=resolved["train"]["step_size"],
-        seed=seed,
-        rank=resolved["train"]["rank"],
-        init_scale=resolved["train"]["init_scale"],
-    )
+    pc = cfg.partition
+    part = default_forget_split(ds, pc.forget_fraction, pc.forget_tasks, seed)
+    tc = replace(cfg.train, seed=seed)
     original = train_reference(problem, ds.all_pairs(), tc)
     retrain = train_reference(problem, list(part.retain), tc)
     subspaces = init_subspaces(
-        resolved["data"]["n_tasks"],
-        rank=resolved["train"]["rank"],
-        dim=resolved["subspace"]["dim"],
-        mode=resolved["subspace"]["mode"],
-        seed=seed,
+        cfg.data.n_tasks, rank=tc.rank, dim=cfg.subspace.dim, mode=cfg.subspace.mode, seed=seed
     )
-    uc = resolved["unlearn"]
-    ucfg = UnlearnConfig(
-        setting=uc["setting"],
-        eta1=uc["eta1"],
-        eta2=uc["eta2"],
-        eps=uc["eps"],
-        max_epochs=uc["max_epochs"],
-        reg_weight=uc["reg_weight"],
-        reg_step_size=uc["reg_step_size"],
-        strategy=uc["strategy"],
-        anchor_fraction=uc["anchor_fraction"],
-        seed=seed,
-    )
+    ucfg = replace(cfg.unlearn, seed=seed)
     unlearned, trace = run_unlearning(original, problem, part, subspaces, ucfg, retrain)
+    # Every seed's checkpoints record the base config, seed included.
+    echo = cfg.to_doc()
 
     reports = {}
     for name, model in (
@@ -329,7 +289,7 @@ def _single_run(resolved: dict, seed: int, out: Path) -> dict:
         (out / f"eval_{name}.json").write_text(rep.to_json())
         (out / f"eval_{name}.csv").write_text(rep.to_csv())
         (out / f"checkpoint_{name}.json").write_text(
-            checkpoint_to_json(model, subspaces, ds_digest, resolved)
+            checkpoint_to_json(model, subspaces, ds_digest, echo)
         )
     (out / "trace.json").write_text(trace_to_json(trace))
 
@@ -338,8 +298,8 @@ def _single_run(resolved: dict, seed: int, out: Path) -> dict:
             evaluated=reports["unlearned"],
             original_ref=reports["original"],
             retrain_ref=reports["retrain"],
-            setting=uc["setting"],
-            forget_tasks=frozenset(pc["forget_tasks"]),
+            setting=ucfg.setting,
+            forget_tasks=frozenset(pc.forget_tasks),
         )
     )
     row = {
@@ -385,20 +345,23 @@ def _write_seed_table(out: Path, rows) -> list[Path]:
     return [seeds_path, summary_path]
 
 
-def cmd_run(args) -> int:
-    started = time.time()
-    doc = load_config(args.config)
-    resolved = resolve_run_config(doc, args.seed, args.strategy)
-    out = _out_dir(args)
-    rows = []
-    outputs = []
-    for i in range(resolved["n_seeds"]):
-        seed = resolved["seed"] + i
+def _run_seeds(cfg: RunConfig, out: Path) -> tuple[list[dict], list[Path]]:
+    """Run every seed of ``cfg`` under ``out``; return the summary rows and files written."""
+    rows, outputs = [], []
+    for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
         seed_dir = out / f"seed_{seed}"
-        rows.append(_single_run(resolved, seed, seed_dir))
+        rows.append(_single_run(cfg, seed, seed_dir))
         outputs.extend(sorted(seed_dir.iterdir()))
     outputs.extend(_write_seed_table(out, rows))
-    write_manifest(out, "run", resolved, resolved["seed"], outputs, started)
+    return rows, outputs
+
+
+def cmd_run(args) -> int:
+    started = time.time()
+    cfg = RunConfig.from_doc(load_config(args.config), args.seed, args.strategy)
+    out = _out_dir(args)
+    rows, outputs = _run_seeds(cfg, out)
+    write_manifest(out, "run", cfg.to_doc(), cfg.seed, outputs, started)
     for row in rows:
         print(
             f"seed {row['seed']}: uis {100 * row['uis']:.1f}% "
@@ -409,16 +372,12 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.time()
-    seed = args.seed if args.seed is not None else 0
-    report = theory.run_all_checks(seed=int(seed))
-    text = theory.report_to_json(report)
-    outputs = []
-    if args.out or os.environ.get(OUTPUT_DIR_ENV):
+    report = theory.run_all_checks(seed=args.seed)
+    if args.out:
         out = _out_dir(args)
         path = out / "verification.json"
-        path.write_text(text)
-        outputs.append(path)
-        write_manifest(out, "verify", {"seed": int(seed)}, int(seed), outputs, started)
+        path.write_text(theory.report_to_json(report))
+        write_manifest(out, "verify", {"seed": args.seed}, args.seed, [path], started)
     failed = [s for s in report["suites"] if not s["passed"]]
     for suite in report["suites"]:
         print(f"{suite['suite']}: {'pass' if suite['passed'] else 'FAIL'}")
@@ -470,37 +429,26 @@ def cmd_uis(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    doc = load_config(args.config)
-    resolved = resolve_run_config(doc, args.seed, args.strategy)
-    out = _out_dir(args)
+    cfg = RunConfig.from_doc(load_config(args.config), args.seed, args.strategy)
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid --ratios value: {exc}") from exc
     if not ratios:
         raise ConfigError("--ratios must list at least one value")
-    unique = []
+    subs = {}  # ratio -> its run config, which checks the ratio
     for r in ratios:
-        if r in unique:
+        if r in subs:
             print(f"warning: duplicate ratio {r} ignored", file=sys.stderr)
-            continue
-        if not 0 < r < 1:
-            raise ConfigError(f"ratio {r} outside (0, 1)")
-        unique.append(r)
+        else:
+            subs[r] = replace(cfg, partition=replace(cfg.partition, forget_fraction=r))
 
+    out = _out_dir(args)
     outputs = []
     lines = ["ratio," + ",".join(f"mean_{f}" for f in _ROW_FIELDS[1:])]
-    for ratio in unique:
-        sub = dict(resolved)
-        sub["partition"] = dict(resolved["partition"], forget_fraction=ratio)
-        ratio_dir = out / f"ratio_{ratio}"
-        rows = []
-        for i in range(resolved["n_seeds"]):
-            seed = resolved["seed"] + i
-            seed_dir = ratio_dir / f"seed_{seed}"
-            rows.append(_single_run(sub, seed, seed_dir))
-            outputs.extend(sorted(seed_dir.iterdir()))
-        outputs.extend(_write_seed_table(ratio_dir, rows))
+    for ratio, sub in subs.items():
+        rows, written = _run_seeds(sub, out / f"ratio_{ratio}")
+        outputs.extend(written)
         means = [
             repr(float(np.mean([float(row[f]) for row in rows])))
             for f in _ROW_FIELDS[1:]
@@ -509,7 +457,7 @@ def cmd_sweep(args) -> int:
     sweep_path = out / "sweep.csv"
     sweep_path.write_text("\n".join(lines) + "\n")
     outputs.append(sweep_path)
-    write_manifest(out, "sweep", resolved, resolved["seed"], outputs, started)
+    write_manifest(out, "sweep", cfg.to_doc(), cfg.seed, outputs, started)
     print(f"wrote {sweep_path}")
     return EXIT_OK
 
@@ -521,21 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", help="write a synthetic dataset")
-    p_gen.add_argument("--config", required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--out", default=None)
-    p_gen.set_defaults(func=cmd_generate)
+    def config_command(name, func, help_text):
+        """A subcommand that reads a run config file (see RunConfig)."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p_run = sub.add_parser("run", help="train references, unlearn, evaluate")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out", default=None)
+    config_command("generate", cmd_generate, "write a synthetic dataset")
+    p_run = config_command("run", cmd_run, "train references, unlearn, evaluate")
     p_run.add_argument("--strategy", default=None)
-    p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the theory check suites")
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -547,13 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_uis.add_argument("--forget-tasks", default="")
     p_uis.set_defaults(func=cmd_uis)
 
-    p_sweep = sub.add_parser("sweep", help="repeat run across forget ratios")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep = config_command("sweep", cmd_sweep, "repeat run across forget ratios")
     p_sweep.add_argument("--ratios", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--strategy", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -8,8 +8,11 @@ for every task. Subsets of the grid are lists of (instance, task) pairs;
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import math
+import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +42,70 @@ class GenConfig:
             raise ConfigError("need n_instances >= 2, n_tasks >= 2, input_dim >= 2")
         if len(self.task_dims) != self.n_tasks:
             raise ConfigError("task_dims length must equal n_tasks")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+        if any(m < 1 for m in self.task_dims):
+            raise ConfigError(f"task_dims must all be >= 1, got {list(self.task_dims)}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
         if not 1 <= self.teacher_rank <= min(self.input_dim, self.shared_dim):
             raise ConfigError("teacher_rank must be in [1, min(input_dim, shared_dim)]")
+        for name in ("seed", "n_val"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.task_weights is not None and (
             len(self.task_weights) != self.n_tasks
-            or any(w <= 0 for w in self.task_weights)
+            or any(not 0 < w < math.inf for w in self.task_weights)
         ):
-            raise ConfigError("task_weights must be n_tasks positive numbers")
+            raise ConfigError("task_weights must be n_tasks finite positive numbers")
+
+
+def _typed(value, tp, where: str):
+    """``value`` checked against the annotation ``tp``; ints become floats."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _typed(value, args[0], where)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...], read from a JSON list
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_typed(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if tp is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    if not isinstance(value, tp) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def config_from_doc(cls, node, path: str, **fixed):
+    """Build the config dataclass ``cls`` from the JSON object ``node``; errors name ``path``.
+
+    Each key is a field not in ``fixed`` (set by the caller) with a value of its annotated
+    type: an int is stored as a float, a list as a tuple, and a bool is not a number.
+    """
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {node!r}")
+    hints = typing.get_type_hints(cls)
+    settable = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    unknown = sorted(node.keys() - {f.name for f in settable})
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+    values = dict(fixed)
+    for f in settable:
+        if f.name in node:
+            values[f.name] = _typed(node[f.name], hints[f.name], f"{path}.{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{path}: missing or invalid {f.name!r}: {path}.{f.name} is required")
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def config_to_doc(config, *omit: str) -> dict:
+    """Inverse of :func:`config_from_doc`, leaving out the fields in ``omit``."""
+    return {
+        f.name: list(v) if isinstance(v := getattr(config, f.name), tuple) else v
+        for f in dataclasses.fields(config)
+        if f.name not in omit
+    }
 
 
 @dataclass
@@ -110,6 +168,20 @@ class PartitionSpec:
     @property
     def retain(self) -> tuple[tuple[int, int], ...]:
         return self.retain_task + self.retain_inst + self.retain_clean
+
+
+@dataclass(frozen=True)
+class PartitionConfig:
+    """Which instances and tasks a run forgets: see :func:`default_forget_split`."""
+
+    forget_fraction: float
+    forget_tasks: tuple[int, ...]
+
+    def __post_init__(self):
+        if not 0 < self.forget_fraction < 1:
+            raise ConfigError(f"forget_fraction must be in (0, 1), got {self.forget_fraction!r}")
+        if not self.forget_tasks:
+            raise ConfigError("forget_tasks must be nonempty")
 
 
 @dataclass
@@ -245,22 +317,10 @@ def _decode_array(node, field: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def problem_to_json(problem: SyntheticProblem) -> str:
     """Serialize the problem as versioned JSON, each array as base64 float64."""
-    cfg = problem.config
     val = problem.val_dataset
     doc = {
         "schema_version": DATASET_SCHEMA_VERSION,
-        "config": {
-            "n_instances": cfg.n_instances,
-            "input_dim": cfg.input_dim,
-            "n_tasks": cfg.n_tasks,
-            "task_dims": list(cfg.task_dims),
-            "shared_dim": cfg.shared_dim,
-            "teacher_rank": cfg.teacher_rank,
-            "noise_std": cfg.noise_std,
-            "seed": cfg.seed,
-            "n_val": cfg.n_val,
-            "task_weights": list(cfg.task_weights) if cfg.task_weights else None,
-        },
+        "config": config_to_doc(problem.config),
         "inputs": _encode_array(problem.dataset.inputs),
         "targets": [_encode_array(y) for y in problem.dataset.targets],
         "task_weights": _encode_array(problem.dataset.task_weights),
@@ -293,22 +353,7 @@ def problem_from_json(text: str) -> SyntheticProblem:
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != DATASET_SCHEMA_VERSION:
         raise ConfigError(f"unsupported dataset schema_version {version!r}")
-    c = doc.get("config")
-    try:
-        cfg = GenConfig(
-            n_instances=c["n_instances"],
-            input_dim=c["input_dim"],
-            n_tasks=c["n_tasks"],
-            task_dims=tuple(c["task_dims"]),
-            shared_dim=c["shared_dim"],
-            teacher_rank=c["teacher_rank"],
-            noise_std=c["noise_std"],
-            seed=c["seed"],
-            n_val=c.get("n_val", 0),
-            task_weights=tuple(c["task_weights"]) if c.get("task_weights") else None,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"dataset field config: missing or invalid {exc}") from exc
+    cfg = config_from_doc(GenConfig, doc.get("config"), "config")
     n, d, k = cfg.n_instances, cfg.input_dim, cfg.shared_dim
     weights = _decode_array(doc.get("task_weights"), "task_weights", (cfg.n_tasks,))
     train = MultiTaskDataset(

@@ -98,20 +98,6 @@ class EvalReport:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        doc = json.loads(text)
-        if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise ConfigError("unsupported report schema_version")
-        rep = cls(n_tasks=doc["n_tasks"], metric_name=doc["metric_name"])
-        for key, v in doc["metrics"].items():
-            t, s = key.split(",")
-            rep.metrics[(int(t), s)] = v
-        rep.mia_unl = {int(t): v for t, v in doc["mia_unl"].items()}
-        rep.mia_ret = {int(t): v for t, v in doc["mia_ret"].items()}
-        rep.metadata = doc.get("metadata", {})
-        return rep
-
     def to_csv(self) -> str:
         """Flat table, one row per cell: task,cell,metric,value."""
         lines = ["task,cell,metric,value"]

@@ -84,12 +84,17 @@ def solve_spd(h, b) -> np.ndarray:
         raise DimensionError(f"h must be square, got {h.shape}")
     if b_arr.shape[0] != n:
         raise DimensionError(f"b has {b_arr.shape[0]} rows, expected {n}")
-    if np.max(np.abs(h - h.T)) > SYMMETRY_ATOL * max(1.0, np.max(np.abs(h))):
-        raise CurvatureError("matrix is not symmetric")
+    asym = np.max(np.abs(h - h.T))
+    tol = SYMMETRY_ATOL * max(1.0, np.max(np.abs(h)))
+    if asym > tol:
+        raise CurvatureError(f"solve_spd: not symmetric: max |h - h^T| = {asym:.3g} > {tol:.3g}")
     try:
         factor = scipy.linalg.cho_factor(h, lower=True)
     except scipy.linalg.LinAlgError as exc:
-        raise CurvatureError("matrix is not positive definite") from exc
+        lam = np.linalg.eigvalsh(h)[0]
+        raise CurvatureError(
+            f"solve_spd: not positive definite: smallest eigenvalue {lam:.3g}"
+        ) from exc
     x = scipy.linalg.cho_solve(factor, b_arr)
     # One step of iterative refinement keeps the residual near 1e-9 * |b|.
     r = b_arr - h @ x

@@ -7,12 +7,13 @@ and the flattened Hessian exactly computable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .data import MultiTaskDataset, SyntheticProblem
+from .data import GenConfig, MultiTaskDataset, SyntheticProblem
 from .errors import (
     ConfigError,
     DimensionError,
@@ -22,6 +23,9 @@ from .errors import (
 )
 
 HESSIAN_PARAM_GUARD = 400
+
+# Reference training stops early once the gradient norm drops below this.
+GRAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -281,34 +285,43 @@ class TrainConfig:
     epochs: int
     step_size: float
     seed: int
-    rank: int | None = None  # defaults to the generator's teacher rank
+    rank: int | None = None  # None: see rank_for
     init_scale: float = 0.1
-    grad_tol: float = 1e-7
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("step_size", "init_scale"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        if self.rank is not None and self.rank < 1:
+            raise ConfigError(f"rank must be >= 1, got {self.rank}")
+
+    def rank_for(self, problem_config: GenConfig) -> int:
+        """The edit's rank: ``rank``, or the generator's teacher rank if None."""
+        return self.rank if self.rank is not None else problem_config.teacher_rank
 
 
 def train_reference(
-    problem: SyntheticProblem,
-    pairs,
-    config: TrainConfig,
-    ds: MultiTaskDataset | None = None,
+    problem: SyntheticProblem, pairs, config: TrainConfig
 ) -> MultiTaskModel:
     """Full-batch gradient descent on the task-weighted mean loss over ``pairs``.
 
     Trains (a, b) from a small seeded init over a zero base weight; stops at
-    the epoch budget or when the gradient norm drops below ``grad_tol``.
+    the epoch budget or when the gradient norm drops below ``GRAD_TOL``.
     """
-    ds = ds if ds is not None else problem.dataset
+    ds = problem.dataset
     subset = _as_subset(ds, pairs, "train_reference")
     d, k = problem.config.input_dim, problem.shared_dim
-    rank = config.rank if config.rank is not None else problem.config.teacher_rank
     edit = balanced_init_edit(
-        np.zeros((d, k)), rank, config.seed, scale=config.init_scale
+        np.zeros((d, k)), config.rank_for(problem.config), config.seed, scale=config.init_scale
     )
     model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
     for epoch in range(1, config.epochs + 1):
         ga, gb = subset_gradient(model, ds, subset, weighted=True)
         gnorm = np.sqrt(np.sum(ga * ga) + np.sum(gb * gb))
-        if gnorm < config.grad_tol:
+        if gnorm < GRAD_TOL:
             break
         edit = LowRankEdit(
             w_star=edit.w_star,

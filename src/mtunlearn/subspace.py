@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateBasisError, DimensionError
+from .errors import CapacityError, ConfigError, DegenerateBasisError, DimensionError
 from .linalg import orthonormalize
 
 
@@ -33,33 +33,44 @@ class TaskSubspace:
         return self.basis @ self.basis.T
 
 
+def check_layout(n_tasks: int, rank: int, dim: int, mode: str):
+    """Raise unless ``mode`` can lay out ``n_tasks`` subspaces of width ``dim`` in ``rank``."""
+    if mode not in ("disjoint-blocks", "random"):
+        raise ConfigError(f"unknown mode {mode!r}, expected 'disjoint-blocks' or 'random'")
+    if not 1 <= dim <= rank:
+        raise DimensionError(f"need 1 <= dim <= rank, got dim={dim}, rank={rank}")
+    if mode == "disjoint-blocks" and n_tasks * dim > rank:
+        raise CapacityError(f"{n_tasks} blocks of width {dim} do not fit in rank {rank}")
+
+
 def init_subspaces(
     n_tasks: int, rank: int, dim: int, mode: str = "disjoint-blocks", seed: int = 0
 ) -> list[TaskSubspace]:
     """Per-task bases; disjoint standard-basis blocks or independent random draws."""
-    if not 1 <= dim <= rank:
-        raise DimensionError(f"need 1 <= dim <= rank, got dim={dim}, rank={rank}")
+    check_layout(n_tasks, rank, dim, mode)
     if mode == "disjoint-blocks":
-        if n_tasks * dim > rank:
-            raise CapacityError(
-                f"{n_tasks} blocks of width {dim} do not fit in rank {rank}"
-            )
         eye = np.eye(rank)
         return [
             TaskSubspace(t, eye[:, t * dim : (t + 1) * dim].copy())
             for t in range(n_tasks)
         ]
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        return [
-            TaskSubspace(t, orthonormalize(rng.standard_normal((rank, dim))))
-            for t in range(n_tasks)
-        ]
-    raise ValueError(f"unknown subspace mode {mode!r}")
+    rng = np.random.default_rng(seed)
+    return [
+        TaskSubspace(t, orthonormalize(rng.standard_normal((rank, dim))))
+        for t in range(n_tasks)
+    ]
 
 
 def default_subspace_dim(rank: int, n_tasks: int) -> int:
     return max(1, rank // n_tasks)
+
+
+@dataclass(frozen=True)
+class SubspaceConfig:
+    """Arguments of :func:`init_subspaces` that a run config sets; see :func:`check_layout`."""
+
+    dim: int
+    mode: str = "disjoint-blocks"
 
 
 def alignment(u: TaskSubspace, v: TaskSubspace) -> tuple[float, float]:

@@ -47,14 +47,6 @@ class GradientBundle:
     def source(self, name: str) -> GradientPair | None:
         return getattr(self, name)
 
-    def retain_sum(self) -> GradientPair | None:
-        total = None
-        for name in SOURCE_ORDER:
-            g = self.source(name)
-            if g is not None:
-                total = g if total is None else total + g
-        return total
-
 
 def project_task(grad, subspace: TaskSubspace) -> np.ndarray:
     """Right-multiply by the task projector; idempotent, norm-contracting."""

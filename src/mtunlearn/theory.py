@@ -186,7 +186,9 @@ def optimal_direction(h_r, g_f, gamma: float) -> np.ndarray:
     hinv_g = solve_spd(h_r, g_f)
     denom = float(g_f @ hinv_g)
     if denom <= 0:
-        raise CurvatureError("curvature matrix is not positive definite along g_f")
+        raise CurvatureError(
+            f"optimal_direction: not positive definite along g_f: g_f^T H_r^-1 g_f = {denom:.3g}"
+        )
     return (gamma / denom) * hinv_g
 
 

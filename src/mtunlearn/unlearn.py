@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiTaskDataset, PartitionSpec, SyntheticProblem
+from .data import PartitionSpec, SyntheticProblem
 from .errors import ConfigError, EmptySubsetError, StepSizeError
 from .evaluation import mia_auc, per_instance_losses
 from .model import (
@@ -73,8 +73,10 @@ class UnlearnConfig:
             raise ConfigError(f"unknown setting {self.setting!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if min(self.eta1, self.eta2, self.eps, self.reg_weight) < 0:
-            raise ConfigError("eta1, eta2, eps, reg_weight must be >= 0")
+        for name in ("eta1", "eta2", "eps", "reg_weight", "reg_step_size"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
         if not 0 < self.anchor_fraction <= 1:
             raise ConfigError("anchor_fraction must be in (0, 1]")
         if self.max_epochs < 1:
@@ -155,11 +157,9 @@ def run_unlearning(
     subspaces: list[TaskSubspace],
     cfg: UnlearnConfig,
     retrain_ref: MultiTaskModel,
-    val_ds: MultiTaskDataset | None = None,
 ) -> tuple[MultiTaskModel, UnlearnTrace]:
     """Run the unlearning loop and return the early-stopped merged-edit model."""
-    ds = problem.dataset
-    val = val_ds if val_ds is not None else problem.val_dataset
+    ds, val = problem.dataset, problem.val_dataset
     if val is None:
         raise ConfigError("a validation dataset is required for early stopping")
     if not part.forget:

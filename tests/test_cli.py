@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchdata import BENCH_A_ORIGINAL, report_from_cells
 from mtunlearn import MultiTaskModel, cli, init_subspaces, surgery
@@ -10,8 +15,8 @@ from mtunlearn.errors import ConfigError
 from mtunlearn.model import zero_init_edit
 
 
-def write_config(path, **overrides):
-    doc = {
+def base_config():
+    return {
         "schema_version": 1,
         "data": {
             "n_instances": 30,
@@ -30,6 +35,10 @@ def write_config(path, **overrides):
         "seed": 0,
         "n_seeds": 1,
     }
+
+
+def write_config(path, **overrides):
+    doc = base_config()
     for key, value in overrides.items():
         doc[key] = value
     path.write_text(json.dumps(doc))
@@ -74,6 +83,13 @@ def test_invalid_json_and_missing_file(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     missing = tmp_path / "missing.json"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_integer_too_long_to_parse_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"schema_version": 1, "seed": ' + "7" * 5000 + "}")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_run_artifacts_and_rerun_digest_equality(tmp_path):
@@ -161,15 +177,6 @@ def test_strategy_flag_changes_run(tmp_path):
     ) == cli.EXIT_CONFIG
 
 
-def test_env_var_overrides_out(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "cfg.json")
-    override = tmp_path / "env_out"
-    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(override))
-    assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ignored")]) == 0
-    assert (override / "dataset.json").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 def test_uis_command_trivial_zero(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "r"
@@ -251,3 +258,194 @@ def test_verify_detects_injected_sign_flip(tmp_path, capsys, monkeypatch):
     code = cli.main(["verify", "--seed", "0"])
     assert code == cli.EXIT_NUMERIC
     assert "orthogonalization_identity" in capsys.readouterr().err
+
+
+DELETE = object()
+
+# One field broken at a time: (path, value or DELETE, what stderr must say).
+BAD_CONFIGS = [
+    (("train", "epochs"), -3, r"train: epochs must be >= 1, got -3"),
+    (("train", "epochs"), 0, r"train: epochs must be >= 1, got 0"),
+    (("train", "step_size"), -0.1, r"train: step_size must be finite and > 0"),
+    (("n_seeds",), 1.5, r"config\.n_seeds: expected int, got 1\.5"),
+    (("train", "rank"), 2.7, r"train\.rank: expected int, got 2\.7"),
+    (("unlearn", "eta_1"), 0.3, r"unlearn\.eta_1: unknown field"),
+    (("data", "task_dims"), [0, 2], r"data: task_dims must all be >= 1"),
+    (("unlearn", "eps"), "1e-8", r"unlearn\.eps: expected float, got '1e-8'"),
+    (("subspace", "mode"), "bogus", r"subspace: unknown mode 'bogus'"),
+    (("unlearn", "eta1"), "x", r"unlearn\.eta1: expected float, got 'x'"),
+    (("partition", "forget_tasks"), ["a"], r"partition\.forget_tasks\[0\]: expected int"),
+    (("data", "task_dims"), ["a", 2], r"data\.task_dims\[0\]: expected int"),
+    (("seed",), -1, r"seed must be >= 0, got -1"),
+    (("data", "noise_std"), float("nan"), r"data\.noise_std: expected float, got .*'NaN'"),
+    (("partition", "forget_tasks"), [5], r"partition\.forget_tasks: \[5\] not in \[0, 2\)"),
+    (("subspace", "dim"), 9, r"subspace: need 1 <= dim <= rank, got dim=9, rank=2"),
+    (("train", "init_scale"), float("inf"), r"train\.init_scale: expected float, got .*'Infinity'"),
+    (("partition", "forget_fraction"), 1.5, r"partition: forget_fraction must be in \(0, 1\)"),
+    (("partition", "forget_fraction"), DELETE, r"partition\.forget_fraction is required"),
+    (("partition", "forget_tasks"), [], r"partition: forget_tasks must be nonempty"),
+    (("n_seeds",), 0, r"config: n_seeds must be >= 1"),
+    (("schema_version",), 2, r"config: unsupported schema_version 2"),
+    (("unlearn", "strategy"), "bogus", r"unlearn: unknown strategy 'bogus'"),
+    (("unlearn", "anchor_fraction"), 0.0, r"unlearn: anchor_fraction must be in \(0, 1\]"),
+]
+
+
+def set_path(doc, path, value):
+    *parents, leaf = path
+    for key in parents:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[leaf]
+    else:
+        doc[leaf] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    BAD_CONFIGS,
+    ids=[
+        ".".join(p) + "=" + ("<deleted>" if v is DELETE else json.dumps(v))
+        for p, v, _ in BAD_CONFIGS
+    ],
+)
+def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, path, value, message):
+    doc = base_config()
+    set_path(doc, path, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_generate_and_run_write_the_same_dataset_without_n_val(tmp_path):
+    doc = base_config()
+    del doc["data"]["n_val"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    generated = tmp_path / "g" / "dataset.json"
+    assert digest(generated) == digest(tmp_path / "r" / "seed_0" / "dataset.json")
+    assert json.loads(generated.read_text())["config"]["n_val"] == 50
+
+
+def test_run_from_manifest_config_reproduces_digests(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", n_seeds=2)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    first = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(first["config"]))
+    assert cli.main(["run", "--config", str(echo), "--out", str(tmp_path / "b")]) == 0
+    second = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert second["outputs"] == first["outputs"]
+    assert second["config"] == first["config"]
+
+
+def test_echoed_setting_must_match_forget_tasks():
+    doc = cli.RunConfig.from_doc(base_config()).to_doc()
+    assert doc["unlearn"]["setting"] == "partial"
+    doc["unlearn"]["setting"] = "full"
+    with pytest.raises(ConfigError, match=r"unlearn\.setting: .*forget_tasks select 'partial'"):
+        cli.RunConfig.from_doc(doc)
+
+
+# Any JSON value, or one close enough to a valid field value to be accepted.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+) | st.one_of(
+    st.integers(0, 8),
+    st.floats(0, 1),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.sampled_from(["random", "disjoint-blocks", "ours", "wo_task", "full", "partial"]),
+)
+FIELD_NAMES = st.sampled_from(["rank", "dim", "eta2", "seed", "n_val", "task_weights", "setting"])
+
+
+def paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from paths(child, prefix + (key,))
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    """The test config with one to three keys deleted, added or set to a JSON value."""
+    doc = base_config()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "add", "set"]))
+        if kind == "add":
+            parents = [p for p in paths(doc) if isinstance(node_at(doc, p), dict)]
+            path = draw(st.sampled_from(parents)) + (draw(FIELD_NAMES | st.text(max_size=8)),)
+        else:
+            path = draw(st.sampled_from(list(paths(doc))[1:]))
+        if kind == "delete":
+            node = node_at(doc, path[:-1])
+            del node[path[-1]]
+        else:
+            set_path(doc, path, draw(JSON_VALUES))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_configs())
+def test_fuzzed_config_is_rejected_or_round_trips(doc):
+    try:
+        cfg = cli.RunConfig.from_doc(doc)
+    except ConfigError:
+        return
+    assert cli.RunConfig.from_doc(json.loads(json.dumps(cfg.to_doc()))) == cfg
+
+
+VALID_CSV = report_from_cells(BENCH_A_ORIGINAL).to_csv()
+
+
+@st.composite
+def fuzzed_csvs(draw):
+    """A valid 3-task report CSV with up to three lines or cells replaced."""
+    lines = VALID_CSV.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["line", "cell", "delete", "duplicate"]))
+        if kind == "line":
+            lines[i] = draw(st.text(max_size=20))
+        elif kind == "cell":
+            cells = lines[i].split(",")
+            number = st.floats().map(repr) | st.integers().map(str)
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(number | st.text(max_size=6))
+            lines[i] = ",".join(cells)
+        elif kind == "delete" and len(lines) > 1:
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.tuples(fuzzed_csvs(), fuzzed_csvs(), fuzzed_csvs()),
+    setting=st.sampled_from(["full", "partial"]),
+    forget_tasks=st.sampled_from(["", "0", "1,2", "3", "x"]),
+)
+def test_uis_on_fuzzed_csv_exits_0_2_or_3(tmp_path_factory, texts, setting, forget_tasks):
+    d = tmp_path_factory.getbasetemp() / "uis_fuzz"
+    d.mkdir(exist_ok=True)
+    paths_ = []
+    for name, text in zip(("evaluated", "original", "retrain"), texts):
+        (d / f"{name}.csv").write_text(text)
+        paths_ += [f"--{name}", str(d / f"{name}.csv")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["uis", *paths_, "--setting", setting, "--forget-tasks", forget_tasks])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -101,16 +103,13 @@ def test_evaluate_fills_every_cell(small_problem):
         assert 0.0 <= rep.mia_ret[t] <= 1.0
 
 
-def test_report_json_round_trip():
+def test_report_json_holds_every_cell():
     rep = make_report()
-    text = rep.to_json()
-    back = EvalReport.from_json(text)
-    assert back.metrics == rep.metrics
-    assert back.mia_unl == rep.mia_unl
-    assert back.mia_ret == rep.mia_ret
-    assert back.to_json() == text
-    with pytest.raises(ConfigError):
-        EvalReport.from_json(text.replace('"schema_version": 1', '"schema_version": 9'))
+    doc = json.loads(rep.to_json())
+    assert doc["n_tasks"] == rep.n_tasks
+    assert doc["metrics"] == {f"{t},{s}": v for (t, s), v in rep.metrics.items()}
+    assert doc["mia_unl"] == {str(t): v for t, v in rep.mia_unl.items()}
+    assert doc["mia_ret"] == {str(t): v for t, v in rep.mia_ret.items()}
 
 
 def test_report_csv_round_trip():

@@ -106,3 +106,10 @@ def test_solve_spd_rejects_bad_matrices():
         solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
     with pytest.raises(DimensionError):
         solve_spd(np.eye(3), np.ones(2))
+
+
+def test_solve_spd_errors_name_the_offending_value():
+    with pytest.raises(CurvatureError, match=r"not symmetric: max \|h - h\^T\| = 2 > 2e-08$"):
+        solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(CurvatureError, match=r"not positive definite: smallest eigenvalue -3$"):
+        solve_spd(np.diag([1.0, -3.0, 2.0]), np.ones(3))

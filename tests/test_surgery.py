@@ -103,16 +103,6 @@ def test_sequential_orthogonalize_absent_sources():
         sequential_orthogonalize(GradientBundle(forget=None), eps=0.0)
 
 
-def test_bundle_retain_sum():
-    rng = np.random.default_rng(9)
-    clean, task = rand_pair(rng), rand_pair(rng)
-    bundle = GradientBundle(forget=rand_pair(rng), clean=clean, task=task)
-    total = bundle.retain_sum()
-    assert np.allclose(total.a, clean.a + task.a)
-    assert np.allclose(total.b, clean.b + task.b)
-    assert GradientBundle(forget=rand_pair(rng)).retain_sum() is None
-
-
 def test_apply_update_math_and_frozen_base():
     rng = np.random.default_rng(10)
     w_star = rng.standard_normal((5, 4))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtunlearn import theory
-from mtunlearn.errors import DimensionError, EmptySubsetError
+from mtunlearn.errors import CurvatureError, DimensionError, EmptySubsetError
 from mtunlearn.theory import (
     QuadraticPair,
     QuadraticProblem,
@@ -119,6 +119,12 @@ def test_optimal_direction_input_validation():
         optimal_direction(h, np.ones(3), gamma=0.0)
     with pytest.raises(DimensionError):
         optimal_direction(h, np.zeros(3), gamma=1.0)
+
+
+def test_optimal_direction_names_a_nonpositive_denominator():
+    # g_f^T H^-1 g_f underflows to zero although g_f itself is nonzero.
+    with pytest.raises(CurvatureError, match=r"g_f\^T H_r\^-1 g_f = 0$"):
+        optimal_direction(np.eye(2), np.array([1e-200, 0.0]), gamma=1.0)
 
 
 def test_all_suites_pass_and_are_deterministic():
