@@ -26,6 +26,7 @@ from .data import (
     config_from_doc,
     config_to_doc,
     default_forget_split,
+    forget_count,
     generate_synthetic,
     problem_to_json,
 )
@@ -142,6 +143,7 @@ class RunConfig:
         tasks = tuple(sorted(set(partition.forget_tasks)))
         if not 0 <= tasks[0] <= tasks[-1] < data.n_tasks:
             raise ConfigError(f"partition.forget_tasks: {list(tasks)} not in [0, {data.n_tasks})")
+        forget_count(data.n_instances, partition.forget_fraction)
         train = config_from_doc(TrainConfig, top.train, "train", seed=seed)
         train = replace(train, rank=train.rank_for(data))
         dim = default_subspace_dim(train.rank, data.n_tasks)
@@ -256,10 +258,11 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _single_run(cfg: RunConfig, seed: int, out: Path) -> dict:
-    """Full pipeline for one seed; writes artifacts and returns summary row."""
+def _single_run(cfg: RunConfig, out: Path) -> dict:
+    """Full pipeline for ``cfg``'s one seed; writes artifacts and returns summary row."""
+    seed = cfg.seed
     out.mkdir(parents=True, exist_ok=True)
-    problem = generate_synthetic(replace(cfg.data, seed=seed))
+    problem = generate_synthetic(cfg.data)
     ds = problem.dataset
     ds_path = out / "dataset.json"
     ds_path.write_text(problem_to_json(problem))
@@ -267,15 +270,12 @@ def _single_run(cfg: RunConfig, seed: int, out: Path) -> dict:
 
     pc = cfg.partition
     part = default_forget_split(ds, pc.forget_fraction, pc.forget_tasks, seed)
-    tc = replace(cfg.train, seed=seed)
-    original = train_reference(problem, ds.all_pairs(), tc)
-    retrain = train_reference(problem, list(part.retain), tc)
+    original = train_reference(problem, ds.all_pairs(), cfg.train)
+    retrain = train_reference(problem, part.retain, cfg.train)
     subspaces = init_subspaces(
-        cfg.data.n_tasks, rank=tc.rank, dim=cfg.subspace.dim, mode=cfg.subspace.mode, seed=seed
+        cfg.data.n_tasks, cfg.train.rank, cfg.subspace.dim, cfg.subspace.mode, seed
     )
-    ucfg = replace(cfg.unlearn, seed=seed)
-    unlearned, trace = run_unlearning(original, problem, part, subspaces, ucfg, retrain)
-    # Every seed's checkpoints record the base config, seed included.
+    unlearned, trace = run_unlearning(original, problem, part, subspaces, cfg.unlearn, retrain)
     echo = cfg.to_doc()
 
     reports = {}
@@ -298,7 +298,7 @@ def _single_run(cfg: RunConfig, seed: int, out: Path) -> dict:
             evaluated=reports["unlearned"],
             original_ref=reports["original"],
             retrain_ref=reports["retrain"],
-            setting=ucfg.setting,
+            setting=cfg.unlearn.setting,
             forget_tasks=frozenset(pc.forget_tasks),
         )
     )
@@ -308,7 +308,7 @@ def _single_run(cfg: RunConfig, seed: int, out: Path) -> dict:
         "forget_loss_start": trace.records[0].forget_loss,
         "forget_loss": trace.record_for(trace.selected_epoch).forget_loss,
         "clean_loss": subset_loss(unlearned, ds, part.retain_clean)
-        if part.retain_clean
+        if part.retain_clean.size
         else float("nan"),
         "mia_auc": trace.record_for(trace.selected_epoch).mia_auc,
         "reference_auc": trace.reference_auc,
@@ -346,11 +346,11 @@ def _write_seed_table(out: Path, rows) -> list[Path]:
 
 
 def _run_seeds(cfg: RunConfig, out: Path) -> tuple[list[dict], list[Path]]:
-    """Run every seed of ``cfg`` under ``out``; return the summary rows and files written."""
-    rows, outputs = [], []
+    """Run each seed of ``cfg`` as its own one-seed config; return the rows and files written."""
+    rows, outputs, doc = [], [], cfg.to_doc()
     for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
         seed_dir = out / f"seed_{seed}"
-        rows.append(_single_run(cfg, seed, seed_dir))
+        rows.append(_single_run(RunConfig.from_doc(dict(doc, seed=seed, n_seeds=1)), seed_dir))
         outputs.extend(sorted(seed_dir.iterdir()))
     outputs.extend(_write_seed_table(out, rows))
     return rows, outputs
@@ -436,12 +436,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"invalid --ratios value: {exc}") from exc
     if not ratios:
         raise ConfigError("--ratios must list at least one value")
-    subs = {}  # ratio -> its run config, which checks the ratio
+    subs = {}  # ratio -> its run config, checked as a config file would be
+    doc = cfg.to_doc()
     for r in ratios:
         if r in subs:
             print(f"warning: duplicate ratio {r} ignored", file=sys.stderr)
         else:
-            subs[r] = replace(cfg, partition=replace(cfg.partition, forget_fraction=r))
+            partition = dict(doc["partition"], forget_fraction=r)
+            subs[r] = RunConfig.from_doc(dict(doc, partition=partition))
 
     out = _out_dir(args)
     outputs = []

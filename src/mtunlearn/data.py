@@ -1,7 +1,8 @@
 """Synthetic multi-task datasets and the four-way forget/retain partition.
 
 A dataset is a complete supervision grid: every instance carries a target
-for every task. Subsets of the grid are lists of (instance, task) pairs;
+for every task. Subsets of the grid are (n, 2) arrays of (instance, task)
+pairs, each partition block the :func:`grid` of an instance and a task set;
 ``model.Subset`` groups them by task for gradient and loss evaluation.
 """
 
@@ -131,10 +132,8 @@ class MultiTaskDataset:
     def task_dims(self) -> tuple[int, ...]:
         return tuple(y.shape[1] for y in self.targets)
 
-    def all_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (i, t) for i in range(self.n_instances) for t in range(self.n_tasks)
-        ]
+    def all_pairs(self) -> np.ndarray:
+        return grid(np.arange(self.n_instances), range(self.n_tasks))
 
     def validate(self):
         if self.inputs.ndim != 2:
@@ -148,9 +147,18 @@ class MultiTaskDataset:
             raise ConfigError("task weights must be positive")
 
 
-@dataclass(frozen=True)
+def grid(instances, tasks) -> np.ndarray:
+    """Every pair of ``instances`` x ``tasks`` as an (n, 2) array, instance-major."""
+    inst, task = np.asarray(instances, dtype=np.intp), np.asarray(tasks, dtype=np.intp)
+    return np.column_stack([np.repeat(inst, task.size), np.tile(task, inst.size)])
+
+
+@dataclass(frozen=True, eq=False)
 class PartitionSpec:
     """Four-way split induced by forgotten instances and forgotten tasks.
+
+    Instance arrays and task tuples are sorted complements; each block is a
+    :func:`grid`:
 
     forget:       forgotten instances x forgotten tasks
     retain_task:  forgotten instances x retained tasks
@@ -158,16 +166,18 @@ class PartitionSpec:
     retain_clean: retained instances  x retained tasks
     """
 
-    forget_instances: frozenset[int]
-    forget_tasks: frozenset[int]
-    forget: tuple[tuple[int, int], ...]
-    retain_task: tuple[tuple[int, int], ...]
-    retain_inst: tuple[tuple[int, int], ...]
-    retain_clean: tuple[tuple[int, int], ...]
+    forget_instances: np.ndarray
+    retain_instances: np.ndarray
+    forget_tasks: tuple[int, ...]
+    retain_tasks: tuple[int, ...]
+    forget: np.ndarray
+    retain_task: np.ndarray
+    retain_inst: np.ndarray
+    retain_clean: np.ndarray
 
     @property
-    def retain(self) -> tuple[tuple[int, int], ...]:
-        return self.retain_task + self.retain_inst + self.retain_clean
+    def retain(self) -> np.ndarray:
+        return np.concatenate([self.retain_task, self.retain_inst, self.retain_clean])
 
 
 @dataclass(frozen=True)
@@ -237,45 +247,36 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
     )
 
 
-def partition(
-    ds: MultiTaskDataset,
-    forget_instances,
-    forget_tasks,
-) -> PartitionSpec:
+def partition(ds: MultiTaskDataset, forget_instances, forget_tasks) -> PartitionSpec:
     """Assign every (instance, task) pair to exactly one of the four subsets."""
-    xf = frozenset(int(i) for i in forget_instances)
-    tf = frozenset(int(t) for t in forget_tasks)
-    if any(i < 0 or i >= ds.n_instances for i in xf):
+    xf = np.unique(np.asarray(forget_instances, dtype=np.intp))
+    tf = tuple(sorted({int(t) for t in forget_tasks}))
+    if xf.size and (xf[0] < 0 or xf[-1] >= ds.n_instances):
         raise DimensionError("forget instance out of range")
-    if any(t < 0 or t >= ds.n_tasks for t in tf):
+    if tf and (tf[0] < 0 or tf[-1] >= ds.n_tasks):
         raise DimensionError("forget task out of range")
-    buckets = {"f": [], "task": [], "inst": [], "clean": []}
-    for i in range(ds.n_instances):
-        for t in range(ds.n_tasks):
-            if i in xf:
-                buckets["f" if t in tf else "task"].append((i, t))
-            else:
-                buckets["inst" if t in tf else "clean"].append((i, t))
-    return PartitionSpec(
-        forget_instances=xf,
-        forget_tasks=tf,
-        forget=tuple(buckets["f"]),
-        retain_task=tuple(buckets["task"]),
-        retain_inst=tuple(buckets["inst"]),
-        retain_clean=tuple(buckets["clean"]),
-    )
+    xr = np.setdiff1d(np.arange(ds.n_instances, dtype=np.intp), xf, assume_unique=True)
+    tr = tuple(t for t in range(ds.n_tasks) if t not in tf)
+    return PartitionSpec(xf, xr, tf, tr, grid(xf, tf), grid(xf, tr), grid(xr, tf), grid(xr, tr))
+
+
+def forget_count(n: int, fraction: float) -> int:
+    """How many of ``n`` instances a ``fraction`` forgets; at least one stays retained."""
+    if not 0 < fraction < 1:
+        raise ConfigError("forget fraction must be in (0, 1)")
+    n_forget = max(1, int(round(fraction * n)))
+    if n_forget >= n:
+        raise ConfigError(f"partition.forget_fraction: {fraction!r} forgets all {n} instances")
+    return n_forget
 
 
 def default_forget_split(
     ds: MultiTaskDataset, fraction: float, forget_tasks, seed: int
 ) -> PartitionSpec:
     """Partition with a seeded random draw of ``fraction`` of the instances."""
-    if not 0 < fraction < 1:
-        raise ConfigError("forget fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    n_forget = max(1, int(round(fraction * ds.n_instances)))
-    chosen = rng.choice(ds.n_instances, size=n_forget, replace=False)
-    return partition(ds, chosen.tolist(), forget_tasks)
+    n_forget = forget_count(ds.n_instances, fraction)
+    chosen = np.random.default_rng(seed).choice(ds.n_instances, size=n_forget, replace=False)
+    return partition(ds, chosen, forget_tasks)
 
 
 def _encode_array(a: np.ndarray) -> dict:

@@ -129,6 +129,8 @@ class EvalReport:
             if not np.isfinite(v):
                 raise ConfigError(f"non-finite value {v!r} for task {t} cell {cell!r}")
             if cell in SPLITS:
+                if not 0 < v <= 1:
+                    raise ConfigError(f"utility {v!r} for task {t} cell {cell!r} is outside (0, 1]")
                 rep.metrics[(t, cell)] = v
                 rep.metric_name = metric
             elif cell == "mia":
@@ -155,9 +157,8 @@ def evaluate(
     """
     if ds.n_tasks != val_ds.n_tasks:
         raise DimensionError("train and validation task sets differ")
-    unl_idx = sorted(part.forget_instances)
-    ret_idx = [i for i in range(ds.n_instances) if i not in part.forget_instances]
-    if not unl_idx or not ret_idx:
+    unl_idx, ret_idx = part.forget_instances, part.retain_instances
+    if not unl_idx.size or not ret_idx.size:
         raise EmptySubsetError("both retained and forgotten instances are required")
     rep = EvalReport(n_tasks=ds.n_tasks, metadata=metadata or {})
     for t in range(ds.n_tasks):

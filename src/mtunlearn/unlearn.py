@@ -135,13 +135,12 @@ def _check_forget_gradient(g: GradientPair, epoch: int):
 
 def _forget_task_auc(model, ds, part, val_ds) -> float:
     """Mean unlearn-vs-val membership AUC over the forgotten tasks."""
-    unl_idx = sorted(part.forget_instances)
     aucs = [
         mia_auc(
-            per_instance_losses(model, ds, t, unl_idx),
+            per_instance_losses(model, ds, t, part.forget_instances),
             per_instance_losses(model, val_ds, t),
         )
-        for t in sorted(part.forget_tasks)
+        for t in part.forget_tasks
     ]
     return float(np.mean(aucs))
 
@@ -162,7 +161,7 @@ def run_unlearning(
     ds, val = problem.dataset, problem.val_dataset
     if val is None:
         raise ConfigError("a validation dataset is required for early stopping")
-    if not part.forget:
+    if not part.forget.size:
         raise EmptySubsetError("forget set is empty")
     full = len(part.forget_tasks) == ds.n_tasks
     if cfg.setting == "full" and not full:
@@ -175,14 +174,11 @@ def run_unlearning(
     model = MultiTaskModel(edit=edit, heads=original.heads)
 
     # Anchor subsample of the clean retain pairs, fixed for the whole run.
-    rng = np.random.default_rng(cfg.seed)
-    clean_pairs = list(part.retain_clean)
-    if clean_pairs:
-        n_anchor = max(1, int(round(cfg.anchor_fraction * len(clean_pairs))))
-        chosen = rng.choice(len(clean_pairs), size=n_anchor, replace=False)
-        anchor = [clean_pairs[i] for i in sorted(chosen)]
-    else:
-        anchor = []
+    clean = anchor = part.retain_clean
+    if len(clean):
+        n_anchor = max(1, int(round(cfg.anchor_fraction * len(clean))))
+        chosen = np.random.default_rng(cfg.seed).choice(len(clean), size=n_anchor, replace=False)
+        anchor = clean[np.sort(chosen)]
 
     # Every subset is grouped by task once per run: the loss subsets, and
     # the per-task gradient sources (the anchor stands in for clean).
@@ -197,6 +193,10 @@ def run_unlearning(
         "task": losses["retain_task"].by_task(),
     }
 
+    # Weight each source by its share of the retain pairs so the descent
+    # direction tracks the gradient of the overall retain-mean loss; the
+    # anchor stands in for the whole clean subset.
+    counts = {"clean": len(clean), "inst": len(part.retain_inst), "task": len(part.retain_task)}
     project = cfg.strategy not in ("neggrad_plus", "wo_projection")
     skip = _ABLATION_SKIP.get(cfg.strategy, ())
 
@@ -238,14 +238,6 @@ def run_unlearning(
             forget_dir = bundle.forget
         else:
             forget_dir = sequential_orthogonalize(bundle, cfg.eps, skip_sources=skip)
-        # Weight each source by its share of the retain pairs so the descent
-        # direction tracks the gradient of the overall retain-mean loss; the
-        # anchor stands in for the whole clean subset.
-        counts = {
-            "clean": len(part.retain_clean),
-            "inst": len(part.retain_inst),
-            "task": len(part.retain_task),
-        }
         total_retain = sum(c for name, c in counts.items() if bundle.source(name))
         descent = None
         for name, count in counts.items():

@@ -13,6 +13,7 @@ import numpy as np
 from mtunlearn import (
     GenConfig,
     Subset,
+    default_forget_split,
     generate_synthetic,
     mia_auc,
     orthogonalize,
@@ -65,6 +66,19 @@ def test_bench_problem_to_json(benchmark):
     back = problem_from_json(text)
     assert back.dataset.inputs.tobytes() == problem.dataset.inputs.tobytes()
     assert back.val_dataset.n_instances == 1000
+
+
+def test_bench_partition(benchmark):
+    # The forget split and the retain subset at 100x the paper's N.
+    ds = generate_synthetic(dataclasses.replace(SHAPES, n_instances=20_000)).dataset
+
+    def split_and_group():
+        part = default_forget_split(ds, 0.1, [0], seed=0)
+        return part, Subset.from_pairs(ds, part.retain)
+
+    part, subset = benchmark(split_and_group)
+    assert part.forget_instances.size == 2000
+    assert len(subset) == len(part.retain) == 3 * 20_000 - 2000
 
 
 def test_bench_orthogonalize(benchmark):

@@ -238,6 +238,15 @@ def test_sweep_single_ratio_and_dedup(tmp_path, capsys):
     ) == cli.EXIT_CONFIG
 
 
+def test_sweep_ratio_that_forgets_every_instance_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "sw"
+    code = cli.main(["sweep", "--config", str(cfg), "--ratios", "0.1,0.99", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "partition.forget_fraction: 0.99 forgets all 30 instances" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_passes_and_writes_report(tmp_path, capsys):
     out = tmp_path / "ver"
     assert cli.main(["verify", "--seed", "0", "--out", str(out)]) == 0
@@ -283,6 +292,7 @@ BAD_CONFIGS = [
     (("train", "init_scale"), float("inf"), r"train\.init_scale: expected float, got .*'Infinity'"),
     (("partition", "forget_fraction"), 1.5, r"partition: forget_fraction must be in \(0, 1\)"),
     (("partition", "forget_fraction"), DELETE, r"partition\.forget_fraction is required"),
+    (("partition", "forget_fraction"), 0.99, r"partition\.forget_fraction: 0\.99 forgets all 30"),
     (("partition", "forget_tasks"), [], r"partition: forget_tasks must be nonempty"),
     (("n_seeds",), 0, r"config: n_seeds must be >= 1"),
     (("schema_version",), 2, r"config: unsupported schema_version 2"),
@@ -342,6 +352,21 @@ def test_run_from_manifest_config_reproduces_digests(tmp_path):
     second = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert second["outputs"] == first["outputs"]
     assert second["config"] == first["config"]
+
+
+def test_seed_checkpoint_echoes_its_own_seed_and_reproduces(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", n_seeds=2)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    checkpoint = tmp_path / "a" / "seed_1" / "checkpoint_unlearned.json"
+    echo = json.loads(checkpoint.read_text())["config"]
+    assert (echo["seed"], echo["n_seeds"]) == (1, 1)
+    first = json.loads((tmp_path / "a" / "seed_0" / "checkpoint_unlearned.json").read_text())
+    assert (first["config"]["seed"], first["config"]["n_seeds"]) == (0, 1)
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    again = tmp_path / "b" / "seed_1" / "checkpoint_unlearned.json"
+    assert again.read_bytes() == checkpoint.read_bytes()
 
 
 def test_echoed_setting_must_match_forget_tasks():

@@ -3,9 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtunlearn import (
     GenConfig,
+    MultiTaskDataset,
+    Subset,
     default_forget_split,
     generate_synthetic,
     partition,
@@ -77,26 +81,23 @@ def test_config_validation():
 def test_partition_covers_grid_exactly_once():
     ds = generate_synthetic(make_config()).dataset
     part = partition(ds, forget_instances=[0, 3], forget_tasks=[1])
-    cells = (
-        list(part.forget)
-        + list(part.retain_task)
-        + list(part.retain_inst)
-        + list(part.retain_clean)
-    )
-    assert sorted(cells) == sorted(ds.all_pairs())
-    assert len(set(cells)) == len(cells)
-    assert part.forget == ((0, 1), (3, 1))
-    assert all(i in (0, 3) and t == 0 for i, t in part.retain_task)
-    assert all(i not in (0, 3) and t == 1 for i, t in part.retain_inst)
-    assert all(i not in (0, 3) and t == 0 for i, t in part.retain_clean)
+    blocks = (part.forget, part.retain_task, part.retain_inst, part.retain_clean)
+    assert all(b.dtype == np.intp and b.ndim == 2 and b.shape[1] == 2 for b in blocks)
+    cells = np.concatenate(blocks).tolist()
+    assert sorted(cells) == sorted(ds.all_pairs().tolist())
+    assert len(set(map(tuple, cells))) == len(cells)
+    assert part.forget.tolist() == [[0, 1], [3, 1]]
+    assert all(i in (0, 3) and t == 0 for i, t in part.retain_task.tolist())
+    assert all(i not in (0, 3) and t == 1 for i, t in part.retain_inst.tolist())
+    assert all(i not in (0, 3) and t == 0 for i, t in part.retain_clean.tolist())
 
 
 def test_full_task_partition_has_no_cross_subsets():
     ds = generate_synthetic(make_config()).dataset
     part = partition(ds, forget_instances=[1], forget_tasks=[0, 1])
-    assert part.retain_task == ()
+    assert part.retain_task.shape == (0, 2)
     assert len(part.retain_inst) == 18
-    assert part.retain_clean == ()
+    assert part.retain_clean.shape == (0, 2)
     assert len(part.forget) == 2
 
 
@@ -108,14 +109,65 @@ def test_partition_rejects_out_of_range():
         partition(ds, [0], [5])
 
 
+def reference_partition(n, k, forget_ids, forget_tasks):
+    """The four blocks by a double loop over the grid, in pair order."""
+    xf, tf = set(forget_ids), set(forget_tasks)
+    blocks = {"forget": [], "retain_task": [], "retain_inst": [], "retain_clean": []}
+    for i in range(n):
+        for t in range(k):
+            if i in xf:
+                blocks["forget" if t in tf else "retain_task"].append([i, t])
+            else:
+                blocks["retain_inst" if t in tf else "retain_clean"].append([i, t])
+    return blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_partition_matches_double_loop_reference(data):
+    n, k = data.draw(st.integers(2, 40)), data.draw(st.integers(2, 5))
+    forget_ids = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    tasks = data.draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))
+    ds = MultiTaskDataset(np.zeros((n, 1)), [np.zeros((n, 1))] * k, np.ones(k))
+    part = partition(ds, forget_ids, tasks)
+    ref = reference_partition(n, k, forget_ids, tasks)
+    for name, pairs in ref.items():
+        block = getattr(part, name)
+        assert block.dtype == np.intp and block.shape == (len(pairs), 2)
+        assert block.tolist() == pairs
+    retain = ref["retain_task"] + ref["retain_inst"] + ref["retain_clean"]
+    assert part.retain.tolist() == retain
+    assert ds.all_pairs().tolist() == [[i, t] for i in range(n) for t in range(k)]
+    assert part.forget_instances.tolist() == sorted(set(forget_ids))
+    assert part.retain_instances.tolist() == sorted(set(range(n)) - set(forget_ids))
+    assert part.forget_instances.dtype == part.retain_instances.dtype == np.intp
+    assert part.forget_tasks == tuple(sorted(tasks))
+    assert part.retain_tasks == tuple(sorted(set(range(k)) - set(tasks)))
+
+
+def test_subset_from_pair_array_equals_subset_from_tuples():
+    ds = generate_synthetic(make_config(n_instances=40)).dataset
+    part = default_forget_split(ds, 0.2, [1], seed=0)
+    tuples = [tuple(p) for p in part.retain.tolist()]
+    for pairs in (part.retain, list(part.retain)):
+        got, want = Subset.from_pairs(ds, pairs), Subset.from_pairs(ds, tuples)
+        for a, b in zip(got.blocks, want.blocks, strict=True):
+            assert a.task == b.task and np.array_equal(a.index, b.index)
+            assert a.gram.tobytes() == b.gram.tobytes()
+            assert a.cross.tobytes() == b.cross.tobytes()
+
+
 def test_default_forget_split_fraction_and_determinism():
     ds = generate_synthetic(make_config(n_instances=50)).dataset
     p1 = default_forget_split(ds, 0.10, [0], seed=3)
     p2 = default_forget_split(ds, 0.10, [0], seed=3)
     assert len(p1.forget_instances) == 5
-    assert p1.forget_instances == p2.forget_instances
+    assert np.array_equal(p1.forget_instances, p2.forget_instances)
+    assert np.array_equal(p1.forget, p2.forget)
     with pytest.raises(ConfigError):
         default_forget_split(ds, 1.5, [0], seed=3)
+    with pytest.raises(ConfigError, match=r"partition\.forget_fraction: 0\.99 forgets all 50"):
+        default_forget_split(ds, 0.99, [0], seed=3)
 
 
 def test_json_round_trip_is_value_identical():

@@ -127,7 +127,12 @@ def test_report_csv_requires_mia_retain_row():
         EvalReport.from_csv("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("cell, bad", [("val", "nan"), ("mia", "inf"), ("ret", "-inf")])
+@pytest.mark.parametrize(
+    "cell, bad",
+    # Non-finite values, then utility cells outside (0, 1], the range of exp(-mean loss).
+    [("val", "nan"), ("mia", "inf"), ("ret", "-inf")]
+    + [("ret", "-5.0"), ("unl", "0.0"), ("val", "1.5")],
+)
 def test_report_csv_rejects_non_finite(cell, bad):
     lines = make_report().to_csv().splitlines()
     i = next(n for n, line in enumerate(lines) if line.startswith(f"1,{cell},"))
