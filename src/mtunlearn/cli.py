@@ -25,9 +25,13 @@ from .data import (
     PartitionConfig,
     config_from_doc,
     config_to_doc,
+    decode_array,
+    decode_list,
     default_forget_split,
+    encode_array,
     forget_count,
     generate_synthetic,
+    load_document,
     problem_to_json,
 )
 from .errors import ConfigError, MtUnlearnError
@@ -54,7 +58,7 @@ EXIT_NUMERIC = 3
 
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 TRACE_SCHEMA_VERSION = 1
 
 # Largest Frobenius norm of Q^T Q - I accepted for a loaded subspace basis.
@@ -174,13 +178,14 @@ def checkpoint_to_json(
     dataset_digest: str,
     config_echo: dict,
 ) -> str:
+    """A model and its subspaces as versioned JSON, each array as base64 float64."""
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "w_star": model.edit.w_star.tolist(),
-        "a": model.edit.a.tolist(),
-        "b": model.edit.b.tolist(),
-        "heads": [h.tolist() for h in model.heads],
-        "subspace_bases": [s.basis.tolist() for s in subspaces],
+        "w_star": encode_array(model.edit.w_star),
+        "a": encode_array(model.edit.a),
+        "b": encode_array(model.edit.b),
+        "heads": [encode_array(h) for h in model.heads],
+        "subspace_bases": [encode_array(s.basis) for s in subspaces],
         "dataset_digest": dataset_digest,
         "config": config_echo,
     }
@@ -188,30 +193,37 @@ def checkpoint_to_json(
 
 
 def checkpoint_from_json(text: str):
-    doc = json.loads(text)
-    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ConfigError("unsupported checkpoint schema_version")
+    """The four arguments that :func:`checkpoint_to_json` made ``text`` from.
+
+    Array shapes follow from the ``config`` echo; a bad field raises ConfigError naming it.
+    """
+    doc = load_document(text, "checkpoint", CHECKPOINT_SCHEMA_VERSION)
+    try:
+        cfg = RunConfig.from_doc(doc.get("config"))
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint config: {exc}") from None
+    digest = doc.get("dataset_digest")
+    if not isinstance(digest, str):
+        raise ConfigError(f"checkpoint dataset_digest: expected a string, got {digest!r}")
+    d, k, r, dims = cfg.data.input_dim, cfg.data.shared_dim, cfg.train.rank, cfg.data.task_dims
     edit = LowRankEdit(
-        w_star=np.asarray(doc["w_star"], dtype=float),
-        a=np.asarray(doc["a"], dtype=float),
-        b=np.asarray(doc["b"], dtype=float),
+        w_star=decode_array(doc.get("w_star"), "checkpoint w_star", (d, k)),
+        a=decode_array(doc.get("a"), "checkpoint a", (k, r)),
+        b=decode_array(doc.get("b"), "checkpoint b", (d, r)),
     )
-    model = MultiTaskModel(
-        edit=edit, heads=tuple(np.asarray(h, dtype=float) for h in doc["heads"])
+    heads = decode_list(doc.get("heads"), "checkpoint heads", [(m, k) for m in dims])
+    bases = decode_list(
+        doc.get("subspace_bases"), "checkpoint subspace_bases", [(r, cfg.subspace.dim)] * len(dims)
     )
-    subspaces = []
-    for t, basis in enumerate(doc["subspace_bases"]):
-        q = np.asarray(basis, dtype=float)
-        if q.ndim != 2 or not np.all(np.isfinite(q)):
-            raise ConfigError(f"checkpoint subspace_bases[{t}] is not a finite matrix")
+    for t, q in enumerate(bases):
         err = float(np.linalg.norm(q.T @ q - np.eye(q.shape[1])))
         if err > BASIS_ORTHONORMAL_TOL:
             raise ConfigError(
                 f"checkpoint subspace_bases[{t}] is not orthonormal: "
                 f"|Q^T Q - I| = {err:.3g} > {BASIS_ORTHONORMAL_TOL:g}"
             )
-        subspaces.append(TaskSubspace(t, q))
-    return model, subspaces, doc
+    model = MultiTaskModel(edit=edit, heads=tuple(heads))
+    return model, [TaskSubspace(t, q) for t, q in enumerate(bases)], digest, doc["config"]
 
 
 def trace_to_json(trace: UnlearnTrace) -> str:
@@ -279,15 +291,9 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
     echo = cfg.to_doc()
 
     reports = {}
-    for name, model in (
-        ("original", original),
-        ("retrain", retrain),
-        ("unlearned", unlearned),
-    ):
-        rep = evaluate(model, ds, part, problem.val_dataset, metadata={"model": name, "seed": seed})
-        reports[name] = rep
-        (out / f"eval_{name}.json").write_text(rep.to_json())
-        (out / f"eval_{name}.csv").write_text(rep.to_csv())
+    for name, model in (("original", original), ("retrain", retrain), ("unlearned", unlearned)):
+        reports[name] = evaluate(model, ds, part, problem.val_dataset)
+        (out / f"eval_{name}.csv").write_text(reports[name].to_csv())
         (out / f"checkpoint_{name}.json").write_text(
             checkpoint_to_json(model, subspaces, ds_digest, echo)
         )
@@ -330,7 +336,8 @@ _ROW_FIELDS = (
 )
 
 
-def _write_seed_table(out: Path, rows) -> list[Path]:
+def _write_seed_table(out: Path, rows) -> tuple[dict, list[Path]]:
+    """Write ``seeds.csv`` and ``summary.json``; return the summary and both paths."""
     lines = [",".join(_ROW_FIELDS)]
     for row in rows:
         lines.append(",".join(repr(row[f]) if isinstance(row[f], float) else str(row[f]) for f in _ROW_FIELDS))
@@ -342,25 +349,25 @@ def _write_seed_table(out: Path, rows) -> list[Path]:
         summary[f] = {"mean": float(vals.mean()), "stddev": float(vals.std(ddof=0))}
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return [seeds_path, summary_path]
+    return summary, [seeds_path, summary_path]
 
 
-def _run_seeds(cfg: RunConfig, out: Path) -> tuple[list[dict], list[Path]]:
-    """Run each seed of ``cfg`` as its own one-seed config; return the rows and files written."""
+def _run_seeds(cfg: RunConfig, out: Path) -> tuple[list[dict], dict, list[Path]]:
+    """Run each seed of ``cfg`` as its own one-seed config; return rows, summary and files."""
     rows, outputs, doc = [], [], cfg.to_doc()
     for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
         seed_dir = out / f"seed_{seed}"
         rows.append(_single_run(RunConfig.from_doc(dict(doc, seed=seed, n_seeds=1)), seed_dir))
         outputs.extend(sorted(seed_dir.iterdir()))
-    outputs.extend(_write_seed_table(out, rows))
-    return rows, outputs
+    summary, written = _write_seed_table(out, rows)
+    return rows, summary, outputs + written
 
 
 def cmd_run(args) -> int:
     started = time.time()
     cfg = RunConfig.from_doc(load_config(args.config), args.seed, args.strategy)
     out = _out_dir(args)
-    rows, outputs = _run_seeds(cfg, out)
+    rows, _, outputs = _run_seeds(cfg, out)
     write_manifest(out, "run", cfg.to_doc(), cfg.seed, outputs, started)
     for row in rows:
         print(
@@ -449,13 +456,9 @@ def cmd_sweep(args) -> int:
     outputs = []
     lines = ["ratio," + ",".join(f"mean_{f}" for f in _ROW_FIELDS[1:])]
     for ratio, sub in subs.items():
-        rows, written = _run_seeds(sub, out / f"ratio_{ratio}")
+        _, summary, written = _run_seeds(sub, out / f"ratio_{ratio}")
         outputs.extend(written)
-        means = [
-            repr(float(np.mean([float(row[f]) for row in rows])))
-            for f in _ROW_FIELDS[1:]
-        ]
-        lines.append(f"{ratio}," + ",".join(means))
+        lines.append(f"{ratio}," + ",".join(repr(summary[f]["mean"]) for f in _ROW_FIELDS[1:]))
     sweep_path = out / "sweep.csv"
     sweep_path.write_text("\n".join(lines) + "\n")
     outputs.append(sweep_path)

@@ -9,7 +9,6 @@ from setting-dependent reference models.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,8 @@ from .model import MultiTaskModel
 
 SPLITS = ("ret", "unl", "val")
 METRIC_NAME = "exp_neg_loss"
-REPORT_SCHEMA_VERSION = 1
+# The metric column each CSV cell must carry.
+CELL_METRICS = {**dict.fromkeys(SPLITS, METRIC_NAME), "mia": "auc", "mia_retain": "auc"}
 
 
 def per_instance_losses(
@@ -64,11 +64,9 @@ class EvalReport:
     """Per-task, per-split utility cells plus membership AUCs."""
 
     n_tasks: int
-    metric_name: str = METRIC_NAME
     metrics: dict = field(default_factory=dict)  # (task, split) -> value
     mia_unl: dict = field(default_factory=dict)  # task -> unlearn-vs-val AUC
     mia_ret: dict = field(default_factory=dict)  # task -> retain-vs-val AUC
-    metadata: dict = field(default_factory=dict)
 
     def cell(self, task: int, name: str) -> float:
         if name == "mia":
@@ -84,26 +82,16 @@ class EvalReport:
                 if t not in auc_map:
                     raise ConfigError(f"missing {name!r} AUC cell for task {t}")
                 if not 0.0 <= auc_map[t] <= 1.0:
-                    raise ConfigError("AUC outside [0, 1]")
-
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "n_tasks": self.n_tasks,
-            "metric_name": self.metric_name,
-            "metrics": {f"{t},{s}": v for (t, s), v in sorted(self.metrics.items())},
-            "mia_unl": {str(t): v for t, v in sorted(self.mia_unl.items())},
-            "mia_ret": {str(t): v for t, v in sorted(self.mia_ret.items())},
-            "metadata": self.metadata,
-        }
-        return json.dumps(doc, sort_keys=True)
+                    raise ConfigError(
+                        f"AUC {auc_map[t]!r} for task {t} cell {name!r} is outside [0, 1]"
+                    )
 
     def to_csv(self) -> str:
         """Flat table, one row per cell: task,cell,metric,value."""
         lines = ["task,cell,metric,value"]
         for t in range(self.n_tasks):
             for s in SPLITS:
-                lines.append(f"{t},{s},{self.metric_name},{self.metrics[(t, s)]!r}")
+                lines.append(f"{t},{s},{METRIC_NAME},{self.metrics[(t, s)]!r}")
             lines.append(f"{t},mia,auc,{self.mia_unl[t]!r}")
             lines.append(f"{t},mia_retain,auc,{self.mia_ret[t]!r}")
         return "\n".join(lines) + "\n"
@@ -126,19 +114,22 @@ class EvalReport:
             raise ConfigError("tasks in CSV must be contiguous from 0")
         rep = cls(n_tasks=len(tasks))
         for t, cell, metric, v in rows:
+            if cell not in CELL_METRICS:
+                raise ConfigError(f"unknown cell name {cell!r}")
+            if metric != CELL_METRICS[cell]:
+                raise ConfigError(
+                    f"metric {metric!r} for task {t} cell {cell!r} is not {CELL_METRICS[cell]!r}"
+                )
             if not np.isfinite(v):
                 raise ConfigError(f"non-finite value {v!r} for task {t} cell {cell!r}")
             if cell in SPLITS:
                 if not 0 < v <= 1:
                     raise ConfigError(f"utility {v!r} for task {t} cell {cell!r} is outside (0, 1]")
                 rep.metrics[(t, cell)] = v
-                rep.metric_name = metric
             elif cell == "mia":
                 rep.mia_unl[t] = v
-            elif cell == "mia_retain":
-                rep.mia_ret[t] = v
             else:
-                raise ConfigError(f"unknown cell name {cell!r}")
+                rep.mia_ret[t] = v
         rep.validate()
         return rep
 
@@ -148,7 +139,6 @@ def evaluate(
     ds: MultiTaskDataset,
     part: PartitionSpec,
     val_ds: MultiTaskDataset,
-    metadata: dict | None = None,
 ) -> EvalReport:
     """Fill every (task, split) cell and both per-task membership AUCs.
 
@@ -160,7 +150,7 @@ def evaluate(
     unl_idx, ret_idx = part.forget_instances, part.retain_instances
     if not unl_idx.size or not ret_idx.size:
         raise EmptySubsetError("both retained and forgotten instances are required")
-    rep = EvalReport(n_tasks=ds.n_tasks, metadata=metadata or {})
+    rep = EvalReport(n_tasks=ds.n_tasks)
     for t in range(ds.n_tasks):
         ret_losses = per_instance_losses(model, ds, t, ret_idx)
         unl_losses = per_instance_losses(model, ds, t, unl_idx)

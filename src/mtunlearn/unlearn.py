@@ -195,8 +195,11 @@ def run_unlearning(
 
     # Weight each source by its share of the retain pairs so the descent
     # direction tracks the gradient of the overall retain-mean loss; the
-    # anchor stands in for the whole clean subset.
+    # anchor stands in for the whole clean subset. A source has a gradient
+    # exactly when it has pairs, so the weights are fixed for the run.
     counts = {"clean": len(clean), "inst": len(part.retain_inst), "task": len(part.retain_task)}
+    total = sum(counts.values())
+    weights = {name: count / total for name, count in counts.items() if count}
     project = cfg.strategy not in ("neggrad_plus", "wo_projection")
     skip = _ABLATION_SKIP.get(cfg.strategy, ())
 
@@ -238,13 +241,10 @@ def run_unlearning(
             forget_dir = bundle.forget
         else:
             forget_dir = sequential_orthogonalize(bundle, cfg.eps, skip_sources=skip)
-        total_retain = sum(c for name, c in counts.items() if bundle.source(name))
         descent = None
-        for name, count in counts.items():
+        for name, weight in weights.items():
             g = bundle.source(name)
-            if g is None:
-                continue
-            weighted = GradientPair(g.a * (count / total_retain), g.b * (count / total_retain))
+            weighted = GradientPair(g.a * weight, g.b * weight)
             descent = weighted if descent is None else descent + weighted
         edit = apply_update(edit, descent, forget_dir, cfg.eta1, cfg.eta2)
         model = model.with_edit(edit)

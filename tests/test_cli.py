@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchdata import BENCH_A_ORIGINAL, report_from_cells
-from mtunlearn import MultiTaskModel, cli, init_subspaces, surgery
+from mtunlearn import LowRankEdit, MultiTaskModel, cli, init_subspaces, surgery
+from mtunlearn.data import decode_array, encode_array
 from mtunlearn.errors import ConfigError
-from mtunlearn.model import zero_init_edit
 
 
 def base_config():
@@ -97,17 +97,18 @@ def test_run_artifacts_and_rerun_digest_equality(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     assert cli.main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in (
-        "dataset.json",
+    # Eval reports are CSV only; no JSON twin.
+    assert sorted(p.name for p in (out1 / "seed_0").iterdir()) == [
         "checkpoint_original.json",
         "checkpoint_retrain.json",
         "checkpoint_unlearned.json",
+        "dataset.json",
         "eval_original.csv",
-        "eval_unlearned.json",
+        "eval_retrain.csv",
+        "eval_unlearned.csv",
         "trace.json",
         "uis.json",
-    ):
-        assert (out1 / "seed_0" / name).exists()
+    ]
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["outputs"] == m2["outputs"]
@@ -120,36 +121,120 @@ def test_checkpoint_round_trip(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "r"
     cli.main(["run", "--config", str(cfg), "--out", str(out)])
-    text = (out / "seed_0" / "checkpoint_unlearned.json").read_text()
-    model, subspaces, doc = cli.checkpoint_from_json(text)
-    again = cli.checkpoint_to_json(model, subspaces, doc["dataset_digest"], doc["config"])
-    assert again == text
+    for name in ("original", "retrain", "unlearned"):
+        text = (out / "seed_0" / f"checkpoint_{name}.json").read_text()
+        assert cli.checkpoint_to_json(*cli.checkpoint_from_json(text)) == text
 
 
 def random_checkpoint():
-    """Checkpoint text for a small model with random-mode (dense) subspace bases."""
+    """Checkpoint text, model and random-mode (dense) subspace bases for 3 tasks, r = 4."""
+    doc = base_config()
+    doc["data"].update(n_tasks=3, task_dims=[2, 2, 2])  # input_dim 6, shared_dim 5
+    doc["train"]["rank"] = 4
+    doc["subspace"] = {"dim": 2, "mode": "random"}
+    echo = cli.RunConfig.from_doc(doc).to_doc()
     rng = np.random.default_rng(0)
-    edit = zero_init_edit(rng.standard_normal((6, 5)), rank=4, seed=0)
-    model = MultiTaskModel(edit=edit, heads=(rng.standard_normal((2, 5)),) * 3)
+    edit = LowRankEdit(
+        w_star=rng.standard_normal((6, 5)),
+        a=rng.standard_normal((5, 4)),
+        b=rng.standard_normal((6, 4)),
+    )
+    model = MultiTaskModel(edit=edit, heads=tuple(rng.standard_normal((2, 5)) for _ in range(3)))
     subspaces = init_subspaces(3, rank=4, dim=2, mode="random", seed=0)
-    return cli.checkpoint_to_json(model, subspaces, "digest", {"seed": 0}), subspaces
+    return cli.checkpoint_to_json(model, subspaces, "digest", echo), model, subspaces
 
 
 def test_checkpoint_round_trip_keeps_random_bases():
-    text, subspaces = random_checkpoint()
-    model, loaded, doc = cli.checkpoint_from_json(text)
-    for s, t in zip(subspaces, loaded):
+    text, model, subspaces = random_checkpoint()
+    loaded, bases, digest_, echo = cli.checkpoint_from_json(text)
+    for name in ("w_star", "a", "b"):
+        assert np.array_equal(getattr(loaded.edit, name), getattr(model.edit, name))
+    assert all(np.array_equal(h, g) for h, g in zip(loaded.heads, model.heads, strict=True))
+    for s, t in zip(subspaces, bases, strict=True):
         assert np.array_equal(s.basis, t.basis) and s.task_id == t.task_id
-    assert cli.checkpoint_to_json(model, loaded, doc["dataset_digest"], doc["config"]) == text
+    assert digest_ == "digest" and echo == json.loads(text)["config"]
+    assert cli.checkpoint_to_json(loaded, bases, digest_, echo) == text
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.0, float("nan")])
 def test_checkpoint_rejects_corrupted_basis_naming_the_task(scale):
-    text, _ = random_checkpoint()
+    text, _, _ = random_checkpoint()
     doc = json.loads(text)
-    doc["subspace_bases"][1][2][0] *= scale
+    q = decode_array(doc["subspace_bases"][1], "basis", (4, 2))
+    q[2, 0] *= scale
+    doc["subspace_bases"][1] = encode_array(q)
     with pytest.raises(ConfigError, match=r"subspace_bases\[1\]"):
         cli.checkpoint_from_json(json.dumps(doc))
+
+
+def _as_version_1(doc):
+    """The decimal-list layout of checkpoint schema version 1."""
+    for key in ("w_star", "a", "b"):
+        doc[key] = decode_array(doc[key], key, doc[key]["shape"]).tolist()
+    for key in ("heads", "subspace_bases"):
+        doc[key] = [decode_array(n, key, n["shape"]).tolist() for n in doc[key]]
+    doc["schema_version"] = 1
+
+
+def _nan_in_a(doc):
+    a = decode_array(doc["a"], "a", (5, 4))
+    a[1, 2] = np.nan
+    doc["a"] = encode_array(a)
+
+
+def edited(change):
+    """A text edit that applies ``change`` to the parsed checkpoint in place."""
+
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+
+    return edit
+
+
+# One checkpoint field broken at a time: (edit of the checkpoint text, what the error says).
+BAD_CHECKPOINTS = {
+    "truncated JSON": (lambda text: text[: len(text) // 2], r"checkpoint is not valid JSON"),
+    "not an object": (lambda text: "[1, 2]", r"unsupported checkpoint schema_version None"),
+    "version 1": (edited(_as_version_1), r"unsupported checkpoint schema_version 1"),
+    "missing a": (
+        edited(lambda doc: doc.pop("a")),
+        r"checkpoint a: expected an encoded array object",
+    ),
+    "NaN in a": (edited(_nan_in_a), r"checkpoint a: 1 non-finite entries"),
+    "head of wrong width": (
+        edited(lambda doc: doc["heads"].__setitem__(1, encode_array(np.zeros((1, 2))))),
+        r"checkpoint heads\[1\]: shape \[1, 2\] != \[2, 5\]",
+    ),
+    "heads not a list": (
+        edited(lambda doc: doc.update(heads={"0": doc["heads"][0]})),
+        r"checkpoint heads: expected a list of 3 arrays",
+    ),
+    "one basis for 3 tasks": (
+        edited(lambda doc: doc["subspace_bases"].pop()),
+        r"checkpoint subspace_bases: expected a list of 3 arrays",
+    ),
+    "config echo lacks a field": (
+        edited(lambda doc: doc["config"]["data"].pop("teacher_rank")),
+        r"checkpoint config: data: missing or invalid 'teacher_rank'",
+    ),
+    "config echo shape mismatch": (
+        edited(lambda doc: doc["config"]["train"].update(rank=3)),
+        r"checkpoint a: shape \[5, 4\] != \[5, 3\]",
+    ),
+    "digest not a string": (
+        edited(lambda doc: doc.pop("dataset_digest")),
+        r"checkpoint dataset_digest: expected a string, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS)
+def test_checkpoint_rejects_malformed_field_naming_it(edit, message):
+    text, _, _ = random_checkpoint()
+    with pytest.raises(ConfigError, match=message):
+        cli.checkpoint_from_json(edit(text))
 
 
 def test_run_multi_seed_summary(tmp_path):
@@ -194,6 +279,25 @@ def test_uis_command_trivial_zero(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "0.0%"
+
+
+def test_uis_command_rejects_wrong_metric_label(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    text = report_from_cells(BENCH_A_ORIGINAL).to_csv()
+    report.write_text(text.replace("exp_neg_loss", "accuracy"))
+    code = cli.main(
+        [
+            "uis",
+            "--evaluated", str(report),
+            "--original", str(report),
+            "--retrain", str(report),
+            "--setting", "full",
+        ]
+    )
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "metric 'accuracy' for task 0 cell 'ret' is not 'exp_neg_loss'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("forget_tasks", ["7", "0,-1", "x", "0,"])

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -103,15 +101,6 @@ def test_evaluate_fills_every_cell(small_problem):
         assert 0.0 <= rep.mia_ret[t] <= 1.0
 
 
-def test_report_json_holds_every_cell():
-    rep = make_report()
-    doc = json.loads(rep.to_json())
-    assert doc["n_tasks"] == rep.n_tasks
-    assert doc["metrics"] == {f"{t},{s}": v for (t, s), v in rep.metrics.items()}
-    assert doc["mia_unl"] == {str(t): v for t, v in rep.mia_unl.items()}
-    assert doc["mia_ret"] == {str(t): v for t, v in rep.mia_ret.items()}
-
-
 def test_report_csv_round_trip():
     rep = make_report()
     back = EvalReport.from_csv(rep.to_csv())
@@ -129,15 +118,30 @@ def test_report_csv_requires_mia_retain_row():
 
 @pytest.mark.parametrize(
     "cell, bad",
-    # Non-finite values, then utility cells outside (0, 1], the range of exp(-mean loss).
+    # Non-finite values, utility cells outside (0, 1], the range of exp(-mean loss),
+    # then AUC cells outside [0, 1].
     [("val", "nan"), ("mia", "inf"), ("ret", "-inf")]
-    + [("ret", "-5.0"), ("unl", "0.0"), ("val", "1.5")],
+    + [("ret", "-5.0"), ("unl", "0.0"), ("val", "1.5")]
+    + [("mia", "1.5"), ("mia_retain", "-0.1")],
 )
 def test_report_csv_rejects_non_finite(cell, bad):
     lines = make_report().to_csv().splitlines()
     i = next(n for n, line in enumerate(lines) if line.startswith(f"1,{cell},"))
     lines[i] = ",".join(lines[i].split(",")[:3] + [bad])
     with pytest.raises(ConfigError, match=f"task 1 cell '{cell}'"):
+        EvalReport.from_csv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "cell, label",
+    [("ret", "accuracy"), ("val", "auc"), ("mia", "exp_neg_loss"), ("mia_retain", "")],
+)
+def test_report_csv_rejects_wrong_metric_label(cell, label):
+    lines = make_report().to_csv().splitlines()
+    i = next(n for n, line in enumerate(lines) if line.startswith(f"1,{cell},"))
+    task, cell_name, _, value = lines[i].split(",")
+    lines[i] = ",".join([task, cell_name, label, value])
+    with pytest.raises(ConfigError, match=f"metric '{label}' for task 1 cell '{cell}'"):
         EvalReport.from_csv("\n".join(lines) + "\n")
 
 

@@ -1,0 +1,102 @@
+"""The benchmark under ``perfbench/`` reaches into the package by name.
+
+Its tracer wraps functions listed as strings, and its workloads read
+module attributes and report fields. These tests read those files as text,
+so nothing is imported from or written under ``perfbench/``, and they fail
+when a rename in the package would break the benchmark.
+"""
+
+import ast
+import dataclasses
+import importlib
+import sys
+import types
+from pathlib import Path
+
+from mtunlearn import EvalReport
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracer() -> types.ModuleType:
+    """``perfbench/tracer.py`` compiled from its text, so no bytecode is written."""
+    path = PERFBENCH / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def package_modules() -> dict:
+    return {k: m for k, m in sys.modules.items() if k == "mtunlearn" or k.startswith("mtunlearn.")}
+
+
+def test_traced_names_are_functions_of_their_layer():
+    tracer = load_tracer()
+    for table in (tracer.TIMED, tracer.COUNTED):
+        for layer, names in table.items():
+            module = importlib.import_module(f"mtunlearn.{layer}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"mtunlearn.{layer}.{name}"
+
+
+def test_pinned_call_counts_name_traced_functions():
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    pinned = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "EXPECTED_CALLS_SEED0"
+    )
+    spans = set(load_tracer().span_names())
+    assert {name for counts in pinned.values() for name in counts} <= spans
+
+
+def test_tracer_install_then_uninstall_restores_every_binding():
+    tracer = load_tracer()
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"mtunlearn.{layer}")
+    before = {key: dict(vars(m)) for key, m in package_modules().items()}
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        evaluation = sys.modules["mtunlearn.evaluation"]
+        assert evaluation.mia_auc is not before["mtunlearn.evaluation"]["mia_auc"]
+        evaluation.mia_auc([0.1], [0.2])
+        assert spans.calls["evaluation.mia_auc"] == 1
+    finally:
+        spans.uninstall()
+    for key, module in package_modules().items():
+        now = vars(module)
+        assert now.keys() == before[key].keys(), key
+        changed = [attr for attr, value in before[key].items() if now[attr] is not value]
+        assert not changed, f"{key}: {changed} not restored"
+
+
+def test_names_the_workloads_read_exist():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "mtunlearn"
+        for alias in node.names
+    }
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {
+        ("cli", "gen_config_from_doc"),
+        ("cli", "EXIT_OK"),
+        ("cli", "EXIT_NUMERIC"),
+        ("unlearn", "STRATEGIES"),
+    } <= used
+    for module, attr in sorted(used):
+        assert hasattr(importlib.import_module(f"mtunlearn.{module}"), attr), f"{module}.{attr}"
+    # Ablation reads the .values() of three report dicts.
+    report = EvalReport(n_tasks=1)
+    fields = {f.name for f in dataclasses.fields(EvalReport)}
+    for name in ("metrics", "mia_unl", "mia_ret"):
+        assert name in fields and isinstance(getattr(report, name), dict)
