@@ -9,7 +9,6 @@ import argparse
 import numpy as np
 
 from mtunlearn import (
-    GradientBundle,
     GradientPair,
     alignment,
     init_subspaces,
@@ -48,18 +47,16 @@ def main():
         out = orthogonalize(g_f, g_r, eps=eps)
         print(f"  eps={eps:<6g} residual alignment {frob_inner(out, g_r):+.2e}")
 
-    bundle = GradientBundle(
-        forget=GradientPair(g_f, rng.standard_normal((7, args.rank))),
-        clean=GradientPair(g_r, rng.standard_normal((7, args.rank))),
-        inst=GradientPair(rng.standard_normal((5, args.rank)), rng.standard_normal((7, args.rank))),
-    )
-    out = sequential_orthogonalize(bundle, eps=0.0)
+    forget = GradientPair(g_f, rng.standard_normal((7, args.rank)))
+    stages = {
+        "clean": GradientPair(g_r, rng.standard_normal((7, args.rank))),
+        "inst": GradientPair(rng.standard_normal((5, args.rank)), rng.standard_normal((7, args.rank))),
+    }
+    out = sequential_orthogonalize(forget, list(stages.values()), eps=0.0)
     # only the last applied stage is exactly removed
     print("\nsequential removal, alignment of the output with each retain source:")
-    for name in ("clean", "inst"):
-        g = bundle.source(name)
+    for name, g in stages.items():
         print(f"  {name}: {frob_inner(out.a, g.a):+.2e}")
-
 
 if __name__ == "__main__":
     main()

@@ -23,7 +23,6 @@ from .model import (
 )
 from .subspace import TaskSubspace, alignment, init_subspaces, regularize_step
 from .surgery import (
-    GradientBundle,
     GradientPair,
     apply_update,
     orthogonalize,
@@ -60,7 +59,6 @@ __all__ = [
     "alignment",
     "init_subspaces",
     "regularize_step",
-    "GradientBundle",
     "GradientPair",
     "apply_update",
     "orthogonalize",

@@ -71,11 +71,11 @@ class MultiTaskModel:
         return out[0] if single else out
 
 
-def zero_init_edit(w_star: np.ndarray, rank: int, seed: int, a_scale: float = 1.0):
+def zero_init_edit(w_star: np.ndarray, rank: int, seed: int):
     """Fresh edit: random a, zero b, so the initial delta weight is zero."""
     rng = np.random.default_rng(seed)
     d, k = w_star.shape
-    a = a_scale * rng.standard_normal((k, rank)) / np.sqrt(k)
+    a = rng.standard_normal((k, rank)) / np.sqrt(k)
     b = np.zeros((d, rank))
     return LowRankEdit(w_star=w_star, a=a, b=b)
 

@@ -97,17 +97,15 @@ def total_alignment(subspaces) -> float:
     return total
 
 
-def regularize_step(
-    subspaces, reg_weight: float, step_size: float
-) -> list[TaskSubspace]:
+def regularize_step(subspaces, step_size: float) -> list[TaskSubspace]:
     """One descent step on the pairwise alignment penalty, then re-orthonormalize.
 
     Gradient w.r.t. each basis U_t is 2 * sum_{t' != t} P_{t'} U_t. A zero
-    penalty weight is an exact identity.
+    step size is an exact identity.
     """
-    if reg_weight < 0:
-        raise ValueError("reg_weight must be >= 0")
-    if reg_weight == 0 or step_size == 0:
+    if step_size < 0:
+        raise ValueError("step_size must be >= 0")
+    if step_size == 0:
         return list(subspaces)
     projectors = [s.projector() for s in subspaces]
     out = []
@@ -116,7 +114,7 @@ def regularize_step(
         for j, p in enumerate(projectors):
             if j != i:
                 grad += 2.0 * p @ s.basis
-        stepped = s.basis - step_size * reg_weight * grad
+        stepped = s.basis - step_size * grad
         try:
             basis = orthonormalize(stepped)
         except DegenerateBasisError as exc:

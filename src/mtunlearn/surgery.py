@@ -2,8 +2,8 @@
 
 Projection confines a gradient to one task's subspace; orthogonalization
 strips the component of the forget gradient that aligns with a retain
-gradient; the sequential variant applies the retain sources in the fixed
-order clean -> inst -> task. The update combines retain descent with
+gradient; the sequential variant applies a list of retain gradients in
+order. The update combines retain descent with
 orthogonalized forget ascent; the base weight is never touched.
 """
 
@@ -13,15 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptySubsetError
-from .linalg import as_matrix, frob_inner
+from .errors import DimensionError
+from .linalg import as_matrix
 from .model import LowRankEdit
 from .subspace import TaskSubspace
 
 DEFAULT_EPS = 1e-8
-
-# Fixed application order of the retain sources in sequential orthogonalization.
-SOURCE_ORDER = ("clean", "inst", "task")
 
 
 @dataclass(frozen=True)
@@ -33,19 +30,6 @@ class GradientPair:
 
     def __add__(self, other: "GradientPair") -> "GradientPair":
         return GradientPair(self.a + other.a, self.b + other.b)
-
-
-@dataclass(frozen=True)
-class GradientBundle:
-    """Per-source gradients for one surgery step; absent sources are None."""
-
-    forget: GradientPair
-    clean: GradientPair | None = None
-    inst: GradientPair | None = None
-    task: GradientPair | None = None
-
-    def source(self, name: str) -> GradientPair | None:
-        return getattr(self, name)
 
 
 def project_task(grad, subspace: TaskSubspace) -> np.ndarray:
@@ -78,27 +62,20 @@ def orthogonalize(g_f, g_r, eps: float = DEFAULT_EPS) -> np.ndarray:
     denom = float(np.sum(g_r * g_r)) + eps
     if denom == 0.0:
         raise DimensionError("g_r is zero and eps = 0: projection undefined")
-    return g_f - (frob_inner(g_f, g_r) / denom) * g_r
+    return g_f - (float(np.sum(g_f * g_r)) / denom) * g_r
 
 
 def sequential_orthogonalize(
-    bundle: GradientBundle, eps: float = DEFAULT_EPS, skip_sources=()
+    forget: GradientPair, retain, eps: float = DEFAULT_EPS
 ) -> GradientPair:
-    """Orthogonalize the forget gradient against clean, then inst, then task.
+    """Orthogonalize the forget gradient against each retain gradient in turn.
 
-    Absent sources are skipped; ``skip_sources`` disables stages by name
-    (used by the ablation strategies). The two factors are treated
+    ``retain`` is the ordered list of retain ``GradientPair``s; an empty list
+    returns the forget arrays unchanged. The two factors are treated
     independently.
     """
-    if bundle.forget is None:
-        raise EmptySubsetError("bundle has no forget gradient")
-    out_a, out_b = bundle.forget.a, bundle.forget.b
-    for name in SOURCE_ORDER:
-        if name in skip_sources:
-            continue
-        g = bundle.source(name)
-        if g is None:
-            continue
+    out_a, out_b = forget.a, forget.b
+    for g in retain:
         out_a = orthogonalize(out_a, g.a, eps)
         out_b = orthogonalize(out_b, g.b, eps)
     return GradientPair(out_a, out_b)

@@ -4,7 +4,9 @@ The original model's merged weight becomes the frozen base; a fresh
 low-rank edit is optimized for up to ``max_epochs`` full-batch epochs.
 Each epoch builds per-source gradients (forget / clean / inst / task),
 projects them into task subspaces, sequentially orthogonalizes the forget
-direction, and applies retain descent plus forget ascent. The returned
+direction against the retain sources, and applies retain descent plus
+forget ascent; a strategy (see ``STRATEGIES``) switches projection off or
+drops retain sources. The returned
 model is the epoch whose membership-inference AUC lands closest to the
 retrained reference's.
 """
@@ -27,31 +29,22 @@ from .model import (
     zero_init_edit,
 )
 from .subspace import TaskSubspace, regularize_step
-from .surgery import (
-    GradientBundle,
-    GradientPair,
-    apply_update,
-    project_pair,
-    sequential_orthogonalize,
-)
+from .surgery import GradientPair, apply_update, project_pair, sequential_orthogonalize
 
-STRATEGIES = (
-    "ours",
-    "neggrad_plus",
-    "wo_projection",
-    "wo_task",
-    "wo_inst",
-    "wo_clean",
-)
-
+# Every strategy is the same epoch with parts switched off: whether gradients
+# are projected into the task subspaces (and the subspaces regularized), and
+# the ordered retain sources the forget gradient is orthogonalized against.
 # Ablation names follow the constraint they remove, so "wo_task" drops the
-# same-task retention signal (retained instances on forgotten tasks) and
-# "wo_inst" drops the same-instance cross-task signal (forgotten instances
-# on retained tasks).
-_ABLATION_SKIP = {
-    "wo_task": ("inst",),
-    "wo_inst": ("task",),
-    "wo_clean": ("clean",),
+# same-task retention signal (retained instances on forgotten tasks, the
+# "inst" source) and "wo_inst" drops the same-instance cross-task signal
+# (forgotten instances on retained tasks, the "task" source).
+STRATEGIES = {
+    "ours": (True, ("clean", "inst", "task")),
+    "neggrad_plus": (False, ()),
+    "wo_projection": (False, ("clean", "inst", "task")),
+    "wo_task": (True, ("clean", "task")),
+    "wo_inst": (True, ("clean", "inst")),
+    "wo_clean": (True, ("inst", "task")),
 }
 
 
@@ -62,7 +55,6 @@ class UnlearnConfig:
     eta2: float = 0.1
     eps: float = 1e-8
     max_epochs: int = 20
-    reg_weight: float = 1.0
     reg_step_size: float = 1e-3
     strategy: str = "ours"
     anchor_fraction: float = 0.10
@@ -73,7 +65,7 @@ class UnlearnConfig:
             raise ConfigError(f"unknown setting {self.setting!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        for name in ("eta1", "eta2", "eps", "reg_weight", "reg_step_size"):
+        for name in ("eta1", "eta2", "eps", "reg_step_size"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
@@ -200,8 +192,7 @@ def run_unlearning(
     counts = {"clean": len(clean), "inst": len(part.retain_inst), "task": len(part.retain_task)}
     total = sum(counts.values())
     weights = {name: count / total for name, count in counts.items() if count}
-    project = cfg.strategy not in ("neggrad_plus", "wo_projection")
-    skip = _ABLATION_SKIP.get(cfg.strategy, ())
+    project, stages = STRATEGIES[cfg.strategy]
 
     trace = UnlearnTrace(
         reference_auc=_forget_task_auc(retrain_ref, ds, part, val)
@@ -230,28 +221,23 @@ def run_unlearning(
     snapshots = [edit]
     current_subspaces = list(subspaces)
     for epoch in range(1, cfg.max_epochs + 1):
-        bundle = GradientBundle(
-            **{
-                name: _source_gradient(model, ds, subsets, current_subspaces, project)
-                for name, subsets in sources.items()
-            }
+        grads = {
+            name: _source_gradient(model, ds, subsets, current_subspaces, project)
+            for name, subsets in sources.items()
+        }
+        _check_forget_gradient(grads["forget"], epoch)
+        forget_dir = sequential_orthogonalize(
+            grads["forget"], [grads[name] for name in stages if name in weights], cfg.eps
         )
-        _check_forget_gradient(bundle.forget, epoch)
-        if cfg.strategy == "neggrad_plus":
-            forget_dir = bundle.forget
-        else:
-            forget_dir = sequential_orthogonalize(bundle, cfg.eps, skip_sources=skip)
         descent = None
         for name, weight in weights.items():
-            g = bundle.source(name)
+            g = grads[name]
             weighted = GradientPair(g.a * weight, g.b * weight)
             descent = weighted if descent is None else descent + weighted
         edit = apply_update(edit, descent, forget_dir, cfg.eta1, cfg.eta2)
         model = model.with_edit(edit)
-        if cfg.strategy != "neggrad_plus":
-            current_subspaces = regularize_step(
-                current_subspaces, cfg.reg_weight, cfg.reg_step_size
-            )
+        if project:
+            current_subspaces = regularize_step(current_subspaces, cfg.reg_step_size)
         record(epoch)
         snapshots.append(edit)
 

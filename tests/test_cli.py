@@ -383,6 +383,7 @@ BAD_CONFIGS = [
     (("n_seeds",), 1.5, r"config\.n_seeds: expected int, got 1\.5"),
     (("train", "rank"), 2.7, r"train\.rank: expected int, got 2\.7"),
     (("unlearn", "eta_1"), 0.3, r"unlearn\.eta_1: unknown field"),
+    (("unlearn", "reg_weight"), 1.0, r"unlearn\.reg_weight: unknown field"),
     (("data", "task_dims"), [0, 2], r"data: task_dims must all be >= 1"),
     (("unlearn", "eps"), "1e-8", r"unlearn\.eps: expected float, got '1e-8'"),
     (("subspace", "mode"), "bogus", r"subspace: unknown mode 'bogus'"),

@@ -13,7 +13,7 @@ import sys
 import types
 from pathlib import Path
 
-from mtunlearn import EvalReport
+from mtunlearn import EvalReport, unlearn
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -100,3 +100,15 @@ def test_names_the_workloads_read_exist():
     fields = {f.name for f in dataclasses.fields(EvalReport)}
     for name in ("metrics", "mia_unl", "mia_ret"):
         assert name in fields and isinstance(getattr(report, name), dict)
+
+
+def test_strategies_iterate_in_the_ablation_order():
+    # The ablation workload's pinned uis_pct sums its cells in this order.
+    assert list(unlearn.STRATEGIES) == [
+        "ours",
+        "neggrad_plus",
+        "wo_projection",
+        "wo_task",
+        "wo_inst",
+        "wo_clean",
+    ]

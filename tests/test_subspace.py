@@ -62,7 +62,7 @@ def test_identical_subspaces_have_maximal_alignment():
 
 def test_regularize_step_zero_weight_is_identity():
     subs = init_subspaces(3, rank=6, dim=2, mode="random", seed=2)
-    out = regularize_step(subs, reg_weight=0.0, step_size=1e-2)
+    out = regularize_step(subs, step_size=0.0)
     for before, after in zip(subs, out):
         assert np.array_equal(before.basis, after.basis)
 
@@ -72,7 +72,7 @@ def test_regularize_step_reduces_total_alignment():
     before = total_alignment(subs)
     out = subs
     for _ in range(50):
-        out = regularize_step(out, reg_weight=1.0, step_size=1e-2)
+        out = regularize_step(out, step_size=1e-2)
     after = total_alignment(out)
     assert after < before
     for s in out:
@@ -82,7 +82,7 @@ def test_regularize_step_reduces_total_alignment():
 def test_regularize_step_rejects_negative_weight():
     subs = init_subspaces(2, rank=4, dim=1)
     with pytest.raises(ValueError):
-        regularize_step(subs, reg_weight=-1.0, step_size=1e-2)
+        regularize_step(subs, step_size=-1e-2)
 
 
 def test_default_subspace_dim():

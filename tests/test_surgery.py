@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtunlearn import (
-    GradientBundle,
     GradientPair,
     LowRankEdit,
     apply_update,
@@ -13,7 +12,7 @@ from mtunlearn import (
     project_task,
     sequential_orthogonalize,
 )
-from mtunlearn.errors import DimensionError, EmptySubsetError
+from mtunlearn.errors import DimensionError
 from mtunlearn.linalg import frob_inner, frob_norm
 
 
@@ -72,11 +71,10 @@ def test_project_task_idempotent_and_contracting():
         project_task(rng.standard_normal((4, 3)), sub)
 
 
-def test_sequential_orthogonalize_order_and_skip():
+def test_sequential_orthogonalize_list_form():
     rng = np.random.default_rng(7)
     forget, clean, inst, task = (rand_pair(rng) for _ in range(4))
-    bundle = GradientBundle(forget=forget, clean=clean, inst=inst, task=task)
-    out = sequential_orthogonalize(bundle, eps=0.0)
+    out = sequential_orthogonalize(forget, [clean, inst, task], eps=0.0)
     # manual clean -> inst -> task on both factors
     manual_a = forget.a
     manual_b = forget.b
@@ -88,19 +86,13 @@ def test_sequential_orthogonalize_order_and_skip():
     # exact orthogonality only against the last stage
     assert abs(frob_inner(out.a, task.a)) <= 1e-10
 
-    skipped = sequential_orthogonalize(bundle, eps=0.0, skip_sources=("inst",))
+    subset = sequential_orthogonalize(forget, [clean, task], eps=0.0)
     manual_a = orthogonalize(orthogonalize(forget.a, clean.a, 0.0), task.a, 0.0)
-    assert np.allclose(skipped.a, manual_a)
+    assert np.allclose(subset.a, manual_a)
 
-
-def test_sequential_orthogonalize_absent_sources():
-    rng = np.random.default_rng(8)
-    forget = rand_pair(rng)
-    bundle = GradientBundle(forget=forget)
-    out = sequential_orthogonalize(bundle, eps=0.0)
-    assert np.array_equal(out.a, forget.a)
-    with pytest.raises(EmptySubsetError):
-        sequential_orthogonalize(GradientBundle(forget=None), eps=0.0)
+    # no stages: the forget arrays come back unchanged
+    raw = sequential_orthogonalize(forget, [], eps=0.0)
+    assert raw.a is forget.a and raw.b is forget.b
 
 
 def test_apply_update_math_and_frozen_base():

@@ -8,10 +8,12 @@ from mtunlearn import (
     generate_synthetic,
     init_subspaces,
     partition,
+    regularize_step,
     run_unlearning,
     train_reference,
 )
 from mtunlearn.errors import ConfigError, EmptySubsetError, StepSizeError
+from mtunlearn import unlearn
 from mtunlearn.unlearn import STRATEGIES
 
 
@@ -147,6 +149,25 @@ def test_strategies_differ_from_ours(pipeline):
         results[strategy] = model.edit.b
     assert not np.allclose(results["ours"], results["neggrad_plus"])
     assert not np.allclose(results["ours"], results["wo_projection"])
+
+
+@pytest.mark.parametrize(
+    "strategy, expected_calls", [("ours", 4), ("neggrad_plus", 0), ("wo_projection", 0)]
+)
+def test_subspaces_regularized_only_when_projecting(pipeline, monkeypatch, strategy, expected_calls):
+    problem, part, _, original, retrain, _, subs = pipeline
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return regularize_step(*args)
+
+    monkeypatch.setattr(unlearn, "regularize_step", counting)
+    cfg = UnlearnConfig(
+        setting="partial", eta1=0.3, eta2=0.05, max_epochs=4, strategy=strategy
+    )
+    run_unlearning(original, problem, part, subs, cfg, retrain)
+    assert len(calls) == expected_calls
 
 
 def test_validation_set_is_required(pipeline):
