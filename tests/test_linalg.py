@@ -57,6 +57,10 @@ def test_orthonormalize_properties(rows, cols, seed):
     assert np.allclose(q.T @ q, np.eye(cols), atol=1e-10)
     # same span: projecting the original columns onto q reproduces them
     assert np.allclose(q @ (q.T @ m), m, atol=1e-8)
+    # q^T m is the R factor: upper triangular with a nonnegative diagonal
+    r = q.T @ m
+    assert np.allclose(np.tril(r, -1), 0.0, atol=1e-10)
+    assert np.all(np.diag(r) >= 0)
 
 
 def test_orthonormalize_handles_ill_conditioned_input():
