@@ -58,5 +58,6 @@ def main():
     for name, g in stages.items():
         print(f"  {name}: {frob_inner(out.a, g.a):+.2e}")
 
+
 if __name__ == "__main__":
     main()

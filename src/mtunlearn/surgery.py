@@ -3,8 +3,8 @@
 Projection confines a gradient to one task's subspace; orthogonalization
 strips the component of the forget gradient that aligns with a retain
 gradient; the sequential variant applies a list of retain gradients in
-order. The update combines retain descent with
-orthogonalized forget ascent; the base weight is never touched.
+order. The update combines retain descent with orthogonalized forget
+ascent; the base weight is never touched.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ Each epoch builds per-source gradients (forget / clean / inst / task),
 projects them into task subspaces, sequentially orthogonalizes the forget
 direction against the retain sources, and applies retain descent plus
 forget ascent; a strategy (see ``STRATEGIES``) switches projection off or
-drops retain sources. The returned
-model is the epoch whose membership-inference AUC lands closest to the
-retrained reference's.
+drops retain sources. The returned model is the epoch whose
+membership-inference AUC lands closest to the retrained reference's.
 """
 
 from __future__ import annotations
