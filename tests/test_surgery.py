@@ -71,7 +71,7 @@ def test_project_task_idempotent_and_contracting():
         project_task(rng.standard_normal((4, 3)), sub)
 
 
-def test_sequential_orthogonalize_list_form():
+def test_sequential_orthogonalize_order_and_skip():
     rng = np.random.default_rng(7)
     forget, clean, inst, task = (rand_pair(rng) for _ in range(4))
     out = sequential_orthogonalize(forget, [clean, inst, task], eps=0.0)
@@ -86,13 +86,19 @@ def test_sequential_orthogonalize_list_form():
     # exact orthogonality only against the last stage
     assert abs(frob_inner(out.a, task.a)) <= 1e-10
 
-    subset = sequential_orthogonalize(forget, [clean, task], eps=0.0)
+    # a skipped source is one the caller leaves out of the list
+    skipped = sequential_orthogonalize(forget, [clean, task], eps=0.0)
     manual_a = orthogonalize(orthogonalize(forget.a, clean.a, 0.0), task.a, 0.0)
-    assert np.allclose(subset.a, manual_a)
+    assert np.allclose(skipped.a, manual_a)
 
-    # no stages: the forget arrays come back unchanged
-    raw = sequential_orthogonalize(forget, [], eps=0.0)
-    assert raw.a is forget.a and raw.b is forget.b
+
+def test_sequential_orthogonalize_absent_sources():
+    rng = np.random.default_rng(8)
+    forget = rand_pair(rng)
+    # no retain sources: the forget arrays come back unchanged
+    out = sequential_orthogonalize(forget, [], eps=0.0)
+    assert np.array_equal(out.a, forget.a)
+    assert out.a is forget.a and out.b is forget.b
 
 
 def test_apply_update_math_and_frozen_base():
