@@ -379,6 +379,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.time()
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = theory.run_all_checks(seed=args.seed)
     if args.out:
         out = _out_dir(args)

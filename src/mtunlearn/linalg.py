@@ -7,6 +7,8 @@ assume clean inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -21,11 +23,17 @@ SYMMETRY_ATOL = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting NaN/Inf."""
+    """Coerce to a 2-D float64 array, rejecting NaN/Inf.
+
+    The sum of the entries is non-finite exactly when an entry is or when
+    finite entries overflow, so the entrywise test runs only in those
+    cases. In those cases numpy's RuntimeWarning from the sum comes first;
+    finite entries whose sum overflows are still accepted.
+    """
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not math.isfinite(np.add.reduce(m, axis=None)) and not np.isfinite(m).all():
         raise DimensionError(f"{name} contains non-finite entries")
     return m
 
@@ -36,12 +44,13 @@ def frob_inner(a, b) -> float:
     b = as_matrix(b, "b")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
+    return float(np.add.reduce(a * b, axis=None))
 
 
 def frob_norm(a) -> float:
-    a = as_matrix(a, "a")
-    return float(np.linalg.norm(a))
+    """Frobenius norm, the same dot product ``np.linalg.norm`` takes."""
+    v = as_matrix(a, "a").ravel(order="K")
+    return math.sqrt(v @ v)
 
 
 def orthonormalize(m) -> np.ndarray:
@@ -71,7 +80,12 @@ def orthonormalize(m) -> np.ndarray:
 
 
 def solve_spd(h, b) -> np.ndarray:
-    """Solve h @ x = b for symmetric positive definite ``h`` via Cholesky."""
+    """Solve h @ x = b for symmetric positive definite ``h`` via Cholesky.
+
+    LAPACK ``potrf``/``potrs`` are called directly, as in ``orthonormalize``:
+    they are what ``scipy.linalg.cho_factor``/``cho_solve`` wrap, so the
+    result is the same to the bit, without the wrappers' per-call cost.
+    """
     h = as_matrix(h, "h")
     b_arr = np.asarray(b, dtype=float)
     squeeze = b_arr.ndim == 1
@@ -83,19 +97,18 @@ def solve_spd(h, b) -> np.ndarray:
         raise DimensionError(f"h must be square, got {h.shape}")
     if b_arr.shape[0] != n:
         raise DimensionError(f"b has {b_arr.shape[0]} rows, expected {n}")
-    asym = np.max(np.abs(h - h.T))
-    tol = SYMMETRY_ATOL * max(1.0, np.max(np.abs(h)))
+    asym = np.abs(h - h.T).max()
+    tol = SYMMETRY_ATOL * max(1.0, np.abs(h).max())
     if asym > tol:
         raise CurvatureError(f"solve_spd: not symmetric: max |h - h^T| = {asym:.3g} > {tol:.3g}")
-    try:
-        factor = scipy.linalg.cho_factor(h, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    factor, info = scipy.linalg.lapack.dpotrf(h, lower=1, clean=0)
+    if info > 0:
         lam = np.linalg.eigvalsh(h)[0]
-        raise CurvatureError(
-            f"solve_spd: not positive definite: smallest eigenvalue {lam:.3g}"
-        ) from exc
-    x = scipy.linalg.cho_solve(factor, b_arr)
+        raise CurvatureError(f"solve_spd: not positive definite: smallest eigenvalue {lam:.3g}")
+    x, _ = scipy.linalg.lapack.dpotrs(factor, b_arr, lower=1)
     # One step of iterative refinement keeps the residual near 1e-9 * |b|.
     r = b_arr - h @ x
-    x = x + scipy.linalg.cho_solve(factor, r)
+    x = x + scipy.linalg.lapack.dpotrs(factor, r, lower=1)[0]
+    if not np.isfinite(x).all():
+        raise CurvatureError("solve_spd: solution overflowed: h is singular to working precision")
     return x[:, 0] if squeeze else x

@@ -103,8 +103,8 @@ def regularize_step(subspaces, step_size: float) -> list[TaskSubspace]:
     Gradient w.r.t. each basis U_t is 2 * sum_{t' != t} P_{t'} U_t. A zero
     step size is an exact identity.
     """
-    if step_size < 0:
-        raise ValueError("step_size must be >= 0")
+    if not 0 <= step_size < np.inf:
+        raise ValueError(f"step_size must be finite and >= 0, got {step_size}")
     if step_size == 0:
         return list(subspaces)
     projectors = [s.projector() for s in subspaces]

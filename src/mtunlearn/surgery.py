@@ -57,12 +57,12 @@ def orthogonalize(g_f, g_r, eps: float = DEFAULT_EPS) -> np.ndarray:
     g_r = as_matrix(g_r, "g_r")
     if g_f.shape != g_r.shape:
         raise DimensionError(f"shape mismatch: {g_f.shape} vs {g_r.shape}")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    denom = float(np.sum(g_r * g_r)) + eps
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    denom = float(np.add.reduce(g_r * g_r, axis=None)) + eps
     if denom == 0.0:
         raise DimensionError("g_r is zero and eps = 0: projection undefined")
-    return g_f - (float(np.sum(g_f * g_r)) / denom) * g_r
+    return g_f - (float(np.add.reduce(g_f * g_r, axis=None)) / denom) * g_r
 
 
 def sequential_orthogonalize(

@@ -179,8 +179,8 @@ def optimal_direction(h_r, g_f, gamma: float) -> np.ndarray:
     gradient direction matches it only when g_f is an eigenvector of H_r.
     """
     g_f = np.asarray(g_f, dtype=float).ravel()
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     if not np.any(g_f):
         raise DimensionError("g_f must be nonzero")
     hinv_g = solve_spd(h_r, g_f)
@@ -197,17 +197,23 @@ def quadratic_cost(h_r, delta) -> float:
     return 0.5 * float(delta @ (np.asarray(h_r) @ delta))
 
 
-def constraint_plane_samples(g_f, delta_star, n_samples, seed, radius=1.0):
-    """Random feasible updates: delta_star plus perturbations orthogonal to g_f."""
-    rng = np.random.default_rng(seed)
+def constraint_plane_samples(g_f, delta_star, n_samples, seed, radius=1.0) -> np.ndarray:
+    """Random feasible updates, one per row: delta_star plus perturbations orthogonal to g_f.
+
+    The generator fills the ``(n_samples, p)`` block in C order, so row i
+    is the i-th of n draws of size p. ``np.vecdot`` takes one dot product
+    per row, so each row is the same to the bit as a draw-at-a-time loop.
+    """
     g = np.asarray(g_f, dtype=float).ravel()
+    if not np.any(g):
+        raise DimensionError("g_f must be nonzero")
     g_unit = g / np.linalg.norm(g)
-    out = []
-    for _ in range(n_samples):
-        z = rng.standard_normal(g.size)
-        w = z - (g_unit @ z) * g_unit
-        out.append(delta_star + radius * w)
-    return out
+    # In place: fewer (n_samples, p) temporaries keep the heap from growing.
+    w = np.random.default_rng(seed).standard_normal((n_samples, g.size))
+    w -= np.vecdot(w, g_unit)[:, None] * g_unit
+    w *= radius
+    w += delta_star
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +306,9 @@ def check_optimal_direction(
         gamma = 1.0 + rng.random()
         delta_star = optimal_direction(h, g, gamma)
         best = quadratic_cost(h, delta_star)
-        for delta in constraint_plane_samples(g, delta_star, n_samples, seed + trial):
-            if quadratic_cost(h, delta) < best - 1e-9:
-                violations += 1
+        deltas = constraint_plane_samples(g, delta_star, n_samples, seed + trial)
+        costs = 0.5 * np.vecdot(deltas, deltas @ h)
+        violations += int(np.count_nonzero(costs < best - 1e-9))
         # raw gradient at matched forgetting level
         raw = (gamma / float(g @ g)) * g
         if quadratic_cost(h, raw) <= best:
@@ -371,11 +377,12 @@ def check_orthogonalization_identity(n_draws: int = 1000, seed: int = 0) -> dict
         g_f = rng.standard_normal(shape)
         g_r = rng.standard_normal(shape)
         base = abs(frob_inner(g_f, g_r))
-        scale = frob_norm(g_f) * frob_norm(g_r)
+        norm_r = frob_norm(g_r)
+        scale = frob_norm(g_f) * norm_r
         for eps in (0.0, 1e-8, 1e-3, 1.0):
             out = surgery.orthogonalize(g_f, g_r, eps)
             residual = abs(frob_inner(out, g_r))
-            expected = eps / (frob_norm(g_r) ** 2 + eps) * base
+            expected = eps / (norm_r**2 + eps) * base
             if eps == 0.0:
                 worst_exact = max(worst_exact, residual / scale)
             else:

@@ -21,8 +21,9 @@ from mtunlearn import (
     subset_loss,
 )
 from mtunlearn.data import problem_from_json, problem_to_json
-from mtunlearn.linalg import orthonormalize
+from mtunlearn.linalg import orthonormalize, solve_spd
 from mtunlearn.model import MultiTaskModel, balanced_init_edit
+from mtunlearn.theory import check_optimal_direction
 
 # The acceptance-suite shapes at 10x the paper's N.
 SHAPES = GenConfig(
@@ -100,3 +101,18 @@ def test_bench_orthonormalize(benchmark):
     m = np.random.default_rng(0).standard_normal((16, 6))
     q = benchmark(orthonormalize, m)
     assert np.allclose(q.T @ q, np.eye(6), atol=1e-10)
+
+
+def test_bench_solve_spd(benchmark):
+    # p=30, the largest problem the first-order interference suite solves.
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((30, 30))
+    h = m @ m.T / 30 + 1e-2 * np.eye(30)
+    b = rng.standard_normal(30)
+    x = benchmark(solve_spd, h, b)
+    assert np.linalg.norm(h @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_bench_check_optimal_direction(benchmark):
+    report = benchmark(check_optimal_direction)
+    assert report["passed"] and report["sample_violations"] == 0

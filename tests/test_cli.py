@@ -359,6 +359,15 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_verify_negative_seed_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "ver"
+    assert cli.main(["verify", "--seed", "-1", "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_verify_detects_injected_sign_flip(tmp_path, capsys, monkeypatch):
     """A sign error in the orthogonalization update must fail verification."""
     true_orthogonalize = surgery.orthogonalize

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,30 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionError):
         as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_as_matrix_accepts_finite_entries_whose_sum_overflows():
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        m = as_matrix([[1e308, 1e308]])
+    assert m.tolist() == [[1e308, 1e308]]
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered in reduce")
+@pytest.mark.parametrize("bad", [[[np.inf, -np.inf]], [[np.nan]], [[1e308, 1e308, np.nan]]])
+def test_as_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(DimensionError, match="x contains non-finite entries"):
+        as_matrix(bad, "x")
+
+
+def test_frob_inner_and_norm_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for shape in [(1, 1), (4, 3), (16, 6), (30, 30)]:
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert frob_inner(a, b) == float(np.sum(a * b))
+        assert frob_norm(a) == float(np.linalg.norm(a))
+        # column-major and strided inputs too
+        assert frob_norm(np.asfortranarray(a)) == float(np.linalg.norm(np.asfortranarray(a)))
+        assert frob_norm(a[:, ::2]) == float(np.linalg.norm(a[:, ::2]))
 
 
 def test_frob_inner_matches_trace_formula():
@@ -117,3 +142,32 @@ def test_solve_spd_errors_name_the_offending_value():
         solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
     with pytest.raises(CurvatureError, match=r"not positive definite: smallest eigenvalue -3$"):
         solve_spd(np.diag([1.0, -3.0, 2.0]), np.ones(3))
+
+
+def cho_reference(h, b):
+    """The Cholesky solve through scipy's wrappers, with one refinement step."""
+    b = np.asarray(b, dtype=float)
+    col = b[:, None] if b.ndim == 1 else b
+    factor = scipy.linalg.cho_factor(h, lower=True)
+    x = scipy.linalg.cho_solve(factor, col)
+    x = x + scipy.linalg.cho_solve(factor, col - h @ x)
+    return x[:, 0] if b.ndim == 1 else x
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), n_rhs=st.integers(0, 4), seed=st.integers(0, 10_000))
+def test_solve_spd_equals_the_scipy_cholesky_wrappers(n, n_rhs, seed):
+    # n_rhs == 0 stands for a 1-D right-hand side.
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    h = m @ m.T / n + 1e-2 * np.eye(n)
+    b = rng.standard_normal((n, n_rhs) if n_rhs else n)
+    x = solve_spd(h, b)
+    assert x.shape == b.shape
+    assert np.array_equal(x, cho_reference(h, b))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_solve_spd_rejects_a_solution_that_overflows():
+    with pytest.raises(CurvatureError, match="solution overflowed"):
+        solve_spd(np.diag([1e-300, 1.0]), np.array([1e10, 1.0]))

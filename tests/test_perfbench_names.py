@@ -13,7 +13,7 @@ import sys
 import types
 from pathlib import Path
 
-from mtunlearn import EvalReport, unlearn
+from mtunlearn import EvalReport, linalg, theory, unlearn
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,16 +39,38 @@ def test_traced_names_are_functions_of_their_layer():
                 assert callable(getattr(module, name, None)), f"mtunlearn.{layer}.{name}"
 
 
-def test_pinned_call_counts_name_traced_functions():
+def pinned_calls() -> dict:
+    """``EXPECTED_CALLS_SEED0`` of ``perfbench/run.py``, read from its text."""
     tree = ast.parse((PERFBENCH / "run.py").read_text())
-    pinned = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and getattr(node.targets[0], "id", None) == "EXPECTED_CALLS_SEED0"
     )
+
+
+def test_pinned_call_counts_name_traced_functions():
     spans = set(load_tracer().span_names())
-    assert {name for counts in pinned.values() for name in counts} <= spans
+    assert {name for counts in pinned_calls().values() for name in counts} <= spans
+
+
+def test_verify_suites_make_the_pinned_solve_spd_calls(monkeypatch):
+    # Every module binding is counted, as the benchmark's tracer wraps them.
+    true_solve = linalg.solve_spd
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return true_solve(*args, **kwargs)
+
+    for module in package_modules().values():
+        for attr, value in list(vars(module).items()):
+            if value is true_solve:
+                monkeypatch.setattr(module, attr, counted)
+    theory.run_all_checks(seed=0)
+    assert calls == pinned_calls()["verify"]["linalg.solve_spd"]
 
 
 def test_tracer_install_then_uninstall_restores_every_binding():

@@ -85,6 +85,13 @@ def test_regularize_step_rejects_negative_weight():
         regularize_step(subs, step_size=-1e-2)
 
 
+@pytest.mark.parametrize("step_size", [float("nan"), float("inf"), -float("inf")])
+def test_regularize_step_rejects_non_finite_step_size(step_size):
+    subs = init_subspaces(2, rank=4, dim=1, mode="random", seed=0)
+    with pytest.raises(ValueError, match="step_size must be finite and >= 0"):
+        regularize_step(subs, step_size=step_size)
+
+
 def test_default_subspace_dim():
     assert default_subspace_dim(6, 3) == 2
     assert default_subspace_dim(4, 8) == 1

@@ -54,6 +54,13 @@ def test_orthogonalize_edge_cases():
         orthogonalize(g, g, eps=-1.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-8])
+def test_orthogonalize_rejects_eps_outside_finite_nonnegative(eps):
+    g = np.ones((2, 2))
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        orthogonalize(g, g, eps=eps)
+
+
 def test_orthogonal_inputs_pass_through():
     g_f = np.array([[1.0, 0.0], [0.0, 0.0]])
     g_r = np.array([[0.0, 0.0], [0.0, 1.0]])

@@ -121,6 +121,40 @@ def test_optimal_direction_input_validation():
         optimal_direction(h, np.zeros(3), gamma=1.0)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: optimal_direction(np.eye(3), np.ones(3), np.nan), ValueError, "gamma"),
+        (lambda: optimal_direction(np.eye(3), np.ones(3), np.inf), ValueError, "gamma"),
+        (lambda: constraint_plane_samples(np.zeros(3), np.ones(3), 5, 0), DimensionError, "g_f"),
+    ],
+)
+def test_non_finite_or_zero_arguments_are_named(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_constraint_plane_samples_equal_a_draw_at_a_time_loop():
+    def loop_reference(g_f, delta_star, n_samples, seed, radius=1.0):
+        rng = np.random.default_rng(seed)
+        g = np.asarray(g_f, dtype=float).ravel()
+        g_unit = g / np.linalg.norm(g)
+        out = []
+        for _ in range(n_samples):
+            z = rng.standard_normal(g.size)
+            w = z - (g_unit @ z) * g_unit
+            out.append(delta_star + radius * w)
+        return out
+
+    rng = np.random.default_rng(9)
+    for p in (1, 2, 8, 16, 24, 33):
+        g, delta = rng.standard_normal(p), rng.standard_normal(p)
+        for radius in (1.0, 0.3):
+            block = constraint_plane_samples(g, delta, 300, seed=p, radius=radius)
+            assert block.shape == (300, p)
+            assert np.array_equal(block, np.array(loop_reference(g, delta, 300, p, radius)))
+
+
 def test_optimal_direction_names_a_nonpositive_denominator():
     # g_f^T H^-1 g_f underflows to zero although g_f itself is nonzero.
     with pytest.raises(CurvatureError, match=r"g_f\^T H_r\^-1 g_f = 0$"):
