@@ -9,6 +9,7 @@ from setting-dependent reference models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +30,29 @@ def per_instance_losses(
     """Per-instance squared losses for one task."""
     x = ds.inputs if instances is None else ds.inputs[instances]
     y = ds.targets[task] if instances is None else ds.targets[task][instances]
-    e = model.predict(x, task) - y
-    return 0.5 * np.sum(e * e, axis=1)
+    return head_losses(x @ model.edit.effective_weight(), model.heads[task], y)
+
+
+def head_losses(features: np.ndarray, head: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row squared losses ``0.5 |features head^T - targets|^2``.
+
+    ``features`` is ``X W_eff``, so several tasks' heads can share one
+    product; this is the order ``MultiTaskModel.predict`` multiplies in.
+    """
+    e = features @ head.T - targets
+    return 0.5 * np.add.reduce(e * e, axis=1)
 
 
 def _finite_losses(losses, name: str) -> np.ndarray:
+    """The losses as a float array, rejecting an empty or non-finite one.
+
+    As in ``linalg.as_matrix``, one sum tests finiteness and the entrywise
+    test runs only when the sum is not finite.
+    """
     arr = np.asarray(losses, dtype=float)
     if arr.size == 0:
         raise EmptySubsetError("mia_auc needs nonempty member and nonmember lists")
-    if not np.all(np.isfinite(arr)):
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise NonFiniteError(f"mia_auc: {name} contains a NaN or infinite loss")
     return arr
 
@@ -51,12 +66,13 @@ def mia_auc(member_losses, nonmember_losses) -> float:
     """
     members = _finite_losses(member_losses, "member_losses")
     nonmembers = np.sort(_finite_losses(nonmember_losses, "nonmember_losses"))
-    # score = -loss, so a member "wins" against every larger nonmember loss
-    below = np.searchsorted(nonmembers, members, side="left")
-    upto = np.searchsorted(nonmembers, members, side="right")
-    wins = (nonmembers.size - upto).sum()
-    ties = (upto - below).sum()
-    return float((wins + 0.5 * ties) / (members.size * nonmembers.size))
+    # score = -loss, so a member "wins" against every larger nonmember loss;
+    # the counts are summed over members as exact integers.
+    pairs = members.size * nonmembers.size
+    n_upto = int(nonmembers.searchsorted(members, side="right").sum())
+    n_below = int(nonmembers.searchsorted(members, side="left").sum())
+    wins, ties = pairs - n_upto, n_upto - n_below
+    return float((wins + 0.5 * ties) / pairs)
 
 
 @dataclass

@@ -95,6 +95,8 @@ def solve_spd(h, b) -> np.ndarray:
     n = h.shape[0]
     if h.shape[1] != n:
         raise DimensionError(f"h must be square, got {h.shape}")
+    if n == 0:
+        raise DimensionError("h is 0x0: there is no system to solve")
     if b_arr.shape[0] != n:
         raise DimensionError(f"b has {b_arr.shape[0]} rows, expected {n}")
     asym = np.abs(h - h.T).max()

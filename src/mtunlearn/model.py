@@ -48,7 +48,14 @@ class LowRankEdit:
         return self.a.shape[1]
 
     def effective_weight(self) -> np.ndarray:
-        return self.w_star + self.b @ self.a.T
+        """``w_star + b a^T``, computed once per edit and returned read-only."""
+        return self._effective_weight
+
+    @cached_property
+    def _effective_weight(self) -> np.ndarray:
+        w = self.w_star + self.b @ self.a.T
+        w.flags.writeable = False
+        return w
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,10 @@ class Subset:
 
     dataset: MultiTaskDataset
     blocks: tuple[TaskBlock, ...]
+    _n_pairs: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_n_pairs", sum(b.index.size for b in self.blocks))
 
     @classmethod
     def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
@@ -174,7 +185,7 @@ class Subset:
         return cls(ds, tuple(blocks))
 
     def __len__(self) -> int:
-        return sum(b.index.size for b in self.blocks)
+        return self._n_pairs
 
     def by_task(self) -> list["Subset"]:
         """One single-task subset per block, sharing this subset's arrays."""
@@ -217,11 +228,16 @@ def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted
     """
     subset = _as_subset(ds, pairs, "subset_gradient")
     w_eff = model.edit.effective_weight()
-    grad_w = np.zeros_like(w_eff)
+    grad_w = None
     for blk in subset.blocks:
         m = model.heads[blk.task]
-        lam = ds.task_weights[blk.task] if weighted else 1.0
-        grad_w += lam * (blk.gram @ w_eff @ (m.T @ m) - blk.cross @ m)
+        term = blk.gram @ w_eff @ (m.T @ m) - blk.cross @ m
+        if weighted:
+            term = ds.task_weights[blk.task] * term
+        if grad_w is None:
+            grad_w = term
+        else:
+            grad_w += term
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 

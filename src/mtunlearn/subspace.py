@@ -101,22 +101,24 @@ def regularize_step(subspaces, step_size: float) -> list[TaskSubspace]:
     """One descent step on the pairwise alignment penalty, then re-orthonormalize.
 
     Gradient w.r.t. each basis U_t is 2 * sum_{t' != t} P_{t'} U_t. A zero
-    step size is an exact identity.
+    step size is an exact identity. The bases share one shape, as
+    ``init_subspaces`` makes them.
     """
     if not 0 <= step_size < np.inf:
         raise ValueError(f"step_size must be finite and >= 0, got {step_size}")
-    if step_size == 0:
+    if step_size == 0 or not subspaces:
         return list(subspaces)
-    projectors = [s.projector() for s in subspaces]
+    # bases[i] = U_i and prods[i, j] = 2 P_j U_i: all K^2 products in one
+    # stacked matmul. Each grads[i] adds the products with j != i in order of j.
+    n = len(subspaces)
+    bases = np.stack([s.basis for s in subspaces])
+    prods = (2.0 * (bases @ bases.transpose(0, 2, 1)))[None] @ bases[:, None]
+    grads = prods[~np.eye(n, dtype=bool)].reshape(n, n - 1, *bases.shape[1:]).sum(axis=1)
+    stepped = bases - step_size * grads
     out = []
-    for i, s in enumerate(subspaces):
-        grad = np.zeros_like(s.basis)
-        for j, p in enumerate(projectors):
-            if j != i:
-                grad += 2.0 * p @ s.basis
-        stepped = s.basis - step_size * grad
+    for s, m in zip(subspaces, stepped):
         try:
-            basis = orthonormalize(stepped)
+            basis = orthonormalize(m)
         except DegenerateBasisError as exc:
             raise DegenerateBasisError(
                 f"task {s.task_id} basis collapsed during regularization"

@@ -205,6 +205,8 @@ def constraint_plane_samples(g_f, delta_star, n_samples, seed, radius=1.0) -> np
     per row, so each row is the same to the bit as a draw-at-a-time loop.
     """
     g = np.asarray(g_f, dtype=float).ravel()
+    if not np.isfinite(g).all():
+        raise DimensionError("g_f contains non-finite entries")
     if not np.any(g):
         raise DimensionError("g_f must be nonzero")
     g_unit = g / np.linalg.norm(g)

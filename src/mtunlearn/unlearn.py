@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import PartitionSpec, SyntheticProblem
 from .errors import ConfigError, EmptySubsetError, StepSizeError
-from .evaluation import mia_auc, per_instance_losses
+from .evaluation import head_losses, mia_auc
 from .model import (
     MultiTaskModel,
     Subset,
@@ -28,7 +28,7 @@ from .model import (
     zero_init_edit,
 )
 from .subspace import TaskSubspace, regularize_step
-from .surgery import GradientPair, apply_update, project_pair, sequential_orthogonalize
+from .surgery import GradientPair, apply_update, sequential_orthogonalize
 
 # Every strategy is the same epoch with parts switched off: whether gradients
 # are projected into the task subspaces (and the subspaces regularized), and
@@ -94,16 +94,20 @@ class UnlearnTrace:
         return self.records[epoch]
 
 
-def _source_gradient(model, ds, task_subsets, subspaces, project) -> GradientPair | None:
-    """Sum of per-task (optionally projected) subset-mean gradients."""
-    total = None
+def _source_gradient(model, ds, task_subsets, projectors) -> GradientPair:
+    """Sum of per-task subset-mean gradients, each projected into its task's
+    subspace (right-multiplied by its projector) unless ``projectors`` is None."""
+    total_a = total_b = None
     for subset in task_subsets:
         ga, gb = subset_gradient(model, ds, subset)
-        pair = GradientPair(ga, gb)
-        if project:
-            pair = project_pair(pair, subspaces[subset.blocks[0].task])
-        total = pair if total is None else total + pair
-    return total
+        if projectors is not None:
+            p = projectors[subset.blocks[0].task]
+            ga, gb = ga @ p, gb @ p
+        if total_a is None:
+            total_a, total_b = ga, gb
+        else:
+            total_a, total_b = total_a + ga, total_b + gb
+    return GradientPair(total_a, total_b)
 
 
 def _check_forget_gradient(g: GradientPair, epoch: int):
@@ -124,16 +128,52 @@ def _check_forget_gradient(g: GradientPair, epoch: int):
         )
 
 
-def _forget_task_auc(model, ds, part, val_ds) -> float:
-    """Mean unlearn-vs-val membership AUC over the forgotten tasks."""
-    aucs = [
-        mia_auc(
-            per_instance_losses(model, ds, t, part.forget_instances),
-            per_instance_losses(model, val_ds, t),
-        )
-        for t in part.forget_tasks
-    ]
-    return float(np.mean(aucs))
+def _check_retain_gradients(grads: dict, descent: GradientPair, epoch: int):
+    """Name the epoch and the source of a non-finite retain gradient entry.
+
+    ``descent`` is a positive-weighted sum of every retain source, so the sum
+    of its entries is non-finite whenever a source's entry is (or when
+    finite entries overflow); the entrywise test runs only in that case,
+    as in ``linalg.as_matrix``.
+    """
+    total = float(np.add.reduce(descent.a, axis=None)) + float(np.add.reduce(descent.b, axis=None))
+    if math.isfinite(total):
+        return
+    for name, g in grads.items():
+        bad = np.count_nonzero(~np.isfinite(g.a)) + np.count_nonzero(~np.isfinite(g.b))
+        if bad:
+            raise StepSizeError(
+                f"run_unlearning epoch {epoch}: {name} gradient non-finite "
+                f"({bad} of {g.a.size + g.b.size} entries)"
+            )
+
+
+def _forget_task_auc(ds, part, val_ds):
+    """The mean unlearn-vs-val membership AUC over the forgotten tasks, as a
+    function of the model.
+
+    The forgotten instances' rows are gathered once. Per model, ``X_f W_eff``
+    and ``X_val W_eff`` are computed once and shared by the forgotten tasks'
+    heads, in the product order ``per_instance_losses`` uses, so each AUC is
+    the same to the bit as from ``per_instance_losses``.
+    """
+    inst = part.forget_instances
+    forget_x, val_x = ds.inputs[inst], val_ds.inputs
+    targets = [(t, ds.targets[t][inst], val_ds.targets[t]) for t in part.forget_tasks]
+
+    def auc(model) -> float:
+        w_eff = model.edit.effective_weight()
+        forget_h, val_h = forget_x @ w_eff, val_x @ w_eff
+        aucs = [
+            mia_auc(
+                head_losses(forget_h, model.heads[t], y_f),
+                head_losses(val_h, model.heads[t], y_val),
+            )
+            for t, y_f, y_val in targets
+        ]
+        return float(np.mean(aucs))
+
+    return auc
 
 
 def _loss_or_none(model, ds, subset):
@@ -193,9 +233,8 @@ def run_unlearning(
     weights = {name: count / total for name, count in counts.items() if count}
     project, stages = STRATEGIES[cfg.strategy]
 
-    trace = UnlearnTrace(
-        reference_auc=_forget_task_auc(retrain_ref, ds, part, val)
-    )
+    forget_task_auc = _forget_task_auc(ds, part, val)
+    trace = UnlearnTrace(reference_auc=forget_task_auc(retrain_ref))
 
     def record(epoch):
         # Checked before the membership AUC, which rejects non-finite losses
@@ -212,7 +251,7 @@ def run_unlearning(
                 clean_loss=_loss_or_none(model, ds, losses["retain_clean"]),
                 inst_loss=_loss_or_none(model, ds, losses["retain_inst"]),
                 task_loss=_loss_or_none(model, ds, losses["retain_task"]),
-                mia_auc=_forget_task_auc(model, ds, part, val),
+                mia_auc=forget_task_auc(model),
             )
         )
 
@@ -220,19 +259,23 @@ def run_unlearning(
     snapshots = [edit]
     current_subspaces = list(subspaces)
     for epoch in range(1, cfg.max_epochs + 1):
+        projectors = [s.projector() for s in current_subspaces] if project else None
         grads = {
-            name: _source_gradient(model, ds, subsets, current_subspaces, project)
+            name: _source_gradient(model, ds, subsets, projectors)
             for name, subsets in sources.items()
+            if subsets
         }
         _check_forget_gradient(grads["forget"], epoch)
-        forget_dir = sequential_orthogonalize(
-            grads["forget"], [grads[name] for name in stages if name in weights], cfg.eps
-        )
         descent = None
         for name, weight in weights.items():
             g = grads[name]
             weighted = GradientPair(g.a * weight, g.b * weight)
             descent = weighted if descent is None else descent + weighted
+        if descent is not None:
+            _check_retain_gradients(grads, descent, epoch)
+        forget_dir = sequential_orthogonalize(
+            grads["forget"], [grads[name] for name in stages if name in weights], cfg.eps
+        )
         edit = apply_update(edit, descent, forget_dir, cfg.eta1, cfg.eta2)
         model = model.with_edit(edit)
         if project:

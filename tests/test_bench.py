@@ -13,12 +13,18 @@ import numpy as np
 from mtunlearn import (
     GenConfig,
     Subset,
+    TrainConfig,
+    UnlearnConfig,
     default_forget_split,
     generate_synthetic,
+    init_subspaces,
     mia_auc,
     orthogonalize,
+    regularize_step,
+    run_unlearning,
     subset_gradient,
     subset_loss,
+    train_reference,
 )
 from mtunlearn.data import problem_from_json, problem_to_json
 from mtunlearn.linalg import orthonormalize, solve_spd
@@ -80,6 +86,30 @@ def test_bench_partition(benchmark):
     part, subset = benchmark(split_and_group)
     assert part.forget_instances.size == 2000
     assert len(subset) == len(part.retain) == 3 * 20_000 - 2000
+
+
+def test_bench_run_unlearning(benchmark):
+    # One `ours` partial run at the paper's size (N=200, n_val=100, forget
+    # task 0), its two references trained outside the timed call.
+    problem = generate_synthetic(dataclasses.replace(SHAPES, n_instances=200, n_val=100))
+    ds = problem.dataset
+    tc = TrainConfig(epochs=400, step_size=0.3, seed=0, rank=6)
+    part = default_forget_split(ds, 0.1, [0], seed=0)
+    original = train_reference(problem, ds.all_pairs(), tc)
+    retrain = train_reference(problem, part.retain, tc)
+    subspaces = init_subspaces(3, rank=6, dim=2, mode="random", seed=0)
+    cfg = UnlearnConfig(setting="partial", eta1=0.3, eta2=0.05, anchor_fraction=1.0)
+    model, trace = benchmark(run_unlearning, original, problem, part, subspaces, cfg, retrain)
+    assert len(trace.records) == cfg.max_epochs + 1
+    assert np.all(np.isfinite(model.edit.a)) and np.all(np.isfinite(model.edit.b))
+
+
+def test_bench_regularize_step(benchmark):
+    # K=3 random subspaces of dim 2 in rank 6, as the ablation runs use.
+    subspaces = init_subspaces(3, rank=6, dim=2, mode="random", seed=0)
+    out = benchmark(regularize_step, subspaces, 1e-3)
+    for s in out:
+        assert np.allclose(s.basis.T @ s.basis, np.eye(2), atol=1e-12)
 
 
 def test_bench_orthogonalize(benchmark):

@@ -144,6 +144,13 @@ def test_solve_spd_errors_name_the_offending_value():
         solve_spd(np.diag([1.0, -3.0, 2.0]), np.ones(3))
 
 
+def test_solve_spd_rejects_an_empty_system():
+    # Checked before the symmetry test, whose max over no entries would raise
+    # numpy's own ValueError.
+    with pytest.raises(DimensionError, match=r"^h is 0x0"):
+        solve_spd(np.zeros((0, 0)), np.zeros(0))
+
+
 def cho_reference(h, b):
     """The Cholesky solve through scipy's wrappers, with one refinement step."""
     b = np.asarray(b, dtype=float)

@@ -13,7 +13,20 @@ import sys
 import types
 from pathlib import Path
 
-from mtunlearn import EvalReport, linalg, theory, unlearn
+from mtunlearn import (
+    EvalReport,
+    GenConfig,
+    TrainConfig,
+    UnlearnConfig,
+    default_forget_split,
+    generate_synthetic,
+    init_subspaces,
+    linalg,
+    run_unlearning,
+    theory,
+    train_reference,
+    unlearn,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,6 +84,71 @@ def test_verify_suites_make_the_pinned_solve_spd_calls(monkeypatch):
                 monkeypatch.setattr(module, attr, counted)
     theory.run_all_checks(seed=0)
     assert calls == pinned_calls()["verify"]["linalg.solve_spd"]
+
+
+def test_unlearning_epochs_make_the_pinned_model_calls(monkeypatch):
+    # The ablation workload's grid (4 forget settings x 6 strategies x 20
+    # epochs, d=16, K=3, rank 6) at N=50: the call counts do not depend on N.
+    problem = generate_synthetic(
+        GenConfig(
+            n_instances=50,
+            input_dim=16,
+            n_tasks=3,
+            task_dims=(2, 2, 2),
+            shared_dim=12,
+            teacher_rank=6,
+            noise_std=0.3,
+            seed=0,
+            n_val=15,
+        )
+    )
+    ds, epochs = problem.dataset, 20
+    tc = TrainConfig(epochs=100, step_size=0.3, seed=0, rank=6)
+    original = train_reference(problem, ds.all_pairs(), tc)
+    subspaces = init_subspaces(3, rank=6, dim=2, mode="random", seed=0)
+    log = []
+
+    def counted(name):
+        true_fn = getattr(unlearn, name)
+
+        def call(*args, **kwargs):
+            log.append(name)
+            return true_fn(*args, **kwargs)
+
+        return call
+
+    for name in ("subset_gradient", "subset_loss"):
+        monkeypatch.setattr(unlearn, name, counted(name))
+    settings = [("partial", (0,)), ("partial", (1,)), ("partial", (2,)), ("full", (0, 1, 2))]
+    runs = 0
+    totals = {"model.subset_gradient": 0, "model.subset_loss": 0}
+    for setting, tasks in settings:
+        part = default_forget_split(ds, 0.1, tasks, 0)
+        retrain = train_reference(problem, part.retain, tc)
+        # Per record: the forget set plus each non-empty retain subset.
+        per_record = 1 + sum(
+            bool(getattr(part, name).size) for name in ("retain_clean", "retain_inst", "retain_task")
+        )
+        for strategy in unlearn.STRATEGIES:
+            cfg = UnlearnConfig(
+                setting=setting,
+                strategy=strategy,
+                seed=0,
+                eta1=0.3,
+                eta2=0.05,
+                anchor_fraction=1.0,
+                max_epochs=epochs,
+            )
+            log.clear()
+            run_unlearning(original, problem, part, subspaces, cfg, retrain)
+            epoch = ["subset_gradient"] * (2 * ds.n_tasks) + ["subset_loss"] * per_record
+            assert log == ["subset_loss"] * per_record + epoch * epochs, (setting, strategy)
+            runs += 1
+            totals["model.subset_gradient"] += log.count("subset_gradient")
+            totals["model.subset_loss"] += log.count("subset_loss")
+    pinned = pinned_calls()["ablation"]
+    assert runs == pinned["unlearn.run_unlearning"]
+    assert totals == {name: pinned[name] for name in totals}
 
 
 def test_tracer_install_then_uninstall_restores_every_binding():

@@ -127,6 +127,18 @@ def test_optimal_direction_input_validation():
         (lambda: optimal_direction(np.eye(3), np.ones(3), np.nan), ValueError, "gamma"),
         (lambda: optimal_direction(np.eye(3), np.ones(3), np.inf), ValueError, "gamma"),
         (lambda: constraint_plane_samples(np.zeros(3), np.ones(3), 5, 0), DimensionError, "g_f"),
+        pytest.param(
+            lambda: constraint_plane_samples(np.array([1.0, np.inf]), np.ones(2), 5, 0),
+            DimensionError,
+            "^g_f contains non-finite entries$",
+            id="g_f-inf",
+        ),
+        pytest.param(
+            lambda: constraint_plane_samples(np.array([np.nan, 1.0]), np.ones(2), 5, 0),
+            DimensionError,
+            "^g_f contains non-finite entries$",
+            id="g_f-nan",
+        ),
     ],
 )
 def test_non_finite_or_zero_arguments_are_named(call, error, message):

@@ -13,7 +13,8 @@ from mtunlearn import (
     train_reference,
 )
 from mtunlearn.errors import ConfigError, EmptySubsetError, StepSizeError
-from mtunlearn import unlearn
+from mtunlearn import mia_auc, unlearn
+from mtunlearn.evaluation import per_instance_losses
 from mtunlearn.unlearn import STRATEGIES
 
 
@@ -205,3 +206,56 @@ def test_unlearning_overflowing_forget_gradient_names_epoch(pipeline):
             r"0 of 42 entries non-finite; largest finite \|entry\| 2\.37\d*e\+195\)$",
         ):
             run_unlearning(original, problem, part_partial, subs, cfg, retrain_p)
+
+
+def forget_task_auc_reference(model, problem, part):
+    """The forgotten tasks' mean membership AUC through ``per_instance_losses``."""
+    ds, val = problem.dataset, problem.val_dataset
+    return float(
+        np.mean(
+            [
+                mia_auc(
+                    per_instance_losses(model, ds, t, part.forget_instances),
+                    per_instance_losses(model, val, t),
+                )
+                for t in part.forget_tasks
+            ]
+        )
+    )
+
+
+@pytest.mark.parametrize("setting", ["partial", "full"])
+def test_membership_aucs_equal_the_per_instance_losses_path(pipeline, setting):
+    problem, part_p, part_f, original, retrain_p, retrain_f, subs = pipeline
+    part, retrain = (part_p, retrain_p) if setting == "partial" else (part_f, retrain_f)
+    cfg = UnlearnConfig(setting=setting, eta1=0.3, eta2=0.05, max_epochs=6)
+    model, trace = run_unlearning(original, problem, part, subs, cfg, retrain)
+    assert trace.reference_auc == forget_task_auc_reference(retrain, problem, part)
+    selected = trace.records[trace.selected_epoch]
+    assert selected.mia_auc == forget_task_auc_reference(model, problem, part)
+
+
+@pytest.mark.parametrize("strategy", ["ours", "neggrad_plus"])
+def test_non_finite_retain_gradient_names_epoch_and_source(pipeline, monkeypatch, strategy):
+    # The second gradient of the "inst" source (retained instances on the
+    # forgotten task) has NaN entries in its 6x3 factor a.
+    problem, part, _, original, retrain, _, subs = pipeline
+    true_gradient = unlearn.subset_gradient
+    inst_calls = 0
+
+    def poisoned(model, ds, subset, weighted=False):
+        nonlocal inst_calls
+        ga, gb = true_gradient(model, ds, subset, weighted)
+        blk = subset.blocks[0]
+        if blk.task in part.forget_tasks and not np.isin(blk.index, part.forget_instances).any():
+            inst_calls += 1
+            if inst_calls == 2:
+                ga = np.full_like(ga, np.nan)
+        return ga, gb
+
+    monkeypatch.setattr(unlearn, "subset_gradient", poisoned)
+    cfg = UnlearnConfig(setting="partial", eta1=0.3, eta2=0.05, max_epochs=4, strategy=strategy)
+    with pytest.raises(
+        StepSizeError, match=r"^run_unlearning epoch 2: inst gradient non-finite \(18 of 42 entries\)$"
+    ):
+        run_unlearning(original, problem, part, subs, cfg, retrain)
