@@ -16,7 +16,6 @@ from .model import (
     Subset,
     TrainConfig,
     flattened_hessian,
-    pair_loss,
     subset_gradient,
     subset_loss,
     train_reference,
@@ -51,7 +50,6 @@ __all__ = [
     "Subset",
     "TrainConfig",
     "flattened_hessian",
-    "pair_loss",
     "subset_gradient",
     "subset_loss",
     "train_reference",

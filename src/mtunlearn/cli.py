@@ -312,11 +312,11 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
         "seed": seed,
         "selected_epoch": trace.selected_epoch,
         "forget_loss_start": trace.records[0].forget_loss,
-        "forget_loss": trace.record_for(trace.selected_epoch).forget_loss,
+        "forget_loss": trace.records[trace.selected_epoch].forget_loss,
         "clean_loss": subset_loss(unlearned, ds, part.retain_clean)
         if part.retain_clean.size
         else float("nan"),
-        "mia_auc": trace.record_for(trace.selected_epoch).mia_auc,
+        "mia_auc": trace.records[trace.selected_epoch].mia_auc,
         "reference_auc": trace.reference_auc,
         "uis": score,
     }

@@ -1,10 +1,12 @@
 """Split-wise metrics, loss-based membership inference, and the impact score.
 
-Utility on each (task, split) cell is exp(-mean squared loss), a value in
-(0, 1] so relative deviations are always well defined. Membership
-inference is the rank statistic of negative losses. The impact score
-averages, over tasks, the summed relative deviations of the four cells
-from setting-dependent reference models.
+This module alone turns a model and a split's rows into per-instance
+squared losses, with one ``X W_eff`` product per split. Utility on each
+(task, split) cell is exp(-mean squared loss), a value in (0, 1] so
+relative deviations are always well defined. Membership inference is the
+rank statistic of negative losses. The impact score averages, over tasks,
+the summed relative deviations of the four cells from setting-dependent
+reference models.
 """
 
 from __future__ import annotations
@@ -24,23 +26,25 @@ METRIC_NAME = "exp_neg_loss"
 CELL_METRICS = {**dict.fromkeys(SPLITS, METRIC_NAME), "mia": "auc", "mia_retain": "auc"}
 
 
-def per_instance_losses(
-    model: MultiTaskModel, ds: MultiTaskDataset, task: int, instances=None
-) -> np.ndarray:
-    """Per-instance squared losses for one task."""
-    x = ds.inputs if instances is None else ds.inputs[instances]
-    y = ds.targets[task] if instances is None else ds.targets[task][instances]
-    return head_losses(x @ model.edit.effective_weight(), model.heads[task], y)
+def per_instance_losses(model: MultiTaskModel, inputs: np.ndarray, targets: dict) -> dict:
+    """Per-instance squared losses ``0.5 |x W_eff M_t^T - y|^2`` of each task.
 
-
-def head_losses(features: np.ndarray, head: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row squared losses ``0.5 |features head^T - targets|^2``.
-
-    ``features`` is ``X W_eff``, so several tasks' heads can share one
-    product; this is the order ``MultiTaskModel.predict`` multiplies in.
+    ``targets`` maps a task to the targets of the rows ``inputs``. One
+    ``inputs @ W_eff`` product is shared by every task's head.
     """
-    e = features @ head.T - targets
-    return 0.5 * np.add.reduce(e * e, axis=1)
+    features = inputs @ model.edit.effective_weight()
+    losses = {}
+    for t, y in targets.items():
+        e = features @ model.heads[t].T - y
+        losses[t] = 0.5 * np.add.reduce(e * e, axis=1)
+    return losses
+
+
+def _rows(ds: MultiTaskDataset, tasks, instances=None):
+    """The inputs and the ``tasks``' targets of ``instances`` (every row if None)."""
+    if instances is None:
+        return ds.inputs, {t: ds.targets[t] for t in tasks}
+    return ds.inputs[instances], {t: ds.targets[t][instances] for t in tasks}
 
 
 def _finite_losses(losses, name: str) -> np.ndarray:
@@ -166,18 +170,32 @@ def evaluate(
     unl_idx, ret_idx = part.forget_instances, part.retain_instances
     if not unl_idx.size or not ret_idx.size:
         raise EmptySubsetError("both retained and forgotten instances are required")
+    tasks = range(ds.n_tasks)
+    ret = per_instance_losses(model, *_rows(ds, tasks, ret_idx))
+    unl = per_instance_losses(model, *_rows(ds, tasks, unl_idx))
+    val = per_instance_losses(model, *_rows(val_ds, tasks))
     rep = EvalReport(n_tasks=ds.n_tasks)
-    for t in range(ds.n_tasks):
-        ret_losses = per_instance_losses(model, ds, t, ret_idx)
-        unl_losses = per_instance_losses(model, ds, t, unl_idx)
-        val_losses = per_instance_losses(model, val_ds, t)
-        rep.metrics[(t, "ret")] = float(np.exp(-np.mean(ret_losses)))
-        rep.metrics[(t, "unl")] = float(np.exp(-np.mean(unl_losses)))
-        rep.metrics[(t, "val")] = float(np.exp(-np.mean(val_losses)))
-        rep.mia_unl[t] = mia_auc(unl_losses, val_losses)
-        rep.mia_ret[t] = mia_auc(ret_losses, val_losses)
+    for t in tasks:
+        rep.metrics[(t, "ret")] = float(np.exp(-np.mean(ret[t])))
+        rep.metrics[(t, "unl")] = float(np.exp(-np.mean(unl[t])))
+        rep.metrics[(t, "val")] = float(np.exp(-np.mean(val[t])))
+        rep.mia_unl[t] = mia_auc(unl[t], val[t])
+        rep.mia_ret[t] = mia_auc(ret[t], val[t])
     rep.validate()
     return rep
+
+
+def forget_task_auc(ds: MultiTaskDataset, part: PartitionSpec, val_ds: MultiTaskDataset):
+    """The mean unlearn-vs-val membership AUC over the forgotten tasks, as a
+    function of the model; the rows are gathered once, here."""
+    forget = _rows(ds, part.forget_tasks, part.forget_instances)
+    val = _rows(val_ds, part.forget_tasks)
+
+    def auc(model: MultiTaskModel) -> float:
+        unl, val_losses = per_instance_losses(model, *forget), per_instance_losses(model, *val)
+        return float(np.mean([mia_auc(unl[t], val_losses[t]) for t in part.forget_tasks]))
+
+    return auc
 
 
 @dataclass(frozen=True)

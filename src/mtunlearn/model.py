@@ -70,13 +70,6 @@ class MultiTaskModel:
     def with_edit(self, edit: LowRankEdit) -> "MultiTaskModel":
         return replace(self, edit=edit)
 
-    def predict(self, x: np.ndarray, task: int) -> np.ndarray:
-        """Batch prediction for one task; x is (n, d) or (d,)."""
-        single = x.ndim == 1
-        xb = np.atleast_2d(x)
-        out = xb @ self.edit.effective_weight() @ self.heads[task].T
-        return out[0] if single else out
-
 
 def zero_init_edit(w_star: np.ndarray, rank: int, seed: int):
     """Fresh edit: random a, zero b, so the initial delta weight is zero."""
@@ -94,13 +87,6 @@ def balanced_init_edit(w_star: np.ndarray, rank: int, seed: int, scale: float = 
     a = scale * rng.standard_normal((k, rank))
     b = scale * rng.standard_normal((d, rank))
     return LowRankEdit(w_star=w_star, a=a, b=b)
-
-
-def pair_loss(model: MultiTaskModel, ds: MultiTaskDataset, pair) -> float:
-    """Squared loss 0.5 * |f_t(x_i) - y_i|^2 for one (instance, task) pair."""
-    i, t = pair
-    err = model.predict(ds.inputs[i], t) - ds.targets[t][i]
-    return 0.5 * float(err @ err)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,24 +228,12 @@ def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
 
-def flatten_params(edit: LowRankEdit) -> np.ndarray:
-    return np.concatenate([edit.a.ravel(), edit.b.ravel()])
-
-
-def unflatten_params(edit: LowRankEdit, theta: np.ndarray) -> LowRankEdit:
-    k, r = edit.a.shape
-    d = edit.b.shape[0]
-    a = theta[: k * r].reshape(k, r)
-    b = theta[k * r :].reshape(d, r)
-    return LowRankEdit(w_star=edit.w_star, a=a, b=b)
-
-
 def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.ndarray:
     """Exact Hessian of the subset-mean loss w.r.t. flattened (a, b).
 
-    Parameter order matches :func:`flatten_params`: a.ravel() then
-    b.ravel() (row-major). Built from each block's G_t and C_t, so it does
-    not grow with N. Guarded to r*(k+d) <= 400 parameters.
+    Parameters are ordered a.ravel() then b.ravel() (row-major). Built from
+    each block's G_t and C_t, so it does not grow with N. Guarded to
+    r*(k+d) <= 400 parameters.
     """
     subset = _as_subset(ds, pairs, "flattened_hessian")
     edit = model.edit

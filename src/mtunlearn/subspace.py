@@ -87,16 +87,6 @@ def alignment(u: TaskSubspace, v: TaskSubspace) -> tuple[float, float]:
     return frob_sq, spectral
 
 
-def total_alignment(subspaces) -> float:
-    """Sum of pairwise squared-Frobenius alignments over ordered pairs t != t'."""
-    total = 0.0
-    for i, u in enumerate(subspaces):
-        for j, v in enumerate(subspaces):
-            if i != j:
-                total += alignment(u, v)[0]
-    return total
-
-
 def regularize_step(subspaces, step_size: float) -> list[TaskSubspace]:
     """One descent step on the pairwise alignment penalty, then re-orthonormalize.
 

@@ -81,10 +81,6 @@ class QuadraticProblem:
     def dim(self) -> int:
         return self.retain_pairs[0].features.shape[1]
 
-    def grad_retain(self, theta: np.ndarray) -> np.ndarray:
-        g = sum(q.gradient(theta) for q in self.retain_pairs) / len(self.retain_pairs)
-        return g + self.ridge * theta
-
     def grad_forget(self, theta: np.ndarray) -> np.ndarray:
         return sum(q.gradient(theta) for q in self.forget_pairs) / len(
             self.forget_pairs

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import PartitionSpec, SyntheticProblem
 from .errors import ConfigError, EmptySubsetError, StepSizeError
-from .evaluation import head_losses, mia_auc
+from .evaluation import forget_task_auc
 from .model import (
     MultiTaskModel,
     Subset,
@@ -90,9 +90,6 @@ class UnlearnTrace:
     reference_auc: float = 0.5
     selected_epoch: int = 0
 
-    def record_for(self, epoch: int) -> EpochRecord:
-        return self.records[epoch]
-
 
 def _source_gradient(model, ds, task_subsets, projectors) -> GradientPair:
     """Sum of per-task subset-mean gradients, each projected into its task's
@@ -146,34 +143,6 @@ def _check_retain_gradients(grads: dict, descent: GradientPair, epoch: int):
                 f"run_unlearning epoch {epoch}: {name} gradient non-finite "
                 f"({bad} of {g.a.size + g.b.size} entries)"
             )
-
-
-def _forget_task_auc(ds, part, val_ds):
-    """The mean unlearn-vs-val membership AUC over the forgotten tasks, as a
-    function of the model.
-
-    The forgotten instances' rows are gathered once. Per model, ``X_f W_eff``
-    and ``X_val W_eff`` are computed once and shared by the forgotten tasks'
-    heads, in the product order ``per_instance_losses`` uses, so each AUC is
-    the same to the bit as from ``per_instance_losses``.
-    """
-    inst = part.forget_instances
-    forget_x, val_x = ds.inputs[inst], val_ds.inputs
-    targets = [(t, ds.targets[t][inst], val_ds.targets[t]) for t in part.forget_tasks]
-
-    def auc(model) -> float:
-        w_eff = model.edit.effective_weight()
-        forget_h, val_h = forget_x @ w_eff, val_x @ w_eff
-        aucs = [
-            mia_auc(
-                head_losses(forget_h, model.heads[t], y_f),
-                head_losses(val_h, model.heads[t], y_val),
-            )
-            for t, y_f, y_val in targets
-        ]
-        return float(np.mean(aucs))
-
-    return auc
 
 
 def _loss_or_none(model, ds, subset):
@@ -233,8 +202,8 @@ def run_unlearning(
     weights = {name: count / total for name, count in counts.items() if count}
     project, stages = STRATEGIES[cfg.strategy]
 
-    forget_task_auc = _forget_task_auc(ds, part, val)
-    trace = UnlearnTrace(reference_auc=forget_task_auc(retrain_ref))
+    forget_auc = forget_task_auc(ds, part, val)
+    trace = UnlearnTrace(reference_auc=forget_auc(retrain_ref))
 
     def record(epoch):
         # Checked before the membership AUC, which rejects non-finite losses
@@ -251,7 +220,7 @@ def run_unlearning(
                 clean_loss=_loss_or_none(model, ds, losses["retain_clean"]),
                 inst_loss=_loss_or_none(model, ds, losses["retain_inst"]),
                 task_loss=_loss_or_none(model, ds, losses["retain_task"]),
-                mia_auc=forget_task_auc(model),
+                mia_auc=forget_auc(model),
             )
         )
 

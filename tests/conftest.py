@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mtunlearn import GenConfig, generate_synthetic
-from mtunlearn.model import flatten_params, subset_loss, unflatten_params
+from mtunlearn.model import LowRankEdit, subset_loss
 
 
 @pytest.fixture
@@ -24,6 +24,20 @@ def small_problem():
         n_val=8,
     )
     return generate_synthetic(cfg)
+
+
+def flatten_params(edit):
+    """The edit's parameters in ``flattened_hessian`` order: a.ravel(), b.ravel()."""
+    return np.concatenate([edit.a.ravel(), edit.b.ravel()])
+
+
+def unflatten_params(edit, theta):
+    """The edit with (a, b) read back from ``theta`` in ``flatten_params`` order."""
+    k, r = edit.a.shape
+    d = edit.b.shape[0]
+    a = theta[: k * r].reshape(k, r)
+    b = theta[k * r :].reshape(d, r)
+    return LowRankEdit(w_star=edit.w_star, a=a, b=b)
 
 
 def fd_gradient(model, ds, pairs, h=1e-6):

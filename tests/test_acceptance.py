@@ -187,12 +187,12 @@ def endtoend_results():
         rows.append(
             {
                 "forget_start": trace.records[0].forget_loss,
-                "forget_end": trace.record_for(trace.selected_epoch).forget_loss,
+                "forget_end": trace.records[trace.selected_epoch].forget_loss,
                 "clean_original": subset_loss(original, ds, part.retain_clean),
                 "clean_unlearned": subset_loss(model, ds, part.retain_clean),
                 "clean_ablated": subset_loss(ablated, ds, part.retain_clean),
                 "auc_original": auc_original,
-                "auc_unlearned": trace.record_for(trace.selected_epoch).mia_auc,
+                "auc_unlearned": trace.records[trace.selected_epoch].mia_auc,
                 "auc_retrain": trace.reference_auc,
             }
         )

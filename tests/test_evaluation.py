@@ -19,7 +19,7 @@ from mtunlearn.errors import (
     EmptySubsetError,
     NonFiniteError,
 )
-from mtunlearn.model import MultiTaskModel, zero_init_edit
+from mtunlearn.model import LowRankEdit, MultiTaskModel, zero_init_edit
 
 
 def test_mia_auc_known_values():
@@ -99,6 +99,34 @@ def test_evaluate_fills_every_cell(small_problem):
             assert 0.0 < rep.metrics[(t, s)] <= 1.0
         assert 0.0 <= rep.mia_unl[t] <= 1.0
         assert 0.0 <= rep.mia_ret[t] <= 1.0
+
+
+@pytest.mark.parametrize("forget_tasks", [[0], [0, 1, 2]], ids=["partial", "full"])
+def test_evaluate_equals_a_per_cell_reference(small_problem, forget_tasks):
+    ds, val = small_problem.dataset, small_problem.val_dataset
+    part = partition(ds, [0, 3, 4], forget_tasks)
+    rng = np.random.default_rng(3)
+    edit = LowRankEdit(
+        w_star=rng.standard_normal((5, 4)),
+        a=rng.standard_normal((4, 2)),
+        b=rng.standard_normal((5, 2)),
+    )
+    model = MultiTaskModel(edit=edit, heads=tuple(small_problem.heads))
+    rep = evaluate(model, ds, part, val)
+
+    def losses(split_ds, t, instances):
+        e = split_ds.inputs[instances] @ edit.effective_weight() @ model.heads[t].T
+        e -= split_ds.targets[t][instances]
+        return 0.5 * (e * e).sum(axis=1)
+
+    for t in range(3):
+        ret = losses(ds, t, part.retain_instances)
+        unl = losses(ds, t, part.forget_instances)
+        val_losses = losses(val, t, slice(None))
+        for split, split_losses in (("ret", ret), ("unl", unl), ("val", val_losses)):
+            assert rep.metrics[(t, split)] == float(np.exp(-np.mean(split_losses)))
+        assert rep.mia_unl[t] == mia_auc(unl, val_losses)
+        assert rep.mia_ret[t] == mia_auc(ret, val_losses)
 
 
 def test_report_csv_round_trip():

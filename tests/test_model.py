@@ -10,7 +10,6 @@ from mtunlearn import (
     TrainConfig,
     flattened_hessian,
     generate_synthetic,
-    pair_loss,
     subset_gradient,
     subset_loss,
     train_reference,
@@ -36,15 +35,16 @@ def make_model(problem, rank=3, seed=0):
     return MultiTaskModel(edit=edit, heads=tuple(problem.heads))
 
 
-def test_effective_weight_and_predict(small_problem):
-    model = make_model(small_problem)
-    edit = model.edit
-    w = edit.effective_weight()
-    assert np.allclose(w, edit.w_star + edit.b @ edit.a.T)
-    x = small_problem.dataset.inputs[0]
-    for t in range(3):
-        expected = small_problem.heads[t] @ (w.T @ x)
-        assert np.allclose(model.predict(x, t), expected)
+def pair_loss(model, ds, pair) -> float:
+    """Per-pair reference: squared loss 0.5 |x_i W_eff M_t^T - y_i|^2."""
+    i, t = pair
+    err = ds.inputs[i] @ model.edit.effective_weight() @ model.heads[t].T - ds.targets[t][i]
+    return 0.5 * float(err @ err)
+
+
+def test_effective_weight_is_base_plus_edit(small_problem):
+    edit = make_model(small_problem).edit
+    assert np.allclose(edit.effective_weight(), edit.w_star + edit.b @ edit.a.T)
 
 
 def test_edit_shape_validation():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mtunlearn import TaskSubspace, alignment, init_subspaces, regularize_step
 from mtunlearn.errors import CapacityError, DimensionError
-from mtunlearn.subspace import default_subspace_dim, total_alignment
+from mtunlearn.subspace import default_subspace_dim
 
 
 def test_disjoint_blocks_are_orthonormal_and_disjoint():
@@ -65,6 +65,16 @@ def test_regularize_step_zero_weight_is_identity():
     out = regularize_step(subs, step_size=0.0)
     for before, after in zip(subs, out):
         assert np.array_equal(before.basis, after.basis)
+
+
+def total_alignment(subspaces) -> float:
+    """Sum of pairwise squared-Frobenius alignments over ordered pairs t != t'."""
+    return sum(
+        alignment(u, v)[0]
+        for i, u in enumerate(subspaces)
+        for j, v in enumerate(subspaces)
+        if i != j
+    )
 
 
 def test_regularize_step_reduces_total_alignment():
