@@ -313,9 +313,10 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
         "selected_epoch": trace.selected_epoch,
         "forget_loss_start": trace.records[0].forget_loss,
         "forget_loss": trace.records[trace.selected_epoch].forget_loss,
+        # None (JSON null) when every task is forgotten and no clean pair is left.
         "clean_loss": subset_loss(unlearned, ds, part.retain_clean)
         if part.retain_clean.size
-        else float("nan"),
+        else None,
         "mia_auc": trace.records[trace.selected_epoch].mia_auc,
         "reference_auc": trace.reference_auc,
         "uis": score,
@@ -336,17 +337,31 @@ _ROW_FIELDS = (
 )
 
 
+def _csv_field(value) -> str:
+    """A CSV field; a missing value (None) is an empty field."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def _write_seed_table(out: Path, rows) -> tuple[dict, list[Path]]:
-    """Write ``seeds.csv`` and ``summary.json``; return the summary and both paths."""
+    """Write ``seeds.csv`` and ``summary.json``; return the summary and both paths.
+
+    A field that some seed lacks (None) has a null mean and stddev.
+    """
     lines = [",".join(_ROW_FIELDS)]
     for row in rows:
-        lines.append(",".join(repr(row[f]) if isinstance(row[f], float) else str(row[f]) for f in _ROW_FIELDS))
+        lines.append(",".join(_csv_field(row[f]) for f in _ROW_FIELDS))
     seeds_path = out / "seeds.csv"
     seeds_path.write_text("\n".join(lines) + "\n")
     summary = {}
     for f in _ROW_FIELDS[1:]:
-        vals = np.array([float(row[f]) for row in rows])
-        summary[f] = {"mean": float(vals.mean()), "stddev": float(vals.std(ddof=0))}
+        vals = [row[f] for row in rows]
+        if None in vals:
+            summary[f] = {"mean": None, "stddev": None}
+        else:
+            arr = np.array(vals, dtype=float)
+            summary[f] = {"mean": float(arr.mean()), "stddev": float(arr.std(ddof=0))}
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary, [seeds_path, summary_path]
@@ -460,7 +475,7 @@ def cmd_sweep(args) -> int:
     for ratio, sub in subs.items():
         _, summary, written = _run_seeds(sub, out / f"ratio_{ratio}")
         outputs.extend(written)
-        lines.append(f"{ratio}," + ",".join(repr(summary[f]["mean"]) for f in _ROW_FIELDS[1:]))
+        lines.append(f"{ratio}," + ",".join(_csv_field(summary[f]["mean"]) for f in _ROW_FIELDS[1:]))
     sweep_path = out / "sweep.csv"
     sweep_path.write_text("\n".join(lines) + "\n")
     outputs.append(sweep_path)

@@ -133,9 +133,13 @@ class EvalReport:
         if tasks != list(range(len(tasks))):
             raise ConfigError("tasks in CSV must be contiguous from 0")
         rep = cls(n_tasks=len(tasks))
+        seen = set()
         for t, cell, metric, v in rows:
             if cell not in CELL_METRICS:
                 raise ConfigError(f"unknown cell name {cell!r}")
+            if (t, cell) in seen:
+                raise ConfigError(f"repeated row for task {t} cell {cell!r}")
+            seen.add((t, cell))
             if metric != CELL_METRICS[cell]:
                 raise ConfigError(
                     f"metric {metric!r} for task {t} cell {cell!r} is not {CELL_METRICS[cell]!r}"

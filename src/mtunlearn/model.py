@@ -91,51 +91,21 @@ def balanced_init_edit(w_star: np.ndarray, rank: int, seed: int, scale: float = 
 
 @dataclass(frozen=True, eq=False)
 class TaskBlock:
-    """One task's pairs in a subset, as sufficient statistics of its rows.
+    """One task's pairs in a subset, as the R factor of their rows.
 
-    ``gram`` and ``cross`` give the gradient and Hessian. The loss comes from
-    the R factor of ``[X_t, Y_t] = Q R``: ``r`` and ``z`` are its top rows
-    (at most d) under the X and Y columns, so ``r = Q_1^T X_t`` and
-    ``z = Q_1^T Y_t``, and ``rho`` is the squared norm of its bottom-right
-    block, the part of Y_t outside the column space of X_t. The factor is
-    computed on first use, so a subset that only feeds gradients never
-    pays for it.
+    With ``[X_t, Y_t] = Q R``, ``r`` and ``z`` are the top rows of R (at
+    most d) under the X and Y columns, so ``r = Q_1^T X_t`` and
+    ``z = Q_1^T Y_t``; ``rho`` is the squared norm of R's bottom-right
+    block, the part of Y_t outside the column space of X_t. Since
+    ``X_t^T X_t = r^T r`` and ``X_t^T Y_t = r^T z``, these three give the
+    loss, the gradient and the Hessian.
     """
 
-    dataset: MultiTaskDataset = field(repr=False)
     task: int
     index: np.ndarray  # instance ids, in pair order (repeats allowed)
-    gram: np.ndarray  # X_t^T X_t, d x d
-    cross: np.ndarray  # X_t^T Y_t, d x m_t
-
-    # Cached one by one, so that after the first loss call each is a plain
-    # attribute read: subset_loss reads all three for every block.
-    @cached_property
-    def r_factor(self) -> np.ndarray:
-        """R of ``[X_t, Y_t]``, min(n_t, d + m_t) x (d + m_t), upper triangular."""
-        x, y = _rows(self.dataset, self.task, self.index)
-        return np.linalg.qr(np.hstack([x, y]), mode="r")
-
-    @cached_property
-    def r(self) -> np.ndarray:  # min(n_t, d) x d
-        d = self.gram.shape[0]
-        return self.r_factor[:d, :d]
-
-    @cached_property
-    def z(self) -> np.ndarray:  # min(n_t, d) x m_t
-        d = self.gram.shape[0]
-        return self.r_factor[:d, d:]
-
-    @cached_property
-    def rho(self) -> float:  # |(I - Q_1 Q_1^T) Y_t|^2
-        d = self.gram.shape[0]
-        tail = self.r_factor[d:, d:]
-        return float(np.vdot(tail, tail))
-
-
-def _rows(ds: MultiTaskDataset, task: int, index: np.ndarray):
-    # np.take gathers whole rows several times faster than a[idx].
-    return np.take(ds.inputs, index, axis=0), np.take(ds.targets[task], index, axis=0)
+    r: np.ndarray  # min(n_t, d) x d, upper triangular (trapezoidal if n_t < d)
+    z: np.ndarray  # min(n_t, d) x m_t
+    rho: float  # |(I - Q_1 Q_1^T) Y_t|^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +113,7 @@ class Subset:
     """(instance, task) pairs of one dataset, grouped by task once.
 
     ``len()`` is the pair count. Losses, gradients and Hessians need only
-    each block's cached statistics, so their cost does not grow with N.
+    each block's R factor, so their cost does not grow with N.
     """
 
     dataset: MultiTaskDataset
@@ -163,11 +133,15 @@ class Subset:
             raise DimensionError("subset instance id out of range")
         if np.any((task < 0) | (task >= ds.n_tasks)):
             raise DimensionError("subset task id out of range")
+        d = ds.inputs.shape[1]
         blocks = []
         for t in np.unique(task).tolist():
             idx = inst[task == t]
-            x, y = _rows(ds, t, idx)
-            blocks.append(TaskBlock(ds, t, idx, x.T @ x, x.T @ y))
+            # np.take gathers whole rows several times faster than a[idx].
+            x, y = np.take(ds.inputs, idx, axis=0), np.take(ds.targets[t], idx, axis=0)
+            f = np.linalg.qr(np.hstack([x, y]), mode="r")  # min(n_t, d + m_t) x (d + m_t)
+            tail = f[d:, d:]
+            blocks.append(TaskBlock(t, idx, f[:d, :d], f[:d, d:], float(np.vdot(tail, tail))))
         return cls(ds, tuple(blocks))
 
     def __len__(self) -> int:
@@ -187,20 +161,25 @@ def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:
     return subset
 
 
+def _residual(blk: TaskBlock, w_eff: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """``E_t = R_t W M_t^T - Z_t``, which the loss, gradient and Hessian read."""
+    return blk.r @ (w_eff @ head.T) - blk.z
+
+
 def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=False):
     """Mean per-pair loss over ``pairs``; optionally task-weighted.
 
     ``pairs`` is a :class:`Subset` of ``ds`` or a sequence of (instance,
-    task) pairs. Per task, |X_t W M_t^T - Y_t|^2 = |R_t W M_t^T - Z_t|^2 +
-    rho_t, a sum of squares that cannot cancel below zero the way the
-    expanded Gram quadratic does near zero loss; a call costs O(K d^2 m).
+    task) pairs. Per task, |X_t W M_t^T - Y_t|^2 = |E_t|^2 + rho_t, a sum
+    of squares that cannot cancel below zero the way the expanded Gram
+    quadratic does near zero loss; a call costs O(K d^2 m).
     """
     subset = _as_subset(ds, pairs, "subset_loss")
     w_eff = model.edit.effective_weight()
     total = 0.0
     for blk in subset.blocks:
         t = blk.task
-        e = blk.r @ (w_eff @ model.heads[t].T) - blk.z
+        e = _residual(blk, w_eff, model.heads[t])
         lam = ds.task_weights[t] if weighted else 1.0
         total += 0.5 * lam * (float(np.vdot(e, e)) + blk.rho)
     return total / len(subset)
@@ -209,21 +188,16 @@ def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=Fal
 def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=False):
     """Analytic gradients of the subset-mean loss w.r.t. (a, b), w_star frozen.
 
-    Per task, X_t^T (X_t W M_t^T - Y_t) M_t = G_t W M_t^T M_t - C_t M_t, so a
-    call costs O(K d^2 k) given the subset's cached G_t and C_t.
+    Per task, X_t^T (X_t W M_t^T - Y_t) M_t = R_t^T E_t M_t, so a call
+    costs O(K d^2 (k + m)) and reads the same residual as the loss.
     """
     subset = _as_subset(ds, pairs, "subset_gradient")
     w_eff = model.edit.effective_weight()
-    grad_w = None
+    grad_w = np.zeros_like(w_eff)
     for blk in subset.blocks:
         m = model.heads[blk.task]
-        term = blk.gram @ w_eff @ (m.T @ m) - blk.cross @ m
-        if weighted:
-            term = ds.task_weights[blk.task] * term
-        if grad_w is None:
-            grad_w = term
-        else:
-            grad_w += term
+        term = blk.r.T @ (_residual(blk, w_eff, m) @ m)
+        grad_w += ds.task_weights[blk.task] * term if weighted else term
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
@@ -232,8 +206,8 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
     """Exact Hessian of the subset-mean loss w.r.t. flattened (a, b).
 
     Parameters are ordered a.ravel() then b.ravel() (row-major). Built from
-    each block's G_t and C_t, so it does not grow with N. Guarded to
-    r*(k+d) <= 400 parameters.
+    each block's G_t = R_t^T R_t and residual E_t, so it does not grow
+    with N. Guarded to r*(k+d) <= 400 parameters.
     """
     subset = _as_subset(ds, pairs, "flattened_hessian")
     edit = model.edit
@@ -249,19 +223,20 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
     w_eff = edit.effective_weight()
     for blk in subset.blocks:
         m = model.heads[blk.task]  # m_t x k
+        gram = blk.r.T @ blk.r  # X^T X
         ma = m @ edit.a  # m_t x r
         mtm = m.T @ m
-        s = edit.b.T @ blk.gram  # r x d (index j, l): U^T X with U = X b
+        s = edit.b.T @ gram  # r x d (index j, l): U^T X with U = X b
         # a-a block: kron over (row index of a) x (column index of a)
         h[:p_a, :p_a] += np.kron(mtm, s @ edit.b)
         # b-b block
-        h[p_a:, p_a:] += np.kron(blk.gram, ma.T @ ma)
+        h[p_a:, p_a:] += np.kron(gram, ma.T @ ma)
         # a-b block, Gauss-Newton part: C[i,p] * sum_n u_j x_l
         c = mtm @ edit.a  # k x r (index i, p)
         t_ab = np.einsum("ip,jl->ijlp", c, s)
         # a-b block, residual curvature part: delta_{jp} * (X^T E M)[l, i],
-        # with X^T E M = G W M^T M - C M for residuals E = X W M^T - Y
-        dmat = blk.gram @ w_eff @ mtm - blk.cross @ m  # d x k (index l, i)
+        # with X^T E M = R^T E_t M for residuals E = X W M^T - Y
+        dmat = blk.r.T @ (_residual(blk, w_eff, m) @ m)  # d x k (index l, i)
         t_ab += np.einsum("li,jp->ijlp", dmat, np.eye(r))
         ab = t_ab.reshape(p_a, p_b)
         h[:p_a, p_a:] += ab

@@ -173,22 +173,22 @@ def run_unlearning(
     edit = zero_init_edit(original.edit.effective_weight(), rank, cfg.seed)
     model = MultiTaskModel(edit=edit, heads=original.heads)
 
-    # Anchor subsample of the clean retain pairs, fixed for the whole run.
-    clean = anchor = part.retain_clean
-    if len(clean):
-        n_anchor = max(1, int(round(cfg.anchor_fraction * len(clean))))
-        chosen = np.random.default_rng(cfg.seed).choice(len(clean), size=n_anchor, replace=False)
-        anchor = clean[np.sort(chosen)]
-
     # Every subset is grouped by task once per run: the loss subsets, and
     # the per-task gradient sources (the anchor stands in for clean).
     losses = {
         name: Subset.from_pairs(ds, getattr(part, name))
         for name in ("forget", "retain_clean", "retain_inst", "retain_task")
     }
+    # The anchor subsamples the clean pairs once; keeping all, it is the clean subset.
+    clean = part.retain_clean
+    anchor = losses["retain_clean"]
+    n_anchor = max(1, int(round(cfg.anchor_fraction * len(clean))))
+    if n_anchor < len(clean):
+        chosen = np.random.default_rng(cfg.seed).choice(len(clean), size=n_anchor, replace=False)
+        anchor = Subset.from_pairs(ds, clean[np.sort(chosen)])
     sources = {
         "forget": losses["forget"].by_task(),
-        "clean": Subset.from_pairs(ds, anchor).by_task(),
+        "clean": anchor.by_task(),
         "inst": losses["retain_inst"].by_task(),
         "task": losses["retain_task"].by_task(),
     }

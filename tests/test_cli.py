@@ -247,6 +247,32 @@ def test_run_multi_seed_summary(tmp_path):
     assert "uis" in summary and "mean" in summary["uis"] and "stddev" in summary["uis"]
 
 
+def _reject_constant(literal):
+    raise ValueError(f"non-standard JSON constant {literal}")
+
+
+def test_full_task_run_writes_strict_json(tmp_path):
+    # With every task forgotten no clean pair is left, so clean_loss has no value.
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        n_seeds=2,
+        partition={"forget_fraction": 0.1, "forget_tasks": [0, 1]},
+    )
+    out = tmp_path / "full"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    artifacts = sorted(out.rglob("*.json"))
+    # manifest and summary, then per seed: 3 checkpoints, dataset, trace and uis
+    assert len(artifacts) == 2 + 2 * 6
+    for path in artifacts:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert json.loads((out / "seed_1" / "uis.json").read_text())["clean_loss"] is None
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["clean_loss"] == {"mean": None, "stddev": None}
+    header, *rows = (out / "seeds.csv").read_text().splitlines()
+    column = header.split(",").index("clean_loss")
+    assert [row.split(",")[column] for row in rows] == ["", ""]
+
+
 def test_strategy_flag_changes_run(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out1, out2 = tmp_path / "ours", tmp_path / "ng"
@@ -297,6 +323,24 @@ def test_uis_command_rejects_wrong_metric_label(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "metric 'accuracy' for task 0 cell 'ret' is not 'exp_neg_loss'" in captured.err
+    assert captured.out == ""
+
+
+def test_uis_command_rejects_repeated_cell(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text(report_from_cells(BENCH_A_ORIGINAL).to_csv() + "0,ret,exp_neg_loss,0.9\n")
+    code = cli.main(
+        [
+            "uis",
+            "--evaluated", str(report),
+            "--original", str(report),
+            "--retrain", str(report),
+            "--setting", "full",
+        ]
+    )
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "repeated row for task 0 cell 'ret'" in captured.err
     assert captured.out == ""
 
 

@@ -153,8 +153,9 @@ def test_subset_from_pair_array_equals_subset_from_tuples():
         got, want = Subset.from_pairs(ds, pairs), Subset.from_pairs(ds, tuples)
         for a, b in zip(got.blocks, want.blocks, strict=True):
             assert a.task == b.task and np.array_equal(a.index, b.index)
-            assert a.gram.tobytes() == b.gram.tobytes()
-            assert a.cross.tobytes() == b.cross.tobytes()
+            assert a.r.tobytes() == b.r.tobytes()
+            assert a.z.tobytes() == b.z.tobytes()
+            assert a.rho == b.rho
 
 
 def test_default_forget_split_fraction_and_determinism():

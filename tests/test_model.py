@@ -213,20 +213,18 @@ def counting_qr(monkeypatch):
     return calls
 
 
-def test_gradient_only_subset_never_computes_its_qr_factor(monkeypatch):
+def test_subset_factors_each_block_once_when_built(monkeypatch):
     calls = counting_qr(monkeypatch)
     problem = large_problem()
     ds = problem.dataset
     model = make_model(problem, rank=3, seed=1)
     subset = Subset.from_pairs(ds, random_pairs(2000, 3, 3000))
-    for part in (subset, *subset.by_task()):
-        subset_gradient(model, ds, part, weighted=True)
-    assert calls == []
-    subset_loss(model, ds, subset)
     assert len(calls) == len(subset.blocks) == 3
-    # the factor is cached on the blocks, which by_task() shares
-    for part in subset.by_task():
+    # by_task() shares the blocks, and every call reads their factors
+    for part in (subset, *subset.by_task()):
         subset_loss(model, ds, part)
+        subset_gradient(model, ds, part, weighted=True)
+        flattened_hessian(model, ds, part)
     assert len(calls) == 3
 
 
@@ -284,8 +282,9 @@ def test_subset_single_task_equals_task_slice(small_problem):
         assert block.task == single.task == t
         assert np.array_equal(block.index, [i for i, _ in task_pairs])
         assert np.array_equal(block.index, single.index)
-        assert np.array_equal(block.gram, single.gram)
-        assert np.array_equal(block.cross, single.cross)
+        assert block.r.tobytes() == single.r.tobytes()
+        assert block.z.tobytes() == single.z.tobytes()
+        assert block.rho == single.rho
 
 
 def test_subset_rejects_bad_ids_and_foreign_dataset(small_problem):
