@@ -26,18 +26,18 @@ def main():
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
 
-    subs = init_subspaces(3, rank=args.rank, dim=2, mode="random", seed=args.seed)
+    bases = init_subspaces(3, rank=args.rank, dim=2, mode="random", seed=args.seed)
     print("pairwise subspace alignment (squared Frobenius, spectral):")
     for i in range(3):
         for j in range(i + 1, 3):
-            fro, spec = alignment(subs[i], subs[j])
+            fro, spec = alignment(bases[i], bases[j])
             print(f"  tasks {i},{j}: {fro:.3f}  {spec:.3f}")
 
     grad = rng.standard_normal((5, args.rank))
-    proj = project_task(grad, subs[0])
+    proj = project_task(grad, bases[0])
     print(f"\nprojection: |grad| {frob_norm(grad):.3f} -> |P grad| {frob_norm(proj):.3f}")
     # idempotent
-    print(f"reprojection residual: {frob_norm(project_task(proj, subs[0]) - proj):.2e}")
+    print(f"reprojection residual: {frob_norm(project_task(proj, bases[0]) - proj):.2e}")
 
     g_f = rng.standard_normal((5, args.rank))
     g_r = rng.standard_normal((5, args.rank))

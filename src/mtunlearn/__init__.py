@@ -20,7 +20,7 @@ from .model import (
     subset_loss,
     train_reference,
 )
-from .subspace import TaskSubspace, alignment, init_subspaces, regularize_step
+from .subspace import alignment, init_subspaces, regularize_step
 from .surgery import (
     GradientPair,
     apply_update,
@@ -53,7 +53,6 @@ __all__ = [
     "subset_gradient",
     "subset_loss",
     "train_reference",
-    "TaskSubspace",
     "alignment",
     "init_subspaces",
     "regularize_step",

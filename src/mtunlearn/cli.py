@@ -45,7 +45,6 @@ from .model import (
 )
 from .subspace import (
     SubspaceConfig,
-    TaskSubspace,
     check_layout,
     default_subspace_dim,
     init_subspaces,
@@ -174,18 +173,19 @@ class RunConfig:
 
 def checkpoint_to_json(
     model: MultiTaskModel,
-    subspaces,
+    bases: np.ndarray,
     dataset_digest: str,
     config_echo: dict,
 ) -> str:
-    """A model and its subspaces as versioned JSON, each array as base64 float64."""
+    """A model and its (K, r, s) subspace bases as versioned JSON; every array,
+    and each task's basis on its own, is base64 float64."""
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "w_star": encode_array(model.edit.w_star),
         "a": encode_array(model.edit.a),
         "b": encode_array(model.edit.b),
         "heads": [encode_array(h) for h in model.heads],
-        "subspace_bases": [encode_array(s.basis) for s in subspaces],
+        "subspace_bases": [encode_array(q) for q in bases],
         "dataset_digest": dataset_digest,
         "config": config_echo,
     }
@@ -195,7 +195,8 @@ def checkpoint_to_json(
 def checkpoint_from_json(text: str):
     """The four arguments that :func:`checkpoint_to_json` made ``text`` from.
 
-    Array shapes follow from the ``config`` echo; a bad field raises ConfigError naming it.
+    The subspace bases come back as one (K, r, s) array. Array shapes
+    follow from the ``config`` echo; a bad field raises ConfigError naming it.
     """
     doc = load_document(text, "checkpoint", CHECKPOINT_SCHEMA_VERSION)
     try:
@@ -223,7 +224,7 @@ def checkpoint_from_json(text: str):
                 f"|Q^T Q - I| = {err:.3g} > {BASIS_ORTHONORMAL_TOL:g}"
             )
     model = MultiTaskModel(edit=edit, heads=tuple(heads))
-    return model, [TaskSubspace(t, q) for t, q in enumerate(bases)], digest, doc["config"]
+    return model, np.stack(bases), digest, doc["config"]
 
 
 def trace_to_json(trace: UnlearnTrace) -> str:
@@ -254,7 +255,10 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed, outputs, sta
 
 def _out_dir(args) -> Path:
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: cannot create the output directory: {exc}") from exc
     return path
 
 
@@ -284,10 +288,10 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
     part = default_forget_split(ds, pc.forget_fraction, pc.forget_tasks, seed)
     original = train_reference(problem, ds.all_pairs(), cfg.train)
     retrain = train_reference(problem, part.retain, cfg.train)
-    subspaces = init_subspaces(
+    bases = init_subspaces(
         cfg.data.n_tasks, cfg.train.rank, cfg.subspace.dim, cfg.subspace.mode, seed
     )
-    unlearned, trace = run_unlearning(original, problem, part, subspaces, cfg.unlearn, retrain)
+    unlearned, trace = run_unlearning(original, problem, part, bases, cfg.unlearn, retrain)
     echo = cfg.to_doc()
 
     reports = {}
@@ -295,7 +299,7 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
         reports[name] = evaluate(model, ds, part, problem.val_dataset)
         (out / f"eval_{name}.csv").write_text(reports[name].to_csv())
         (out / f"checkpoint_{name}.json").write_text(
-            checkpoint_to_json(model, subspaces, ds_digest, echo)
+            checkpoint_to_json(model, bases, ds_digest, echo)
         )
     (out / "trace.json").write_text(trace_to_json(trace))
 
@@ -396,9 +400,9 @@ def cmd_verify(args) -> int:
     started = time.time()
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    out = _out_dir(args) if args.out else None
     report = theory.run_all_checks(seed=args.seed)
-    if args.out:
-        out = _out_dir(args)
+    if out:
         path = out / "verification.json"
         path.write_text(theory.report_to_json(report))
         write_manifest(out, "verify", {"seed": args.seed}, args.seed, [path], started)
@@ -435,7 +439,7 @@ def cmd_uis(args) -> int:
     ):
         try:
             reports[name] = EvalReport.from_csv(Path(path).read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {name} CSV {path}: {exc}") from exc
     forget_tasks = _parse_forget_tasks(args.forget_tasks, reports["evaluated"].n_tasks)
     score = uis(

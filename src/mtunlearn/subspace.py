@@ -1,9 +1,10 @@
 """Task-specific subspaces of the low-rank adaptation space.
 
 Each task owns an orthonormal basis of the r-dimensional factor space;
-the induced projector confines that task's updates. Cross-task alignment
-is measured in both Frobenius and spectral norms and can be driven down
-with a penalized descent step.
+the induced projector confines that task's updates. The K bases are one
+``(K, r, s)`` array whose ``bases[t]`` is task t's basis. Cross-task
+alignment is measured in both Frobenius and spectral norms and can be
+driven down with a penalized descent step.
 """
 
 from __future__ import annotations
@@ -16,27 +17,12 @@ from .errors import CapacityError, ConfigError, DegenerateBasisError, DimensionE
 from .linalg import orthonormalize
 
 
-@dataclass(frozen=True)
-class TaskSubspace:
-    task_id: int
-    basis: np.ndarray  # r x s, orthonormal columns
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-
 def check_layout(n_tasks: int, rank: int, dim: int, mode: str):
     """Raise unless ``mode`` can lay out ``n_tasks`` subspaces of width ``dim`` in ``rank``."""
     if mode not in ("disjoint-blocks", "random"):
         raise ConfigError(f"unknown mode {mode!r}, expected 'disjoint-blocks' or 'random'")
+    if n_tasks < 1:
+        raise DimensionError(f"need n_tasks >= 1, got {n_tasks}")
     if not 1 <= dim <= rank:
         raise DimensionError(f"need 1 <= dim <= rank, got dim={dim}, rank={rank}")
     if mode == "disjoint-blocks" and n_tasks * dim > rank:
@@ -45,20 +31,15 @@ def check_layout(n_tasks: int, rank: int, dim: int, mode: str):
 
 def init_subspaces(
     n_tasks: int, rank: int, dim: int, mode: str = "disjoint-blocks", seed: int = 0
-) -> list[TaskSubspace]:
-    """Per-task bases; disjoint standard-basis blocks or independent random draws."""
+) -> np.ndarray:
+    """The ``(n_tasks, rank, dim)`` bases: disjoint standard-basis blocks or
+    independent random draws."""
     check_layout(n_tasks, rank, dim, mode)
     if mode == "disjoint-blocks":
         eye = np.eye(rank)
-        return [
-            TaskSubspace(t, eye[:, t * dim : (t + 1) * dim].copy())
-            for t in range(n_tasks)
-        ]
+        return np.stack([eye[:, t * dim : (t + 1) * dim] for t in range(n_tasks)])
     rng = np.random.default_rng(seed)
-    return [
-        TaskSubspace(t, orthonormalize(rng.standard_normal((rank, dim))))
-        for t in range(n_tasks)
-    ]
+    return np.stack([orthonormalize(rng.standard_normal((rank, dim))) for _ in range(n_tasks)])
 
 
 def default_subspace_dim(rank: int, n_tasks: int) -> int:
@@ -73,45 +54,39 @@ class SubspaceConfig:
     mode: str = "disjoint-blocks"
 
 
-def alignment(u: TaskSubspace, v: TaskSubspace) -> tuple[float, float]:
-    """(squared Frobenius, spectral) norms of the basis cross-product.
+def alignment(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(squared Frobenius, spectral) norms of the cross-product of bases ``u`` and ``v``.
 
     The spectral value is the operational cross-task alignment bound used
     by the projected-gradient inner-product guarantee.
     """
-    if u.rank != v.rank:
-        raise DimensionError("subspaces live in different ambient ranks")
-    cross = u.basis.T @ v.basis
+    if u.shape[0] != v.shape[0]:
+        raise DimensionError(f"bases live in different ambient ranks: {u.shape[0]} vs {v.shape[0]}")
+    cross = u.T @ v
     frob_sq = float(np.sum(cross * cross))
     spectral = float(np.linalg.norm(cross, 2)) if cross.size else 0.0
     return frob_sq, spectral
 
 
-def regularize_step(subspaces, step_size: float) -> list[TaskSubspace]:
+def regularize_step(bases: np.ndarray, step_size: float) -> np.ndarray:
     """One descent step on the pairwise alignment penalty, then re-orthonormalize.
 
     Gradient w.r.t. each basis U_t is 2 * sum_{t' != t} P_{t'} U_t. A zero
-    step size is an exact identity. The bases share one shape, as
-    ``init_subspaces`` makes them.
+    step size returns ``bases`` itself.
     """
     if not 0 <= step_size < np.inf:
         raise ValueError(f"step_size must be finite and >= 0, got {step_size}")
-    if step_size == 0 or not subspaces:
-        return list(subspaces)
-    # bases[i] = U_i and prods[i, j] = 2 P_j U_i: all K^2 products in one
-    # stacked matmul. Each grads[i] adds the products with j != i in order of j.
-    n = len(subspaces)
-    bases = np.stack([s.basis for s in subspaces])
+    if step_size == 0:
+        return bases
+    # prods[i, j] = 2 P_j U_i: all K^2 products in one stacked matmul.
+    # Each grads[i] adds the products with j != i in order of j.
+    n = len(bases)
     prods = (2.0 * (bases @ bases.transpose(0, 2, 1)))[None] @ bases[:, None]
     grads = prods[~np.eye(n, dtype=bool)].reshape(n, n - 1, *bases.shape[1:]).sum(axis=1)
     stepped = bases - step_size * grads
-    out = []
-    for s, m in zip(subspaces, stepped):
+    for t, m in enumerate(stepped):
         try:
-            basis = orthonormalize(m)
+            stepped[t] = orthonormalize(m)
         except DegenerateBasisError as exc:
-            raise DegenerateBasisError(
-                f"task {s.task_id} basis collapsed during regularization"
-            ) from exc
-        out.append(TaskSubspace(s.task_id, basis))
-    return out
+            raise DegenerateBasisError(f"task {t} basis collapsed during regularization") from exc
+    return stepped

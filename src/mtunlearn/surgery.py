@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DimensionError
 from .linalg import as_matrix
 from .model import LowRankEdit
-from .subspace import TaskSubspace
 
 DEFAULT_EPS = 1e-8
 
@@ -32,18 +31,17 @@ class GradientPair:
         return GradientPair(self.a + other.a, self.b + other.b)
 
 
-def project_task(grad, subspace: TaskSubspace) -> np.ndarray:
-    """Right-multiply by the task projector; idempotent, norm-contracting."""
+def project_task(grad, basis: np.ndarray) -> np.ndarray:
+    """Right-multiply by the projector ``basis @ basis.T`` of an r×s task basis;
+    idempotent, norm-contracting."""
     grad = as_matrix(grad, "grad")
-    if grad.shape[1] != subspace.rank:
-        raise DimensionError(
-            f"grad has {grad.shape[1]} columns, subspace rank is {subspace.rank}"
-        )
-    return grad @ subspace.projector()
+    if grad.shape[1] != basis.shape[0]:
+        raise DimensionError(f"grad has {grad.shape[1]} columns, basis rank is {basis.shape[0]}")
+    return grad @ (basis @ basis.T)
 
 
-def project_pair(pair: GradientPair, subspace: TaskSubspace) -> GradientPair:
-    return GradientPair(project_task(pair.a, subspace), project_task(pair.b, subspace))
+def project_pair(pair: GradientPair, basis: np.ndarray) -> GradientPair:
+    return GradientPair(project_task(pair.a, basis), project_task(pair.b, basis))
 
 
 def orthogonalize(g_f, g_r, eps: float = DEFAULT_EPS) -> np.ndarray:

@@ -11,7 +11,7 @@ orthogonalization residual identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,21 +143,21 @@ def aggregate_interference(prob: QuadraticProblem, pairs) -> float:
     return prob.rho * float(total_grad @ shift)
 
 
-def residual_order_fit(problem_factory, rho_list) -> dict:
+def residual_order_fit(prob: QuadraticProblem, rho_list) -> dict:
     """Residual |actual - predicted| per rho, with a log-log slope fit.
 
-    The factory maps rho -> QuadraticProblem (same data, reweighted), and
-    the residual is averaged over retained pairs.
+    ``prob`` is rebuilt for each rho (same data, reweighted), and the
+    residual is averaged over retained pairs.
     """
     rho_arr = np.asarray(sorted(rho_list), dtype=float)
     if np.any(rho_arr <= 0):
         raise ValueError("rho values must be positive")
     residuals = []
     for rho in rho_arr:
-        prob = problem_factory(rho)
+        reweighted = replace(prob, rho=rho)
         res = [
-            abs(actual_interference(prob, q) - predict_interference(prob, q))
-            for q in prob.retain_pairs
+            abs(actual_interference(reweighted, q) - predict_interference(reweighted, q))
+            for q in reweighted.retain_pairs
         ]
         residuals.append(float(np.mean(res)))
     slope = float(np.polyfit(np.log(rho_arr), np.log(residuals), 1)[0])
@@ -232,25 +232,22 @@ def check_first_order_interference(
     slope_min = np.inf
     ratios = []
     for trial in range(n_instances_checked):
-        def factory(r, trial=trial):
-            return random_quadratic_problem(
-                dim=10 + (trial % 4) * 10,
-                n_instances=8,
-                n_tasks=3,
-                out_dim=2,
-                n_forget_instances=2,
-                rho=r,
-                seed=seed * 10_000 + 1000 + trial,
-            )
-
-        prob = factory(rho)
+        prob = random_quadratic_problem(
+            dim=10 + (trial % 4) * 10,
+            n_instances=8,
+            n_tasks=3,
+            out_dim=2,
+            n_forget_instances=2,
+            rho=rho,
+            seed=seed * 10_000 + 1000 + trial,
+        )
         actual = np.array([actual_interference(prob, q) for q in prob.retain_pairs])
         predicted = np.array(
             [predict_interference(prob, q) for q in prob.retain_pairs]
         )
         rel = np.linalg.norm(actual - predicted) / np.linalg.norm(actual)
         worst_rel = max(worst_rel, float(rel))
-        fit = residual_order_fit(factory, [0.01, 0.02, 0.04])
+        fit = residual_order_fit(prob, [0.01, 0.02, 0.04])
         slope_min = min(slope_min, fit["slope"])
         ratios.append(fit["residual"][1] / max(fit["residual"][0], 1e-300))
     return {
@@ -338,14 +335,14 @@ def check_projection_bound(n_draws: int = 1000, seed: int = 0) -> dict:
     for rank in (4, 16):
         for dim in (1, rank // 2):
             for _ in range(n_draws // 4 + 1):
-                subs = init_subspaces(2, rank, dim, mode="random", seed=rng.integers(2**31))
+                u, v = init_subspaces(2, rank, dim, mode="random", seed=rng.integers(2**31))
                 g1 = rng.standard_normal((5, rank))
                 g2 = rng.standard_normal((5, rank))
-                _, spectral = alignment(subs[0], subs[1])
+                _, spectral = alignment(u, v)
                 lhs = abs(
                     frob_inner(
-                        surgery.project_task(g1, subs[0]),
-                        surgery.project_task(g2, subs[1]),
+                        surgery.project_task(g1, u),
+                        surgery.project_task(g2, v),
                     )
                 )
                 rhs = spectral * frob_norm(g1) * frob_norm(g2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PartitionSpec, SyntheticProblem
-from .errors import ConfigError, EmptySubsetError, StepSizeError
+from .errors import ConfigError, DimensionError, EmptySubsetError, StepSizeError
 from .evaluation import forget_task_auc
 from .model import (
     MultiTaskModel,
@@ -27,7 +27,7 @@ from .model import (
     subset_loss,
     zero_init_edit,
 )
-from .subspace import TaskSubspace, regularize_step
+from .subspace import regularize_step
 from .surgery import GradientPair, apply_update, sequential_orthogonalize
 
 # Every strategy is the same epoch with parts switched off: whether gradients
@@ -153,11 +153,14 @@ def run_unlearning(
     original: MultiTaskModel,
     problem: SyntheticProblem,
     part: PartitionSpec,
-    subspaces: list[TaskSubspace],
+    bases: np.ndarray,
     cfg: UnlearnConfig,
     retrain_ref: MultiTaskModel,
 ) -> tuple[MultiTaskModel, UnlearnTrace]:
-    """Run the unlearning loop and return the early-stopped merged-edit model."""
+    """Run the unlearning loop and return the early-stopped merged-edit model.
+
+    ``bases`` holds one r×s task-subspace basis per task, shape (K, r, s).
+    """
     ds, val = problem.dataset, problem.val_dataset
     if val is None:
         raise ConfigError("a validation dataset is required for early stopping")
@@ -168,8 +171,14 @@ def run_unlearning(
         raise ConfigError("setting=full requires all tasks forgotten")
     if cfg.setting == "partial" and full:
         raise ConfigError("setting=partial requires a proper task subset")
+    bases = np.asarray(bases, dtype=float)
+    if bases.ndim != 3 or len(bases) != ds.n_tasks:
+        raise DimensionError(
+            f"need one (rank, dim) subspace basis per task: {ds.n_tasks} tasks, "
+            f"bases of shape {bases.shape}"
+        )
 
-    rank = subspaces[0].rank
+    rank = bases.shape[1]
     edit = zero_init_edit(original.edit.effective_weight(), rank, cfg.seed)
     model = MultiTaskModel(edit=edit, heads=original.heads)
 
@@ -226,9 +235,8 @@ def run_unlearning(
 
     record(0)
     snapshots = [edit]
-    current_subspaces = list(subspaces)
     for epoch in range(1, cfg.max_epochs + 1):
-        projectors = [s.projector() for s in current_subspaces] if project else None
+        projectors = bases @ bases.transpose(0, 2, 1) if project else None
         grads = {
             name: _source_gradient(model, ds, subsets, projectors)
             for name, subsets in sources.items()
@@ -248,7 +256,7 @@ def run_unlearning(
         edit = apply_update(edit, descent, forget_dir, cfg.eta1, cfg.eta2)
         model = model.with_edit(edit)
         if project:
-            current_subspaces = regularize_step(current_subspaces, cfg.reg_step_size)
+            bases = regularize_step(bases, cfg.reg_step_size)
         record(epoch)
         snapshots.append(edit)
 

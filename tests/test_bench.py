@@ -106,10 +106,10 @@ def test_bench_run_unlearning(benchmark):
 
 def test_bench_regularize_step(benchmark):
     # K=3 random subspaces of dim 2 in rank 6, as the ablation runs use.
-    subspaces = init_subspaces(3, rank=6, dim=2, mode="random", seed=0)
-    out = benchmark(regularize_step, subspaces, 1e-3)
-    for s in out:
-        assert np.allclose(s.basis.T @ s.basis, np.eye(2), atol=1e-12)
+    bases = init_subspaces(3, rank=6, dim=2, mode="random", seed=0)
+    out = benchmark(regularize_step, bases, 1e-3)
+    for q in out:
+        assert np.allclose(q.T @ q, np.eye(2), atol=1e-12)
 
 
 def test_bench_orthogonalize(benchmark):

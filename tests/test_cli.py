@@ -140,20 +140,19 @@ def random_checkpoint():
         b=rng.standard_normal((6, 4)),
     )
     model = MultiTaskModel(edit=edit, heads=tuple(rng.standard_normal((2, 5)) for _ in range(3)))
-    subspaces = init_subspaces(3, rank=4, dim=2, mode="random", seed=0)
-    return cli.checkpoint_to_json(model, subspaces, "digest", echo), model, subspaces
+    bases = init_subspaces(3, rank=4, dim=2, mode="random", seed=0)
+    return cli.checkpoint_to_json(model, bases, "digest", echo), model, bases
 
 
 def test_checkpoint_round_trip_keeps_random_bases():
-    text, model, subspaces = random_checkpoint()
-    loaded, bases, digest_, echo = cli.checkpoint_from_json(text)
+    text, model, bases = random_checkpoint()
+    loaded, loaded_bases, digest_, echo = cli.checkpoint_from_json(text)
     for name in ("w_star", "a", "b"):
         assert np.array_equal(getattr(loaded.edit, name), getattr(model.edit, name))
     assert all(np.array_equal(h, g) for h, g in zip(loaded.heads, model.heads, strict=True))
-    for s, t in zip(subspaces, bases, strict=True):
-        assert np.array_equal(s.basis, t.basis) and s.task_id == t.task_id
+    assert loaded_bases.shape == (3, 4, 2) and np.array_equal(loaded_bases, bases)
     assert digest_ == "digest" and echo == json.loads(text)["config"]
-    assert cli.checkpoint_to_json(loaded, bases, digest_, echo) == text
+    assert cli.checkpoint_to_json(loaded, loaded_bases, digest_, echo) == text
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.0, float("nan")])
@@ -362,6 +361,44 @@ def test_uis_command_rejects_bad_forget_tasks(tmp_path, capsys, forget_tasks):
     captured = capsys.readouterr()
     assert "--forget-tasks" in captured.err
     assert captured.out == ""
+
+
+def test_uis_command_rejects_non_utf8_csv(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text(report_from_cells(BENCH_A_ORIGINAL).to_csv())
+    broken = tmp_path / "broken.csv"
+    broken.write_bytes(report.read_bytes() + b"0,ret,exp_neg_loss,0.9\xff\n")
+    code = cli.main(
+        [
+            "uis",
+            "--evaluated", str(broken),
+            "--original", str(report),
+            "--retrain", str(report),
+            "--setting", "full",
+        ]
+    )
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"cannot read evaluated CSV {broken}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "sweep", "verify"])
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json")
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    argv = {
+        "generate": ["generate", "--config", str(cfg)],
+        "run": ["run", "--config", str(cfg)],
+        "sweep": ["sweep", "--config", str(cfg), "--ratios", "0.1"],
+        "verify": ["verify", "--seed", "0"],
+    }[command]
+    assert cli.main([*argv, "--out", str(taken)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"--out {taken}: cannot create the output directory" in captured.err
+    assert captured.out == ""
+    assert taken.read_text() == "kept"
 
 
 def test_sweep_single_ratio_and_dedup(tmp_path, capsys):

@@ -9,6 +9,7 @@ when a rename in the package would break the benchmark.
 import ast
 import dataclasses
 import importlib
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -195,6 +196,30 @@ def test_names_the_workloads_read_exist():
     } <= used
     for module, attr in sorted(used):
         assert hasattr(importlib.import_module(f"mtunlearn.{module}"), attr), f"{module}.{attr}"
+    # Every call into the package binds to its callable's signature: as many
+    # positional arguments, and keywords (a ``**NAME`` expands NAME's
+    # module-level dict literal) that are parameters of the callable.
+    literal_keys = {
+        node.targets[0].id: [key.value for key in node.value.keys]
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Dict)
+    }
+    called = set()
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (isinstance(func, ast.Attribute) and (getattr(func.value, "id", None), func.attr) in used):
+            continue
+        keywords = [k.arg for k in node.keywords if k.arg]
+        keywords += [key for k in node.keywords if k.arg is None for key in literal_keys[k.value.id]]
+        target = getattr(importlib.import_module(f"mtunlearn.{func.value.id}"), func.attr)
+        try:
+            inspect.signature(target).bind_partial(*node.args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"line {node.lineno}: {func.value.id}.{func.attr}: {exc}") from None
+        called.add(func.attr)
+    assert {"init_subspaces", "TrainConfig", "UnlearnConfig", "UISInput"} <= called
     # Ablation reads the .values() of three report dicts.
     report = EvalReport(n_tasks=1)
     fields = {f.name for f in dataclasses.fields(EvalReport)}

@@ -3,19 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtunlearn import TaskSubspace, alignment, init_subspaces, regularize_step
+from mtunlearn import alignment, init_subspaces, regularize_step
 from mtunlearn.errors import CapacityError, DimensionError
 from mtunlearn.subspace import default_subspace_dim
 
 
 def test_disjoint_blocks_are_orthonormal_and_disjoint():
-    subs = init_subspaces(3, rank=6, dim=2)
-    for s in subs:
-        assert np.allclose(s.basis.T @ s.basis, np.eye(2), atol=1e-12)
+    bases = init_subspaces(3, rank=6, dim=2)
+    assert bases.shape == (3, 6, 2)
+    assert np.array_equal(np.concatenate(list(bases), axis=1), np.eye(6))
+    for q in bases:
+        assert np.allclose(q.T @ q, np.eye(2), atol=1e-12)
     for i in range(3):
         for j in range(3):
             if i != j:
-                frob_sq, spectral = alignment(subs[i], subs[j])
+                frob_sq, spectral = alignment(bases[i], bases[j])
                 assert frob_sq == pytest.approx(0.0, abs=1e-12)
                 assert spectral == pytest.approx(0.0, abs=1e-12)
 
@@ -23,6 +25,12 @@ def test_disjoint_blocks_are_orthonormal_and_disjoint():
 def test_disjoint_blocks_capacity_error():
     with pytest.raises(CapacityError):
         init_subspaces(4, rank=6, dim=2)
+
+
+@pytest.mark.parametrize("mode", ["disjoint-blocks", "random"])
+def test_init_subspaces_needs_a_task(mode):
+    with pytest.raises(DimensionError, match="n_tasks >= 1"):
+        init_subspaces(0, rank=6, dim=2, mode=mode)
 
 
 @settings(max_examples=25, deadline=None)
@@ -33,73 +41,73 @@ def test_disjoint_blocks_capacity_error():
 )
 def test_random_subspaces_orthonormal_projector_properties(n_tasks, rank, seed):
     dim = default_subspace_dim(rank, n_tasks)
-    subs = init_subspaces(n_tasks, rank=rank, dim=dim, mode="random", seed=seed)
-    for s in subs:
-        assert np.allclose(s.basis.T @ s.basis, np.eye(dim), atol=1e-8)
-        p = s.projector()
+    bases = init_subspaces(n_tasks, rank=rank, dim=dim, mode="random", seed=seed)
+    assert bases.shape == (n_tasks, rank, dim)
+    projectors = bases @ bases.transpose(0, 2, 1)
+    for q, p in zip(bases, projectors, strict=True):
+        assert np.allclose(q.T @ q, np.eye(dim), atol=1e-8)
+        # The batched product is the per-task one to the bit.
+        assert np.array_equal(p, q @ q.T)
         assert np.allclose(p, p.T, atol=1e-8)
         assert np.allclose(p @ p, p, atol=1e-8)
 
 
 def test_alignment_bounds_and_symmetry():
-    subs = init_subspaces(2, rank=5, dim=2, mode="random", seed=1)
-    frob_sq, spectral = alignment(subs[0], subs[1])
+    u, v = init_subspaces(2, rank=5, dim=2, mode="random", seed=1)
+    frob_sq, spectral = alignment(u, v)
     assert 0.0 <= spectral <= 1.0 + 1e-12
     assert 0.0 <= frob_sq <= 2.0 + 1e-12  # bounded by min(s, s')
-    assert alignment(subs[1], subs[0])[0] == pytest.approx(frob_sq, rel=1e-12)
+    assert alignment(v, u)[0] == pytest.approx(frob_sq, rel=1e-12)
     with pytest.raises(DimensionError):
-        alignment(subs[0], TaskSubspace(9, np.eye(3)))
+        alignment(u, np.eye(3))
 
 
 def test_identical_subspaces_have_maximal_alignment():
-    basis = init_subspaces(1, rank=4, dim=2, mode="random", seed=0)[0].basis
-    u = TaskSubspace(0, basis)
-    v = TaskSubspace(1, basis.copy())
-    frob_sq, spectral = alignment(u, v)
+    basis = init_subspaces(1, rank=4, dim=2, mode="random", seed=0)[0]
+    frob_sq, spectral = alignment(basis, basis.copy())
     assert frob_sq == pytest.approx(2.0, rel=1e-10)
     assert spectral == pytest.approx(1.0, rel=1e-10)
 
 
 def test_regularize_step_zero_weight_is_identity():
-    subs = init_subspaces(3, rank=6, dim=2, mode="random", seed=2)
-    out = regularize_step(subs, step_size=0.0)
-    for before, after in zip(subs, out):
-        assert np.array_equal(before.basis, after.basis)
+    bases = init_subspaces(3, rank=6, dim=2, mode="random", seed=2)
+    assert regularize_step(bases, step_size=0.0) is bases
 
 
-def total_alignment(subspaces) -> float:
+def total_alignment(bases) -> float:
     """Sum of pairwise squared-Frobenius alignments over ordered pairs t != t'."""
     return sum(
         alignment(u, v)[0]
-        for i, u in enumerate(subspaces)
-        for j, v in enumerate(subspaces)
+        for i, u in enumerate(bases)
+        for j, v in enumerate(bases)
         if i != j
     )
 
 
 def test_regularize_step_reduces_total_alignment():
-    subs = init_subspaces(3, rank=6, dim=2, mode="random", seed=3)
-    before = total_alignment(subs)
-    out = subs
+    bases = init_subspaces(3, rank=6, dim=2, mode="random", seed=3)
+    before = total_alignment(bases)
+    out = bases
     for _ in range(50):
         out = regularize_step(out, step_size=1e-2)
     after = total_alignment(out)
     assert after < before
-    for s in out:
-        assert np.allclose(s.basis.T @ s.basis, np.eye(2), atol=1e-8)
+    assert out.shape == bases.shape
+    for q in out:
+        assert np.allclose(q.T @ q, np.eye(2), atol=1e-8)
 
 
 def test_regularize_step_rejects_negative_weight():
-    subs = init_subspaces(2, rank=4, dim=1)
+    bases = init_subspaces(2, rank=4, dim=1)
     with pytest.raises(ValueError):
-        regularize_step(subs, step_size=-1e-2)
+        regularize_step(bases, step_size=-1e-2)
 
 
 @pytest.mark.parametrize("step_size", [float("nan"), float("inf"), -float("inf")])
 def test_regularize_step_rejects_non_finite_step_size(step_size):
-    subs = init_subspaces(2, rank=4, dim=1, mode="random", seed=0)
+    bases = init_subspaces(2, rank=4, dim=1, mode="random", seed=0)
     with pytest.raises(ValueError, match="step_size must be finite and >= 0"):
-        regularize_step(subs, step_size=step_size)
+        regularize_step(bases, step_size=step_size)
 
 
 def test_default_subspace_dim():

@@ -82,16 +82,23 @@ def test_aggregation_is_exactly_linear():
 
 
 def test_residual_is_second_order_in_rho():
-    def factory(rho):
-        return small_quadratic(rho=rho, seed=3)
-
-    fit = residual_order_fit(factory, [0.01, 0.02, 0.04])
+    # The fit reweights prob's data, so prob's own rho does not enter it.
+    prob = small_quadratic(rho=0.5, seed=3)
+    fit = residual_order_fit(prob, [0.04, 0.01, 0.02])
+    assert fit["rho"] == [0.01, 0.02, 0.04]
+    for rho, residual in zip(fit["rho"], fit["residual"], strict=True):
+        ref = small_quadratic(rho=rho, seed=3)
+        errors = [
+            abs(actual_interference(ref, q) - predict_interference(ref, q))
+            for q in ref.retain_pairs
+        ]
+        assert residual == float(np.mean(errors))
     assert fit["slope"] >= 1.7
     # halving rho roughly quarters the residual
     ratio = fit["residual"][1] / fit["residual"][0]
     assert 3.0 <= ratio <= 5.0
     with pytest.raises(ValueError):
-        residual_order_fit(factory, [0.0, 0.01])
+        residual_order_fit(prob, [0.0, 0.01])
 
 
 def test_optimal_direction_satisfies_constraint_and_beats_samples():

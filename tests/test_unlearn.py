@@ -12,7 +12,7 @@ from mtunlearn import (
     run_unlearning,
     train_reference,
 )
-from mtunlearn.errors import ConfigError, EmptySubsetError, StepSizeError
+from mtunlearn.errors import ConfigError, DimensionError, EmptySubsetError, StepSizeError
 from mtunlearn import mia_auc, unlearn
 from mtunlearn.unlearn import STRATEGIES
 
@@ -183,6 +183,17 @@ def test_validation_set_is_required(pipeline):
         run_unlearning(
             original, stripped, part, subs, UnlearnConfig(setting="partial"), retrain
         )
+
+
+@pytest.mark.parametrize("strategy", ["ours", "neggrad_plus", "wo_projection"])
+def test_basis_count_must_match_the_task_count(pipeline, monkeypatch, strategy):
+    problem, part, _, original, retrain, _, subs = pipeline
+    calls = []
+    monkeypatch.setattr(unlearn, "subset_loss", lambda *args: calls.append(args))
+    cfg = UnlearnConfig(setting="partial", eta1=0.3, eta2=0.05, max_epochs=2, strategy=strategy)
+    with pytest.raises(DimensionError, match=r"3 tasks, bases of shape \(2, 3, 1\)"):
+        run_unlearning(original, problem, part, subs[:2], cfg, retrain)
+    assert not calls  # raised before the first epoch's record
 
 
 def test_unlearning_divergence_names_epoch_and_forget_loss(pipeline):
