@@ -232,8 +232,14 @@ def uis(inp: UISInput) -> float:
     n_tasks = reports[0].n_tasks
     if any(r.n_tasks != n_tasks for r in reports):
         raise DimensionError("reports cover different task sets")
-    if inp.setting == "partial" and not inp.forget_tasks:
-        raise ConfigError("partial setting requires forget_tasks")
+    tasks, every = frozenset(inp.forget_tasks), frozenset(range(n_tasks))
+    if inp.setting == "partial" and not (tasks and tasks < every):
+        raise ConfigError(
+            f"forget_tasks: the partial setting needs a nonempty proper subset of "
+            f"[0, {n_tasks}), got {sorted(tasks)}"
+        )
+    if inp.setting == "full" and tasks not in (frozenset(), every):
+        raise ConfigError(f"forget_tasks: the full setting takes none or all, got {sorted(tasks)}")
     total = 0.0
     for t in range(n_tasks):
         for cell in CELLS:

@@ -23,68 +23,46 @@ from .subspace import alignment, init_subspaces
 THEORY_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class QuadraticPair:
-    """One (instance, task) supervision pair of a linear-in-parameters model."""
-
-    instance_id: int
-    task_id: int
-    features: np.ndarray  # m x p
-    target: np.ndarray  # m
-
-    def loss(self, theta: np.ndarray) -> float:
-        e = self.features @ theta - self.target
-        return 0.5 * float(e @ e)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.features.T @ (self.features @ theta - self.target)
+def _pair_sum(features: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``sum_i F_i^T R_i`` over the stacked pairs. Axis 0 is summed one pair
+    after another, so the result equals a Python ``sum`` to the bit."""
+    return (features.mT @ right).sum(axis=0)
 
 
 @dataclass
 class QuadraticProblem:
     """Retain/forget quadratic losses with closed-form minimizers.
 
-    The retain loss is the mean pair loss plus a small ridge term, so its
-    Hessian is positive definite; ``rho`` weights the forget loss in the
-    combined objective that defines the pre-unlearning optimum.
+    Each side stacks its (instance, task) pairs: pair i has features F_i
+    (m x p), targets y_i (m) and loss 0.5 |F_i theta - y_i|^2. The retain
+    loss is the mean pair loss plus a small ridge term, so its Hessian is
+    positive definite; ``rho`` weights the forget loss in the combined
+    objective that defines the pre-unlearning optimum.
     """
 
-    retain_pairs: list[QuadraticPair]
-    forget_pairs: list[QuadraticPair]
+    retain_features: np.ndarray  # n_r x m x p
+    retain_targets: np.ndarray  # n_r x m
+    retain_instances: np.ndarray  # n_r
+    forget_features: np.ndarray  # n_f x m x p
+    forget_targets: np.ndarray  # n_f x m
     rho: float
     ridge: float
 
     def __post_init__(self):
-        if not self.retain_pairs or not self.forget_pairs:
+        n_r, n_f = len(self.retain_features), len(self.forget_features)
+        if not n_r or not n_f:
             raise EmptySubsetError("need nonempty retain and forget pair sets")
-        p = self.dim
-        self.h_r = (
-            sum(q.features.T @ q.features for q in self.retain_pairs)
-            / len(self.retain_pairs)
-            + self.ridge * np.eye(p)
-        )
-        self.h_f = sum(
-            q.features.T @ q.features for q in self.forget_pairs
-        ) / len(self.forget_pairs)
-        b_r = sum(q.features.T @ q.target for q in self.retain_pairs) / len(
-            self.retain_pairs
-        )
-        b_f = sum(q.features.T @ q.target for q in self.forget_pairs) / len(
-            self.forget_pairs
-        )
+        f_r, f_f = self.retain_features, self.forget_features
+        self.h_r = _pair_sum(f_r, f_r) / n_r + self.ridge * np.eye(f_r.shape[2])
+        self.h_f = _pair_sum(f_f, f_f) / n_f
+        b_r = _pair_sum(f_r, self.retain_targets[..., None])[:, 0] / n_r
+        b_f = _pair_sum(f_f, self.forget_targets[..., None])[:, 0] / n_f
         self.theta_r = solve_spd(self.h_r, b_r)
-        self.theta_star = solve_spd(
-            self.h_r + self.rho * self.h_f, b_r + self.rho * b_f
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.retain_pairs[0].features.shape[1]
+        self.theta_star = solve_spd(self.h_r + self.rho * self.h_f, b_r + self.rho * b_f)
 
     def grad_forget(self, theta: np.ndarray) -> np.ndarray:
-        return sum(q.gradient(theta) for q in self.forget_pairs) / len(
-            self.forget_pairs
-        )
+        e = self.forget_features @ theta - self.forget_targets
+        return _pair_sum(self.forget_features, e[..., None])[:, 0] / len(e)
 
 
 def random_quadratic_problem(
@@ -101,46 +79,65 @@ def random_quadratic_problem(
 
     Each task owns a fixed feature operator; each instance modulates it by
     a random diagonal, so tasks are genuinely coupled through the shared
-    parameter vector.
+    parameter vector. Pairs are instance-major, and the pairs of the
+    first ``n_forget_instances`` instances are forgotten.
     """
-    if n_forget_instances >= n_instances:
-        raise DimensionError("must retain at least one instance")
+    if not 1 <= n_forget_instances < n_instances:
+        raise DimensionError(f"n_forget_instances {n_forget_instances} not in [1, {n_instances})")
     rng = np.random.default_rng(seed)
-    task_ops = [
-        rng.standard_normal((out_dim, dim)) / np.sqrt(dim) for _ in range(n_tasks)
-    ]
+    task_ops = rng.standard_normal((n_tasks, out_dim, dim)) / np.sqrt(dim)
     theta_true = rng.standard_normal(dim)
-    retain, forget = [], []
-    for i in range(n_instances):
-        scale = 1.0 + 0.5 * rng.standard_normal(dim)
-        for t in range(n_tasks):
-            phi = task_ops[t] * scale[None, :]
-            y = phi @ theta_true + 0.1 * rng.standard_normal(out_dim)
-            pair = QuadraticPair(i, t, phi, y)
-            (forget if i < n_forget_instances else retain).append(pair)
+    # Row i holds instance i's draws in stream order: its diagonal, then
+    # each task's target noise.
+    draws = rng.standard_normal((n_instances, dim + n_tasks * out_dim))
+    scale = 1.0 + 0.5 * draws[:, :dim]
+    features = (task_ops[None] * scale[:, None, None, :]).reshape(-1, out_dim, dim)
+    noise = draws[:, dim:].reshape(-1, out_dim)
+    targets = features @ theta_true + 0.1 * noise
+    cut = n_forget_instances * n_tasks
     return QuadraticProblem(
-        retain_pairs=retain, forget_pairs=forget, rho=rho, ridge=ridge
+        retain_features=features[cut:],
+        retain_targets=targets[cut:],
+        retain_instances=np.repeat(np.arange(n_forget_instances, n_instances), n_tasks),
+        forget_features=features[:cut],
+        forget_targets=targets[:cut],
+        rho=rho,
+        ridge=ridge,
     )
 
 
-def predict_interference(prob: QuadraticProblem, pair: QuadraticPair) -> float:
-    """First-order loss change rho * g_pair^T H_r^{-1} grad_Lf at the retain optimum."""
+def predict_interference(prob: QuadraticProblem, index: int) -> float:
+    """First-order loss change rho * g_i^T H_r^{-1} grad_Lf of retained pair
+    ``index`` at the retain optimum."""
     shift = solve_spd(prob.h_r, prob.grad_forget(prob.theta_r))
-    return prob.rho * float(pair.gradient(prob.theta_r) @ shift)
+    f = prob.retain_features[index]
+    g = f.T @ (f @ prob.theta_r - prob.retain_targets[index])
+    return prob.rho * float(g @ shift)
 
 
-def actual_interference(prob: QuadraticProblem, pair: QuadraticPair) -> float:
-    """Exact loss change between the retain-only and combined optima."""
-    return pair.loss(prob.theta_r) - pair.loss(prob.theta_star)
+def actual_interference(prob: QuadraticProblem) -> np.ndarray:
+    """Exact loss change of each retained pair between the retain-only and
+    combined optima."""
+    e_r = prob.retain_features @ prob.theta_r - prob.retain_targets
+    e_s = prob.retain_features @ prob.theta_star - prob.retain_targets
+    return 0.5 * np.vecdot(e_r, e_r) - 0.5 * np.vecdot(e_s, e_s)
 
 
-def aggregate_interference(prob: QuadraticProblem, pairs) -> float:
-    """Summed first-order interference; linear in the pair gradients."""
-    if not pairs:
+def aggregate_interference(prob: QuadraticProblem, indices) -> float:
+    """Summed first-order interference of the retained pairs ``indices``;
+    linear in the pair gradients."""
+    if not len(indices):
         raise EmptySubsetError("aggregate over empty subset")
     shift = solve_spd(prob.h_r, prob.grad_forget(prob.theta_r))
-    total_grad = sum(p.gradient(prob.theta_r) for p in pairs)
-    return prob.rho * float(total_grad @ shift)
+    f = prob.retain_features[indices]
+    e = f @ prob.theta_r - prob.retain_targets[indices]
+    return prob.rho * float(_pair_sum(f, e[..., None])[:, 0] @ shift)
+
+
+def _actual_and_predicted(prob: QuadraticProblem):
+    """Exact and first-order interference of each retained pair."""
+    actual = actual_interference(prob)
+    return actual, np.array([predict_interference(prob, i) for i in range(actual.size)])
 
 
 def residual_order_fit(prob: QuadraticProblem, rho_list) -> dict:
@@ -154,12 +151,8 @@ def residual_order_fit(prob: QuadraticProblem, rho_list) -> dict:
         raise ValueError("rho values must be positive")
     residuals = []
     for rho in rho_arr:
-        reweighted = replace(prob, rho=rho)
-        res = [
-            abs(actual_interference(reweighted, q) - predict_interference(reweighted, q))
-            for q in reweighted.retain_pairs
-        ]
-        residuals.append(float(np.mean(res)))
+        actual, predicted = _actual_and_predicted(replace(prob, rho=rho))
+        residuals.append(float(np.mean(np.abs(actual - predicted))))
     slope = float(np.polyfit(np.log(rho_arr), np.log(residuals), 1)[0])
     return {
         "rho": rho_arr.tolist(),
@@ -241,10 +234,7 @@ def check_first_order_interference(
             rho=rho,
             seed=seed * 10_000 + 1000 + trial,
         )
-        actual = np.array([actual_interference(prob, q) for q in prob.retain_pairs])
-        predicted = np.array(
-            [predict_interference(prob, q) for q in prob.retain_pairs]
-        )
+        actual, predicted = _actual_and_predicted(prob)
         rel = np.linalg.norm(actual - predicted) / np.linalg.norm(actual)
         worst_rel = max(worst_rel, float(rel))
         fit = residual_order_fit(prob, [0.01, 0.02, 0.04])
@@ -272,9 +262,9 @@ def check_aggregation_linearity(seed: int = 0, n_instances_checked: int = 10) ->
             rho=0.05,
             seed=seed + trial,
         )
-        task_subset = [q for q in prob.retain_pairs if q.instance_id < 4]
-        direct = aggregate_interference(prob, task_subset)
-        summed = sum(predict_interference(prob, q) for q in task_subset)
+        subset = np.flatnonzero(prob.retain_instances < 4)
+        direct = aggregate_interference(prob, subset)
+        summed = sum(predict_interference(prob, i) for i in subset)
         scale = max(1.0, abs(summed))
         worst = max(worst, abs(direct - summed) / scale)
     return {

@@ -29,7 +29,7 @@ from mtunlearn import (
 from mtunlearn.data import problem_from_json, problem_to_json
 from mtunlearn.linalg import orthonormalize, solve_spd
 from mtunlearn.model import MultiTaskModel, balanced_init_edit
-from mtunlearn.theory import check_optimal_direction
+from mtunlearn.theory import check_first_order_interference, check_optimal_direction
 
 # The acceptance-suite shapes at 10x the paper's N.
 SHAPES = GenConfig(
@@ -134,7 +134,7 @@ def test_bench_orthonormalize(benchmark):
 
 
 def test_bench_solve_spd(benchmark):
-    # p=30, the largest problem the first-order interference suite solves.
+    # p=30, within the p = 10-40 the first-order interference suite solves.
     rng = np.random.default_rng(0)
     m = rng.standard_normal((30, 30))
     h = m @ m.T / 30 + 1e-2 * np.eye(30)
@@ -146,3 +146,10 @@ def test_bench_solve_spd(benchmark):
 def test_bench_check_optimal_direction(benchmark):
     report = benchmark(check_optimal_direction)
     assert report["passed"] and report["sample_violations"] == 0
+
+
+def test_bench_check_first_order_interference(benchmark):
+    # The 20 stacked problems of `mtunlearn verify --seed 0`, each with its
+    # order fit at three rho.
+    report = benchmark(check_first_order_interference)
+    assert report["passed"] and len(report["doubling_ratios"]) == 20

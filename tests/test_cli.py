@@ -363,6 +363,28 @@ def test_uis_command_rejects_bad_forget_tasks(tmp_path, capsys, forget_tasks):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("setting, forget_tasks", [("partial", "0,1,2"), ("full", "1")])
+def test_uis_command_rejects_forget_tasks_that_contradict_the_setting(
+    tmp_path, capsys, setting, forget_tasks
+):
+    report = tmp_path / "report.csv"
+    report.write_text(report_from_cells(BENCH_A_ORIGINAL).to_csv())  # 3 tasks
+    code = cli.main(
+        [
+            "uis",
+            "--evaluated", str(report),
+            "--original", str(report),
+            "--retrain", str(report),
+            "--setting", setting,
+            "--forget-tasks", forget_tasks,
+        ]
+    )
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"forget_tasks: the {setting} setting" in captured.err
+    assert captured.out == ""
+
+
 def test_uis_command_rejects_non_utf8_csv(tmp_path, capsys):
     report = tmp_path / "report.csv"
     report.write_text(report_from_cells(BENCH_A_ORIGINAL).to_csv())

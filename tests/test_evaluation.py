@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchdata import report_from_cells
+from benchdata import BENCH_A_ORIGINAL, report_from_cells
 from mtunlearn import (
     EvalReport,
     UISInput,
@@ -258,6 +260,29 @@ def test_uis_partial_requires_forget_tasks():
     )
     with pytest.raises(ConfigError):
         uis(inp)
+
+
+@pytest.mark.parametrize(
+    "setting, forget_tasks",
+    [
+        ("partial", {0, 1, 2}),
+        ("partial", {7}),
+        ("partial", {0, 7}),
+        ("full", {1}),
+        ("full", {0, 1, 2, 3}),
+    ],
+    ids=["partial-all", "partial-7", "partial-0-7", "full-1", "full-0-3"],
+)
+def test_uis_rejects_forget_tasks_that_contradict_the_setting(setting, forget_tasks):
+    rep = report_from_cells(BENCH_A_ORIGINAL)  # 3 tasks
+    inp = UISInput(
+        evaluated=rep, original_ref=rep, retrain_ref=rep,
+        setting=setting, forget_tasks=frozenset(forget_tasks),
+    )
+    with pytest.raises(ConfigError, match="^forget_tasks: the .* setting"):
+        uis(inp)
+    for ok in ({0}, {1, 2}) if setting == "partial" else (set(), {0, 1, 2}):
+        assert uis(dataclasses.replace(inp, forget_tasks=frozenset(ok))) == 0.0
 
 
 def test_uis_rejects_mismatched_reports():

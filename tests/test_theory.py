@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from mtunlearn import theory
 from mtunlearn.errors import CurvatureError, DimensionError, EmptySubsetError
+from mtunlearn.linalg import solve_spd
 from mtunlearn.theory import (
-    QuadraticPair,
-    QuadraticProblem,
     actual_interference,
     aggregate_interference,
     constraint_plane_samples,
@@ -32,8 +33,95 @@ def small_quadratic(rho=0.01, seed=0):
 
 def grad_retain(prob, theta):
     """Gradient of the ridge-regularized retain-mean loss."""
-    g = sum(q.gradient(theta) for q in prob.retain_pairs) / len(prob.retain_pairs)
+    e = prob.retain_features @ theta - prob.retain_targets
+    g = np.einsum("imp,im->p", prob.retain_features, e) / len(e)
     return g + prob.ridge * theta
+
+
+def predicted_interference(prob):
+    return np.array([predict_interference(prob, i) for i in range(len(prob.retain_targets))])
+
+
+def per_pair_reference(dim, n_instances, n_tasks, out_dim, n_forget_instances, rho, seed,
+                       subset, ridge=1e-2):
+    """The problem built one (instance, features, target) tuple per pair and
+    summed over pairs in Python, with its interference and the aggregate
+    over the retained pairs ``subset``."""
+    rng = np.random.default_rng(seed)
+    task_ops = [rng.standard_normal((out_dim, dim)) / np.sqrt(dim) for _ in range(n_tasks)]
+    theta_true = rng.standard_normal(dim)
+    retain, forget = [], []
+    for i in range(n_instances):
+        scale = 1.0 + 0.5 * rng.standard_normal(dim)
+        for t in range(n_tasks):
+            phi = task_ops[t] * scale[None, :]
+            y = phi @ theta_true + 0.1 * rng.standard_normal(out_dim)
+            (forget if i < n_forget_instances else retain).append((i, phi, y))
+
+    def loss(f, y, theta):
+        e = f @ theta - y
+        return 0.5 * float(e @ e)
+
+    def gradient(f, y, theta):
+        return f.T @ (f @ theta - y)
+
+    h_r = sum(f.T @ f for _, f, _ in retain) / len(retain) + ridge * np.eye(dim)
+    h_f = sum(f.T @ f for _, f, _ in forget) / len(forget)
+    b_r = sum(f.T @ y for _, f, y in retain) / len(retain)
+    b_f = sum(f.T @ y for _, f, y in forget) / len(forget)
+    theta_r = solve_spd(h_r, b_r)
+    theta_star = solve_spd(h_r + rho * h_f, b_r + rho * b_f)
+    grad_forget = sum(gradient(f, y, theta_r) for _, f, y in forget) / len(forget)
+    shift = solve_spd(h_r, grad_forget)
+    total = sum(gradient(*retain[k][1:], theta_r) for k in subset)
+    return {
+        "retain_instances": np.array([i for i, _, _ in retain]),
+        "h_r": h_r,
+        "h_f": h_f,
+        "theta_r": theta_r,
+        "theta_star": theta_star,
+        "grad_forget": grad_forget,
+        "actual": np.array([loss(f, y, theta_r) - loss(f, y, theta_star) for _, f, y in retain]),
+        "predicted": np.array(
+            [rho * float(gradient(f, y, theta_r) @ shift) for _, f, y in retain]
+        ),
+        "aggregate": rho * float(total @ shift),
+    }
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        # (dim, n_instances, n_tasks, out_dim, n_forget_instances): the two
+        # suites' shapes, then odd ones.
+        (10, 8, 3, 2, 2),
+        (40, 8, 3, 2, 2),
+        (12, 6, 3, 2, 2),
+        (10, 6, 2, 2, 2),
+        (5, 4, 1, 3, 1),
+        (7, 5, 4, 1, 3),
+    ],
+)
+def test_stacked_problem_equals_per_pair_reference_to_the_bit(shape):
+    dim, n_instances, n_tasks, out_dim, n_forget = shape
+    subset = list(range(0, (n_instances - n_forget) * n_tasks, 2))
+    for seed in (0, 1017):
+        args = (dim, n_instances, n_tasks, out_dim, n_forget, 0.03, seed)
+        prob = random_quadratic_problem(*args)
+        ref = per_pair_reference(*args, subset=subset)
+        got = {
+            "retain_instances": prob.retain_instances,
+            "h_r": prob.h_r,
+            "h_f": prob.h_f,
+            "theta_r": prob.theta_r,
+            "theta_star": prob.theta_star,
+            "grad_forget": prob.grad_forget(prob.theta_r),
+            "actual": actual_interference(prob),
+            "predicted": predicted_interference(prob),
+        }
+        for name, value in got.items():
+            assert np.array_equal(value, ref[name]), name
+        assert aggregate_interference(prob, subset) == ref["aggregate"]
 
 
 def test_minimizers_satisfy_stationarity():
@@ -47,15 +135,21 @@ def test_minimizers_satisfy_stationarity():
 
 def test_empty_pair_sets_rejected():
     prob = small_quadratic()
-    with pytest.raises(EmptySubsetError):
-        QuadraticProblem(retain_pairs=[], forget_pairs=prob.forget_pairs, rho=0.1, ridge=1e-2)
+    for side in ("retain", "forget"):
+        empty = {
+            name: getattr(prob, name)[:0]
+            for name in (f"{side}_features", f"{side}_targets")
+        }
+        with pytest.raises(EmptySubsetError):
+            dataclasses.replace(prob, **empty)
     with pytest.raises(EmptySubsetError):
         aggregate_interference(prob, [])
-    with pytest.raises(DimensionError):
-        random_quadratic_problem(
-            dim=4, n_instances=2, n_tasks=2, out_dim=1,
-            n_forget_instances=2, rho=0.1, seed=0,
-        )
+    for n_forget in (0, -1, 2):
+        with pytest.raises(DimensionError, match="n_forget_instances"):
+            random_quadratic_problem(
+                dim=4, n_instances=2, n_tasks=2, out_dim=1,
+                n_forget_instances=n_forget, rho=0.1, seed=0,
+            )
 
 
 def test_prediction_close_at_small_rho():
@@ -68,16 +162,16 @@ def test_prediction_close_at_small_rho():
         rho=0.01,
         seed=1000,
     )
-    actual = np.array([actual_interference(prob, q) for q in prob.retain_pairs])
-    predicted = np.array([predict_interference(prob, q) for q in prob.retain_pairs])
+    actual = actual_interference(prob)
+    predicted = predicted_interference(prob)
     assert np.linalg.norm(actual - predicted) <= 0.10 * np.linalg.norm(actual)
 
 
 def test_aggregation_is_exactly_linear():
     prob = small_quadratic()
-    subset = prob.retain_pairs[:5]
+    subset = range(5)
     direct = aggregate_interference(prob, subset)
-    summed = sum(predict_interference(prob, q) for q in subset)
+    summed = sum(predict_interference(prob, i) for i in subset)
     assert direct == pytest.approx(summed, abs=1e-12)
 
 
@@ -88,10 +182,7 @@ def test_residual_is_second_order_in_rho():
     assert fit["rho"] == [0.01, 0.02, 0.04]
     for rho, residual in zip(fit["rho"], fit["residual"], strict=True):
         ref = small_quadratic(rho=rho, seed=3)
-        errors = [
-            abs(actual_interference(ref, q) - predict_interference(ref, q))
-            for q in ref.retain_pairs
-        ]
+        errors = np.abs(actual_interference(ref) - predicted_interference(ref))
         assert residual == float(np.mean(errors))
     assert fit["slope"] >= 1.7
     # halving rho roughly quarters the residual
