@@ -64,8 +64,17 @@ TRACE_SCHEMA_VERSION = 1
 BASIS_ORTHONORMAL_TOL = 1e-8
 
 
+# Bytes read per chunk when hashing a file, so hashing never holds a whole
+# output in memory.
+HASH_CHUNK_BYTES = 1 << 20
+
+
 def sha256_of_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Small dense linear-algebra core used by the surgery and theory code.
 
-Matrices are plain 2-D float64 numpy arrays. Every public operation
-validates shapes and rejects non-finite values, so downstream code can
-assume clean inputs.
+Matrices are plain 2-D float64 numpy arrays, and a stack of matrices
+puts its batch axes first. Every public operation validates shapes and
+rejects non-finite values, so downstream code can assume clean inputs.
 """
 
 from __future__ import annotations
@@ -22,20 +22,37 @@ DEPENDENT_COLUMN_RTOL = 1e-12
 SYMMETRY_ATOL = 1e-8
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting NaN/Inf.
+def _finite(m: np.ndarray, name: str) -> np.ndarray:
+    """Return ``m``, or raise if it holds NaN/Inf.
 
     The sum of the entries is non-finite exactly when an entry is or when
     finite entries overflow, so the entrywise test runs only in those
     cases. In those cases numpy's RuntimeWarning from the sum comes first;
     finite entries whose sum overflows are still accepted.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if not math.isfinite(np.add.reduce(m, axis=None)) and not np.isfinite(m).all():
         raise DimensionError(f"{name} contains non-finite entries")
     return m
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float64 array, rejecting NaN/Inf."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
+    return _finite(m, name)
+
+
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a float64 stack of matrices, rejecting NaN/Inf.
+
+    The last two axes index a matrix and any leading axes are batch axes,
+    so a 2-D array is a stack of one.
+    """
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2:
+        raise DimensionError(f"{name} must be at least 2-D, got ndim={m.ndim}")
+    return _finite(m, name)
 
 
 def frob_inner(a, b) -> float:

@@ -54,17 +54,28 @@ class SubspaceConfig:
     mode: str = "disjoint-blocks"
 
 
-def alignment(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+def alignment(
+    u: np.ndarray, v: np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(squared Frobenius, spectral) norms of the cross-product of bases ``u`` and ``v``.
 
     The spectral value is the operational cross-task alignment bound used
-    by the projected-gradient inner-product guarantee.
+    by the projected-gradient inner-product guarantee. Two bases give two
+    floats. Leading axes are batch axes that broadcast: stacks of bases
+    give two arrays with one value per pair of bases.
     """
-    if u.shape[0] != v.shape[0]:
-        raise DimensionError(f"bases live in different ambient ranks: {u.shape[0]} vs {v.shape[0]}")
-    cross = u.T @ v
-    frob_sq = float(np.sum(cross * cross))
-    spectral = float(np.linalg.norm(cross, 2)) if cross.size else 0.0
+    if u.shape[-2] != v.shape[-2]:
+        raise DimensionError(
+            f"bases live in different ambient ranks: {u.shape[-2]} vs {v.shape[-2]}"
+        )
+    cross = u.mT @ v
+    frob_sq = np.add.reduce(cross * cross, axis=(-2, -1))
+    if cross.size:
+        spectral = np.linalg.norm(cross, 2, axis=(-2, -1))
+    else:
+        spectral = np.zeros(cross.shape[:-2])
+    if cross.ndim == 2:
+        return float(frob_sq), float(spectral)
     return frob_sq, spectral
 
 

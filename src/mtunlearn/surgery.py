@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix
+from .linalg import as_matrix, as_stack
 from .model import LowRankEdit
 
 DEFAULT_EPS = 1e-8
@@ -33,11 +33,15 @@ class GradientPair:
 
 def project_task(grad, basis: np.ndarray) -> np.ndarray:
     """Right-multiply by the projector ``basis @ basis.T`` of an r×s task basis;
-    idempotent, norm-contracting."""
-    grad = as_matrix(grad, "grad")
-    if grad.shape[1] != basis.shape[0]:
-        raise DimensionError(f"grad has {grad.shape[1]} columns, basis rank is {basis.shape[0]}")
-    return grad @ (basis @ basis.T)
+    idempotent, norm-contracting.
+
+    Leading axes of ``grad`` and ``basis`` are batch axes that broadcast, so
+    stacks project each gradient by its own basis in one call.
+    """
+    grad = as_stack(grad, "grad")
+    if grad.shape[-1] != basis.shape[-2]:
+        raise DimensionError(f"grad has {grad.shape[-1]} columns, basis rank is {basis.shape[-2]}")
+    return grad @ (basis @ basis.mT)
 
 
 def project_pair(pair: GradientPair, basis: np.ndarray) -> GradientPair:

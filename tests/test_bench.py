@@ -29,7 +29,12 @@ from mtunlearn import (
 from mtunlearn.data import problem_from_json, problem_to_json
 from mtunlearn.linalg import orthonormalize, solve_spd
 from mtunlearn.model import MultiTaskModel, balanced_init_edit
-from mtunlearn.theory import check_first_order_interference, check_optimal_direction
+from mtunlearn.theory import (
+    check_first_order_interference,
+    check_optimal_direction,
+    check_orthogonalization_identity,
+    check_projection_bound,
+)
 
 # The acceptance-suite shapes at 10x the paper's N.
 SHAPES = GenConfig(
@@ -153,3 +158,15 @@ def test_bench_check_first_order_interference(benchmark):
     # order fit at three rho.
     report = benchmark(check_first_order_interference)
     assert report["passed"] and len(report["doubling_ratios"]) == 20
+
+
+def test_bench_check_projection_bound(benchmark):
+    # The 1004 draws of `mtunlearn verify --seed 0`, measured in blocks.
+    report = benchmark(check_projection_bound)
+    assert report["passed"] and report["draws"] == 1004
+
+
+def test_bench_check_orthogonalization_identity(benchmark):
+    # The 1000 draws of `mtunlearn verify --seed 0`, 4000 `orthogonalize` calls.
+    report = benchmark(check_orthogonalization_identity)
+    assert report["passed"]

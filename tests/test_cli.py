@@ -485,6 +485,21 @@ def test_verify_detects_injected_sign_flip(tmp_path, capsys, monkeypatch):
     assert "orthogonalization_identity" in capsys.readouterr().err
 
 
+def test_verify_detects_a_skipped_projection(capsys, monkeypatch):
+    """A projection that returns the gradient unprojected must fail verification."""
+    monkeypatch.setattr(surgery, "project_task", lambda grad, basis: grad)
+    code = cli.main(["verify", "--seed", "0"])
+    assert code == cli.EXIT_NUMERIC
+    assert "projection_bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_bytes", [0, 5 * cli.HASH_CHUNK_BYTES // 2])
+def test_sha256_of_file_hashes_in_chunks_to_the_whole_file_digest(tmp_path, n_bytes):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(n_bytes).bytes(n_bytes))
+    assert cli.sha256_of_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 DELETE = object()
 
 # One field broken at a time: (path, value or DELETE, what stderr must say).

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mtunlearn.errors import CurvatureError, DegenerateBasisError, DimensionError
 from mtunlearn.linalg import (
     as_matrix,
+    as_stack,
     frob_inner,
     frob_norm,
     orthonormalize,
@@ -40,6 +41,23 @@ def test_as_matrix_accepts_finite_entries_whose_sum_overflows():
 def test_as_matrix_rejects_non_finite_entries(bad):
     with pytest.raises(DimensionError, match="x contains non-finite entries"):
         as_matrix(bad, "x")
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered in reduce")
+@pytest.mark.parametrize("bad", [[[np.inf, -np.inf]], [[np.nan]], [[1e308, 1e308, np.nan]]])
+def test_as_stack_applies_the_as_matrix_rule_to_stacks(bad):
+    good = np.ones((3, 1, len(bad[0])))
+    one = good[0]
+    assert as_stack(good) is good and as_stack(one) is one
+    stack = good.copy()
+    stack[1] = bad
+    with pytest.raises(DimensionError, match="^x contains non-finite entries$"):
+        as_stack(stack, "x")
+    with pytest.raises(DimensionError, match="^x must be at least 2-D, got ndim=1$"):
+        as_stack(good[0, 0], "x")
+    # as_matrix still takes exactly one matrix.
+    with pytest.raises(DimensionError, match="^x must be 2-D, got ndim=3$"):
+        as_matrix(good, "x")
 
 
 def test_frob_inner_and_norm_equal_numpy_bit_for_bit():

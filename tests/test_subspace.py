@@ -62,6 +62,22 @@ def test_alignment_bounds_and_symmetry():
         alignment(u, np.eye(3))
 
 
+def test_alignment_on_stacks_equals_each_2d_call_to_the_bit():
+    for rank, dim in [(4, 1), (4, 2), (16, 1), (16, 8), (5, 3)]:
+        u, v = np.stack(
+            [init_subspaces(2, rank, dim, mode="random", seed=s) for s in range(6)], axis=1
+        )  # each (6, rank, dim)
+        frob_sq, spectral = alignment(u, v)
+        assert frob_sq.shape == spectral.shape == (6,)
+        for i in range(6):
+            assert (frob_sq[i], spectral[i]) == alignment(u[i], v[i])
+        # One basis broadcasts against a stack.
+        assert alignment(u[0], v)[1][5] == alignment(u[0], v[5])[1]
+        assert type(alignment(u[0], v[0])[1]) is float
+    with pytest.raises(DimensionError, match="ambient ranks: 5 vs 4"):
+        alignment(u, np.zeros((6, 4, 3)))
+
+
 def test_identical_subspaces_have_maximal_alignment():
     basis = init_subspaces(1, rank=4, dim=2, mode="random", seed=0)[0]
     frob_sq, spectral = alignment(basis, basis.copy())

@@ -78,6 +78,31 @@ def test_project_task_idempotent_and_contracting():
         project_task(rng.standard_normal((4, 3)), sub)
 
 
+def test_project_task_on_stacks_equals_each_2d_call_to_the_bit():
+    rng = np.random.default_rng(3)
+    for rank, dim in [(4, 1), (4, 2), (16, 1), (16, 8)]:
+        bases = np.stack(
+            [init_subspaces(2, rank, dim, mode="random", seed=s) for s in range(5)]
+        )  # (5, 2, rank, dim)
+        grads = rng.standard_normal((5, 2, 3, rank))
+        out = project_task(grads, bases)
+        assert out.shape == grads.shape
+        for i in range(5):
+            for t in range(2):
+                assert np.array_equal(out[i, t], project_task(grads[i, t], bases[i, t]))
+        # One basis broadcasts over a stack of gradients.
+        shared = project_task(grads, bases[0, 0])
+        assert np.array_equal(shared[4, 1], project_task(grads[4, 1], bases[0, 0]))
+    bad = grads.copy()
+    bad[2, 1, 0, 0] = np.nan
+    with pytest.raises(DimensionError, match="^grad contains non-finite entries$"):
+        project_task(bad, bases)
+    with pytest.raises(DimensionError, match="^grad must be at least 2-D"):
+        project_task(grads[0, 0, 0], bases[0, 0])
+    with pytest.raises(DimensionError, match="grad has 16 columns, basis rank is 4"):
+        project_task(grads, bases[..., :4, :])
+
+
 def test_sequential_orthogonalize_order_and_skip():
     rng = np.random.default_rng(7)
     forget, clean, inst, task = (rand_pair(rng) for _ in range(4))

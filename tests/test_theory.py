@@ -3,12 +3,15 @@ import pytest
 
 import dataclasses
 
-from mtunlearn import theory
+from mtunlearn import surgery, theory
 from mtunlearn.errors import CurvatureError, DimensionError, EmptySubsetError
-from mtunlearn.linalg import solve_spd
+from mtunlearn.linalg import frob_inner, frob_norm, solve_spd
+from mtunlearn.subspace import alignment, init_subspaces
 from mtunlearn.theory import (
     actual_interference,
     aggregate_interference,
+    check_orthogonalization_identity,
+    check_projection_bound,
     constraint_plane_samples,
     optimal_direction,
     predict_interference,
@@ -122,6 +125,97 @@ def test_stacked_problem_equals_per_pair_reference_to_the_bit(shape):
         for name, value in got.items():
             assert np.array_equal(value, ref[name]), name
         assert aggregate_interference(prob, subset) == ref["aggregate"]
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[-1], [18], [0, 3, -2, 5]],
+    ids=["negative", "n_r", "one-bad-in-list"],
+)
+def test_pair_indices_out_of_range_are_named(indices, monkeypatch):
+    prob = random_quadratic_problem(10, 6, 2, 2, 2, 0.01, 0)
+    n_r = len(prob.retain_targets)
+    bad = next(i for i in indices if not 0 <= i < n_r)
+    monkeypatch.setattr(theory, "solve_spd", lambda *a: pytest.fail("solved before the check"))
+    message = rf"^retained-pair index {bad} not in \[0, n_r = {n_r}\)$"
+    with pytest.raises(DimensionError, match=message):
+        aggregate_interference(prob, indices)
+    if len(indices) == 1:
+        with pytest.raises(DimensionError, match=message):
+            predict_interference(prob, indices[0])
+
+
+def projection_bound_reference(n_draws, seed):
+    """``check_projection_bound`` one draw at a time through the 2-D library calls."""
+    rng = np.random.default_rng(seed)
+    worst_excess = -np.inf
+    count = 0
+    for rank in (4, 16):
+        for dim in (1, rank // 2):
+            for _ in range(n_draws // 4 + 1):
+                u, v = init_subspaces(2, rank, dim, mode="random", seed=rng.integers(2**31))
+                g1 = rng.standard_normal((5, rank))
+                g2 = rng.standard_normal((5, rank))
+                _, spectral = alignment(u, v)
+                lhs = abs(
+                    frob_inner(
+                        surgery.project_task(g1, u),
+                        surgery.project_task(g2, v),
+                    )
+                )
+                rhs = spectral * frob_norm(g1) * frob_norm(g2)
+                worst_excess = max(worst_excess, lhs - rhs)
+                count += 1
+    return {
+        "suite": "projection_bound",
+        "draws": count,
+        "worst_excess": float(worst_excess),
+        "passed": bool(worst_excess <= 1e-9),
+    }
+
+
+def orthogonalization_identity_reference(n_draws, seed):
+    """``check_orthogonalization_identity`` one draw at a time through the 2-D
+    library calls."""
+    rng = np.random.default_rng(seed)
+    worst_rel = 0.0
+    worst_exact = 0.0
+    for _ in range(n_draws):
+        shape = (rng.integers(1, 6), rng.integers(1, 6))
+        g_f = rng.standard_normal(shape)
+        g_r = rng.standard_normal(shape)
+        base = abs(frob_inner(g_f, g_r))
+        norm_r = frob_norm(g_r)
+        scale = frob_norm(g_f) * norm_r
+        for eps in (0.0, 1e-8, 1e-3, 1.0):
+            out = surgery.orthogonalize(g_f, g_r, eps)
+            residual = abs(frob_inner(out, g_r))
+            expected = eps / (norm_r**2 + eps) * base
+            if eps == 0.0:
+                worst_exact = max(worst_exact, residual / scale)
+            else:
+                worst_rel = max(worst_rel, abs(residual - expected) / scale)
+    return {
+        "suite": "orthogonalization_identity",
+        "worst_relative_deviation": worst_rel,
+        "worst_exact_alignment": worst_exact,
+        "passed": bool(worst_rel <= 1e-10 and worst_exact <= 1e-12),
+    }
+
+
+# 1 and 5 draws leave every block partial, 33 fills one block and starts
+# the next, and 1000 is the suites' default, which `verify` runs.
+@pytest.mark.parametrize("n_draws", [1, 5, 33, 1000])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_suites_equal_per_draw_reference(n_draws, seed):
+    # Reports are compared as the JSON text `verify` writes, so every float
+    # must match to the bit.
+    for suite, reference in [
+        (check_projection_bound, projection_bound_reference),
+        (check_orthogonalization_identity, orthogonalization_identity_reference),
+    ]:
+        got = theory.report_to_json(suite(n_draws=n_draws, seed=seed))
+        assert got == theory.report_to_json(reference(n_draws, seed))
 
 
 def test_minimizers_satisfy_stationarity():
