@@ -17,7 +17,7 @@ import numpy as np
 
 from . import surgery
 from .errors import CurvatureError, DimensionError, EmptySubsetError
-from .linalg import solve_spd
+from .linalg import as_stack, solve_spd
 from .subspace import alignment, init_subspaces
 
 THEORY_SCHEMA_VERSION = 1
@@ -331,15 +331,21 @@ def check_optimal_direction(
     }
 
 
-def _frob_inners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``frob_inner`` of each pair of matrices in two stacks, to the bit:
-    the product is C-contiguous, so each matrix is reduced as one run."""
+def _frob_inners(a, b) -> np.ndarray:
+    """``frob_inner`` of each pair of matrices in two same-shape stacks, with
+    its checks and to the bit: the product is C-contiguous, so each matrix is
+    reduced as one run."""
+    a = as_stack(a, "a")
+    b = as_stack(b, "b")
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     return np.add.reduce(a * b, axis=(-2, -1))
 
 
-def _frob_norms(a: np.ndarray) -> np.ndarray:
-    """``frob_norm`` of each matrix in a stack, to the bit: one dot product
-    per flattened matrix."""
+def _frob_norms(a) -> np.ndarray:
+    """``frob_norm`` of each matrix in a stack of C-contiguous matrices, with
+    its checks and to the bit: one dot product per flattened matrix."""
+    a = as_stack(a, "a")
     flat = a.reshape(*a.shape[:-2], -1)
     return np.sqrt(np.vecdot(flat, flat))
 

@@ -218,6 +218,19 @@ def test_stacked_suites_equal_per_draw_reference(n_draws, seed):
         assert got == theory.report_to_json(reference(n_draws, seed))
 
 
+@pytest.mark.parametrize(
+    "name, suite",
+    [
+        ("project_task", check_projection_bound),
+        ("orthogonalize", check_orthogonalization_identity),
+    ],
+)
+def test_suites_reject_a_non_finite_library_result(name, suite, monkeypatch):
+    monkeypatch.setattr(surgery, name, lambda g, *args: np.full_like(g, np.nan))
+    with pytest.raises(DimensionError, match="^a contains non-finite entries$"):
+        suite(n_draws=5)
+
+
 def test_minimizers_satisfy_stationarity():
     prob = small_quadratic()
     assert np.linalg.norm(grad_retain(prob, prob.theta_r)) <= 1e-9
