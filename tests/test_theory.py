@@ -129,12 +129,13 @@ def test_stacked_problem_equals_per_pair_reference_to_the_bit(shape):
 
 @pytest.mark.parametrize(
     "indices",
-    [[-1], [18], [0, 3, -2, 5]],
+    [[-1], [8], [0, 3, -2, 5]],
     ids=["negative", "n_r", "one-bad-in-list"],
 )
 def test_pair_indices_out_of_range_are_named(indices, monkeypatch):
     prob = random_quadratic_problem(10, 6, 2, 2, 2, 0.01, 0)
     n_r = len(prob.retain_targets)
+    assert n_r == 8
     bad = next(i for i in indices if not 0 <= i < n_r)
     monkeypatch.setattr(theory, "solve_spd", lambda *a: pytest.fail("solved before the check"))
     message = rf"^retained-pair index {bad} not in \[0, n_r = {n_r}\)$"
