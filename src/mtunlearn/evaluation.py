@@ -66,9 +66,11 @@ def mia_auc(member_losses, nonmember_losses) -> float:
 
     Equals the Mann-Whitney statistic with ties counted as one half. The
     counts come from a sort of the nonmembers and a binary search per
-    member: O((n + m) log m) time and linear memory.
+    member: O((n + m) log m) time and linear memory. The members are sorted
+    too, so the searches walk the nonmembers in order; the counts are the
+    same exact integers either way.
     """
-    members = _finite_losses(member_losses, "member_losses")
+    members = np.sort(_finite_losses(member_losses, "member_losses"))
     nonmembers = np.sort(_finite_losses(nonmember_losses, "nonmember_losses"))
     # score = -loss, so a member "wins" against every larger nonmember loss;
     # the counts are summed over members as exact integers.

@@ -8,7 +8,7 @@ and the flattened Hessian exactly computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,13 +62,28 @@ class LowRankEdit:
 class MultiTaskModel:
     edit: LowRankEdit
     heads: tuple[np.ndarray, ...]  # fixed per-task maps, m_t x k
+    # The heads as one read-only (K, m_max, k) array, rows zero-padded;
+    # built once when None and shared by every ``with_edit`` copy.
+    stacked_heads: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.stacked_heads is None:
+            m_max = max(h.shape[0] for h in self.heads)
+            stack = np.stack([np.pad(h, ((0, m_max - h.shape[0]), (0, 0))) for h in self.heads])
+            stack.flags.writeable = False
+            object.__setattr__(self, "stacked_heads", stack)
 
     @property
     def n_tasks(self) -> int:
         return len(self.heads)
 
+    @cached_property
+    def head_products(self) -> np.ndarray:
+        """``W_eff M_t^T`` for every task, (K, d, m_max); one product per model."""
+        return np.matmul(self.edit.effective_weight(), self.stacked_heads.transpose(0, 2, 1))
+
     def with_edit(self, edit: LowRankEdit) -> "MultiTaskModel":
-        return replace(self, edit=edit)
+        return MultiTaskModel(edit, self.heads, self.stacked_heads)
 
 
 def zero_init_edit(w_star: np.ndarray, rank: int, seed: int):
@@ -90,43 +105,44 @@ def balanced_init_edit(w_star: np.ndarray, rank: int, seed: int, scale: float = 
 
 
 @dataclass(frozen=True, eq=False)
-class TaskBlock:
-    """One task's pairs in a subset, as the R factor of their rows.
-
-    With ``[X_t, Y_t] = Q R``, ``r`` and ``z`` are the top rows of R (at
-    most d) under the X and Y columns, so ``r = Q_1^T X_t`` and
-    ``z = Q_1^T Y_t``; ``rho`` is the squared norm of R's bottom-right
-    block, the part of Y_t outside the column space of X_t. Since
-    ``X_t^T X_t = r^T r`` and ``X_t^T Y_t = r^T z``, these three give the
-    loss, the gradient and the Hessian.
-    """
-
-    task: int
-    index: np.ndarray  # instance ids, in pair order (repeats allowed)
-    r: np.ndarray  # min(n_t, d) x d, upper triangular (trapezoidal if n_t < d)
-    z: np.ndarray  # min(n_t, d) x m_t
-    rho: float  # |(I - Q_1 Q_1^T) Y_t|^2
-
-
-@dataclass(frozen=True, eq=False)
 class Subset:
     """(instance, task) pairs of one dataset, grouped by task once.
 
-    ``len()`` is the pair count. Losses, gradients and Hessians need only
-    each block's R factor, so their cost does not grow with N.
+    Block i holds the pairs of task ``tasks[i]``. With ``[X_t, Y_t] = Q R``,
+    ``r[i]`` and ``z[i]`` are the top rows of R (at most d, zero-padded to
+    d) under the X and Y columns, so ``r = Q_1^T X_t`` and ``z = Q_1^T Y_t``;
+    ``rho[i]`` is the squared norm of R's bottom-right block, the part of
+    Y_t outside the column space of X_t. Since ``X_t^T X_t = r^T r`` and
+    ``X_t^T Y_t = r^T z``, these give the loss, the gradient and the
+    Hessian at a cost that does not grow with N. ``len()`` is the pair count.
     """
 
     dataset: MultiTaskDataset
-    blocks: tuple[TaskBlock, ...]
+    tasks: np.ndarray  # (n_b,), ascending
+    instances: tuple[np.ndarray, ...]  # per block, in pair order (repeats allowed)
+    r: np.ndarray  # (n_b, d, d), upper triangular (trapezoidal if n_t < d)
+    z: np.ndarray  # (n_b, d, m_max), zero columns beyond m_t
+    rho: np.ndarray  # (n_b,), |(I - Q_1 Q_1^T) Y_t|^2
     _n_pairs: int = field(init=False, repr=False)
+    # Selects this subset's tasks from per-task arrays: a slice (a view)
+    # when the tasks are consecutive, as for every by_task() block.
+    _rows: slice | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_n_pairs", sum(b.index.size for b in self.blocks))
+        object.__setattr__(self, "_n_pairs", sum(idx.size for idx in self.instances))
+        n_b = self.tasks.size
+        lo = int(self.tasks[0]) if n_b else 0
+        consecutive = np.array_equal(self.tasks, np.arange(lo, lo + n_b))
+        object.__setattr__(self, "_rows", slice(lo, lo + n_b) if consecutive else self.tasks)
 
     @classmethod
     def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
         """Group ``pairs`` by task (ascending), keeping pair order within a task."""
-        arr = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        arr = np.asarray(pairs, dtype=np.intp)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise DimensionError(f"subset pairs must have shape (n, 2), got {arr.shape}")
         inst, task = arr[:, 0], arr[:, 1]
         # Checked here because a negative id would silently index from the end.
         if np.any((inst < 0) | (inst >= ds.n_instances)):
@@ -134,22 +150,30 @@ class Subset:
         if np.any((task < 0) | (task >= ds.n_tasks)):
             raise DimensionError("subset task id out of range")
         d = ds.inputs.shape[1]
-        blocks = []
-        for t in np.unique(task).tolist():
+        tasks = np.unique(task)
+        rz = np.zeros((tasks.size, d, d + max(ds.task_dims)))  # [r, z] per block
+        rho = np.zeros(tasks.size)
+        instances = []
+        for i, t in enumerate(tasks.tolist()):
             idx = inst[task == t]
             # np.take gathers whole rows several times faster than a[idx].
             x, y = np.take(ds.inputs, idx, axis=0), np.take(ds.targets[t], idx, axis=0)
             f = np.linalg.qr(np.hstack([x, y]), mode="r")  # min(n_t, d + m_t) x (d + m_t)
-            tail = f[d:, d:]
-            blocks.append(TaskBlock(t, idx, f[:d, :d], f[:d, d:], float(np.vdot(tail, tail))))
-        return cls(ds, tuple(blocks))
+            rz[i, : min(idx.size, d), : f.shape[1]] = f[:d]
+            rho[i] = np.vdot(f[d:, d:], f[d:, d:])
+            instances.append(idx)
+        return cls(ds, tasks, tuple(instances), rz[..., :d], rz[..., d:], rho)
 
     def __len__(self) -> int:
         return self._n_pairs
 
     def by_task(self) -> list["Subset"]:
-        """One single-task subset per block, sharing this subset's arrays."""
-        return [Subset(self.dataset, (b,)) for b in self.blocks]
+        """One single-task subset per block, viewing this subset's arrays."""
+        cut = [slice(i, i + 1) for i in range(self.tasks.size)]
+        return [
+            Subset(self.dataset, self.tasks[b], self.instances[b], self.r[b], self.z[b], self.rho[b])
+            for b in cut
+        ]
 
 
 def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:
@@ -161,9 +185,17 @@ def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:
     return subset
 
 
-def _residual(blk: TaskBlock, w_eff: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """``E_t = R_t W M_t^T - Z_t``, which the loss, gradient and Hessian read."""
-    return blk.r @ (w_eff @ head.T) - blk.z
+def _residual(model: MultiTaskModel, subset: Subset) -> np.ndarray:
+    """Every block's ``E_t = R_t W M_t^T - Z_t``, (n_b, d, m_max), in one
+    batched product; the loss, gradient and Hessian read it."""
+    return np.matmul(subset.r, model.head_products[subset._rows]) - subset.z
+
+
+def _w_gradients(model: MultiTaskModel, subset: Subset) -> np.ndarray:
+    """Every block's ``X_t^T (X_t W M_t^T - Y_t) M_t = R_t^T E_t M_t``, (n_b, d, k)."""
+    heads = model.stacked_heads[subset._rows]
+    # R^T as a view: gemm then takes its transposed path, as for r.T.
+    return np.matmul(subset.r.transpose(0, 2, 1), np.matmul(_residual(model, subset), heads))
 
 
 def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=False):
@@ -175,13 +207,11 @@ def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=Fal
     quadratic does near zero loss; a call costs O(K d^2 m).
     """
     subset = _as_subset(ds, pairs, "subset_loss")
-    w_eff = model.edit.effective_weight()
+    e = _residual(model, subset).reshape(subset.tasks.size, -1)
+    lam = ds.task_weights[subset._rows].tolist() if weighted else (1.0,) * len(e)
     total = 0.0
-    for blk in subset.blocks:
-        t = blk.task
-        e = _residual(blk, w_eff, model.heads[t])
-        lam = ds.task_weights[t] if weighted else 1.0
-        total += 0.5 * lam * (float(np.vdot(e, e)) + blk.rho)
+    for sq, rho, w in zip(np.vecdot(e, e).tolist(), subset.rho.tolist(), lam):
+        total += 0.5 * w * (sq + rho)
     return total / len(subset)
 
 
@@ -192,12 +222,10 @@ def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted
     costs O(K d^2 (k + m)) and reads the same residual as the loss.
     """
     subset = _as_subset(ds, pairs, "subset_gradient")
-    w_eff = model.edit.effective_weight()
-    grad_w = np.zeros_like(w_eff)
-    for blk in subset.blocks:
-        m = model.heads[blk.task]
-        term = blk.r.T @ (_residual(blk, w_eff, m) @ m)
-        grad_w += ds.task_weights[blk.task] * term if weighted else term
+    terms = _w_gradients(model, subset)
+    if weighted:
+        terms *= ds.task_weights[subset._rows][:, None, None]
+    grad_w = terms[0] if len(terms) == 1 else np.add.reduce(terms, axis=0)
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
@@ -219,29 +247,25 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
             f"r*(k+d) = {p_a + p_b} exceeds guard {HESSIAN_PARAM_GUARD}; "
             "shrink the problem"
         )
-    h = np.zeros((p_a + p_b, p_a + p_b))
-    w_eff = edit.effective_weight()
-    for blk in subset.blocks:
-        m = model.heads[blk.task]  # m_t x k
-        gram = blk.r.T @ blk.r  # X^T X
-        ma = m @ edit.a  # m_t x r
-        mtm = m.T @ m
-        s = edit.b.T @ gram  # r x d (index j, l): U^T X with U = X b
-        # a-a block: kron over (row index of a) x (column index of a)
-        h[:p_a, :p_a] += np.kron(mtm, s @ edit.b)
-        # b-b block
-        h[p_a:, p_a:] += np.kron(gram, ma.T @ ma)
-        # a-b block, Gauss-Newton part: C[i,p] * sum_n u_j x_l
-        c = mtm @ edit.a  # k x r (index i, p)
-        t_ab = np.einsum("ip,jl->ijlp", c, s)
-        # a-b block, residual curvature part: delta_{jp} * (X^T E M)[l, i],
-        # with X^T E M = R^T E_t M for residuals E = X W M^T - Y
-        dmat = blk.r.T @ (_residual(blk, w_eff, m) @ m)  # d x k (index l, i)
-        t_ab += np.einsum("li,jp->ijlp", dmat, np.eye(r))
-        ab = t_ab.reshape(p_a, p_b)
-        h[:p_a, p_a:] += ab
-        h[p_a:, :p_a] += ab.T
-    h /= len(subset)
+    # Per block (leading axis n), each term below is summed over the blocks.
+    m = model.stacked_heads[subset._rows]  # m_t x k
+    rt = subset.r.transpose(0, 2, 1)
+    gram = np.matmul(rt, subset.r)  # X^T X
+    ma = np.matmul(m, edit.a)  # m_t x r
+    mtm = np.matmul(m.transpose(0, 2, 1), m)
+    s = np.matmul(edit.b.T, gram)  # r x d (index j, l): U^T X with U = X b
+    # a-a block: kron over (row index of a) x (column index of a)
+    aa = np.einsum("nik,njl->ijkl", mtm, np.matmul(s, edit.b)).reshape(p_a, p_a)
+    # b-b block
+    bb = np.einsum("nik,njl->ijkl", gram, np.matmul(ma.transpose(0, 2, 1), ma)).reshape(p_b, p_b)
+    # a-b block, Gauss-Newton part: C[i,p] * sum_n u_j x_l
+    c = np.matmul(mtm, edit.a)  # k x r (index i, p)
+    ab = np.einsum("nip,njl->nijlp", c, s)
+    # a-b block, residual curvature part: delta_{jp} * (X^T E M)[l, i],
+    # with X^T E M = R^T E_t M (index l, i) for residuals E = X W M^T - Y
+    ab += np.einsum("nli,jp->nijlp", _w_gradients(model, subset), np.eye(r))
+    ab = np.add.reduce(ab, axis=0).reshape(p_a, p_b)
+    h = np.block([[aa, ab], [ab.T, bb]]) / len(subset)
     return 0.5 * (h + h.T)
 
 
@@ -268,9 +292,7 @@ class TrainConfig:
         return self.rank if self.rank is not None else problem_config.teacher_rank
 
 
-def train_reference(
-    problem: SyntheticProblem, pairs, config: TrainConfig
-) -> MultiTaskModel:
+def train_reference(problem: SyntheticProblem, pairs, config: TrainConfig) -> MultiTaskModel:
     """Full-batch gradient descent on the task-weighted mean loss over ``pairs``.
 
     Trains (a, b) from a small seeded init over a zero base weight; stops at
@@ -285,14 +307,11 @@ def train_reference(
     model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
     for epoch in range(1, config.epochs + 1):
         ga, gb = subset_gradient(model, ds, subset, weighted=True)
-        gnorm = np.sqrt(np.sum(ga * ga) + np.sum(gb * gb))
+        gnorm = math.sqrt(np.add.reduce(ga * ga, axis=None) + np.add.reduce(gb * gb, axis=None))
         if gnorm < GRAD_TOL:
             break
-        edit = LowRankEdit(
-            w_star=edit.w_star,
-            a=edit.a - config.step_size * ga,
-            b=edit.b - config.step_size * gb,
-        )
+        step = config.step_size
+        edit = LowRankEdit(w_star=edit.w_star, a=edit.a - step * ga, b=edit.b - step * gb)
         model = model.with_edit(edit)
         loss = subset_loss(model, ds, subset, weighted=True)
         if not np.isfinite(loss) or loss > 1e12:

@@ -98,7 +98,7 @@ def _source_gradient(model, ds, task_subsets, projectors) -> GradientPair:
     for subset in task_subsets:
         ga, gb = subset_gradient(model, ds, subset)
         if projectors is not None:
-            p = projectors[subset.blocks[0].task]
+            p = projectors[subset.tasks[0]]
             ga, gb = ga @ p, gb @ p
         if total_a is None:
             total_a, total_b = ga, gb

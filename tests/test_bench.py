@@ -71,6 +71,18 @@ def test_bench_subset_loss(benchmark):
     assert np.isfinite(loss) and loss > 0
 
 
+def test_bench_train_reference(benchmark):
+    # The Original reference of an `mtunlearn run` at N=2000: 400 epochs of
+    # one gradient and one loss call each, from prebuilt()'s model.
+    start, _, _ = prebuilt()
+    problem = generate_synthetic(SHAPES)
+    ds = problem.dataset
+    subset = Subset.from_pairs(ds, ds.all_pairs())
+    tc = TrainConfig(epochs=400, step_size=0.3, seed=0, rank=6)
+    trained = benchmark(train_reference, problem, subset, tc)
+    assert subset_loss(trained, ds, subset) < 0.1 * subset_loss(start, ds, subset)
+
+
 def test_bench_problem_to_json(benchmark):
     # The dataset an `mtunlearn run` at N=2000 writes, with its n_val=1000.
     problem = generate_synthetic(dataclasses.replace(SHAPES, n_val=1000))

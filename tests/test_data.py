@@ -151,11 +151,11 @@ def test_subset_from_pair_array_equals_subset_from_tuples():
     tuples = [tuple(p) for p in part.retain.tolist()]
     for pairs in (part.retain, list(part.retain)):
         got, want = Subset.from_pairs(ds, pairs), Subset.from_pairs(ds, tuples)
-        for a, b in zip(got.blocks, want.blocks, strict=True):
-            assert a.task == b.task and np.array_equal(a.index, b.index)
-            assert a.r.tobytes() == b.r.tobytes()
-            assert a.z.tobytes() == b.z.tobytes()
-            assert a.rho == b.rho
+        assert np.array_equal(got.tasks, want.tasks)
+        for a, b in zip(got.instances, want.instances, strict=True):
+            assert np.array_equal(a, b)
+        for name in ("r", "z", "rho"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_default_forget_split_fraction_and_determinism():

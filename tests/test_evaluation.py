@@ -61,6 +61,18 @@ def test_mia_auc_equals_pairwise_counts(n, m, seed):
     assert mia_auc(members, nonmembers) == float((wins + 0.5 * ties) / (n * m))
 
 
+def test_mia_auc_matches_brute_force_with_ties_in_any_member_order():
+    rng = np.random.default_rng(3)
+    members = np.round(rng.exponential(1.0, 400), 1)  # many ties
+    nonmembers = np.round(rng.exponential(1.2, 700), 1)
+    wins = (members[:, None] < nonmembers[None, :]).sum()
+    ties = (members[:, None] == nonmembers[None, :]).sum()
+    want = float((wins + 0.5 * ties) / (members.size * nonmembers.size))
+    assert ties > 0
+    for _ in range(5):
+        assert mia_auc(rng.permutation(members), rng.permutation(nonmembers)) == want
+
+
 def test_mia_auc_empty_rejected():
     with pytest.raises(EmptySubsetError):
         mia_auc([], [1.0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -219,8 +221,8 @@ def test_subset_factors_each_block_once_when_built(monkeypatch):
     ds = problem.dataset
     model = make_model(problem, rank=3, seed=1)
     subset = Subset.from_pairs(ds, random_pairs(2000, 3, 3000))
-    assert len(calls) == len(subset.blocks) == 3
-    # by_task() shares the blocks, and every call reads their factors
+    assert len(calls) == subset.tasks.size == 3
+    # by_task() views the stacked factors, and every call reads them
     for part in (subset, *subset.by_task()):
         subset_loss(model, ds, part)
         subset_gradient(model, ds, part, weighted=True)
@@ -247,7 +249,10 @@ def test_subset_loss_of_block_with_fewer_rows_than_inputs():
     # 3 pairs on task 1 (one repeated) and 1 on task 0, all fewer than d=8
     pairs = [(5, 1), (17, 1), (5, 1), (40, 0)]
     subset = Subset.from_pairs(ds, pairs)
-    assert [b.r.shape for b in subset.blocks] == [(1, 8), (3, 8)]
+    # Each block's factor has min(n_t, d) rows; the rest are zero padding.
+    assert subset.r.shape == (2, 8, 8)
+    nonzero_rows = np.any(subset.r != 0, axis=2)
+    assert nonzero_rows.tolist() == [[True] + [False] * 7, [True] * 3 + [False] * 5]
     expected = np.mean([pair_loss(model, ds, p) for p in pairs])
     assert subset_loss(model, ds, subset) == pytest.approx(expected, rel=1e-12)
 
@@ -273,18 +278,112 @@ def test_subset_single_task_equals_task_slice(small_problem):
     pairs = [(3, 2), (0, 0), (5, 2), (1, 0), (3, 1), (0, 2), (5, 2)]
     multi = Subset.from_pairs(ds, pairs)
     assert len(multi) == len(pairs)
-    assert [b.task for b in multi.blocks] == [0, 1, 2]
+    assert multi.tasks.tolist() == [0, 1, 2]
     for t, part in zip((0, 1, 2), multi.by_task()):
         task_pairs = [p for p in pairs if p[1] == t]
-        (single,) = Subset.from_pairs(ds, task_pairs).blocks
-        (block,) = part.blocks
+        single = Subset.from_pairs(ds, task_pairs)
         assert len(part) == len(task_pairs)
-        assert block.task == single.task == t
-        assert np.array_equal(block.index, [i for i, _ in task_pairs])
-        assert np.array_equal(block.index, single.index)
-        assert block.r.tobytes() == single.r.tobytes()
-        assert block.z.tobytes() == single.z.tobytes()
-        assert block.rho == single.rho
+        assert part.tasks.tolist() == single.tasks.tolist() == [t]
+        ((index,), (single_index,)) = part.instances, single.instances
+        assert np.array_equal(index, [i for i, _ in task_pairs])
+        assert np.array_equal(index, single_index)
+        for name in ("r", "z", "rho"):
+            assert getattr(part, name).tobytes() == getattr(single, name).tobytes()
+            # a view of the whole subset's array, not a copy
+            assert np.shares_memory(getattr(part, name), getattr(multi, name))
+
+
+@pytest.mark.parametrize(
+    "pairs", [np.zeros((2, 3), dtype=int), [0, 1, 2, 1], [[(0, 1)]], [(0, 1, 2)]]
+)
+def test_subset_rejects_pairs_not_shaped_n_by_2(small_problem, pairs):
+    shape = re.escape(str(np.asarray(pairs).shape))
+    with pytest.raises(DimensionError, match=rf"shape \(n, 2\), got {shape}$"):
+        Subset.from_pairs(small_problem.dataset, pairs)
+
+
+def test_subset_from_empty_sequence_is_empty(small_problem):
+    ds = small_problem.dataset
+    for empty in ([], (), np.zeros((0, 2), dtype=np.intp)):
+        subset = Subset.from_pairs(ds, empty)
+        assert len(subset) == 0 and subset.tasks.size == 0 and subset.by_task() == []
+
+
+def per_block_reference(model, ds, pairs, weighted):
+    """Loss, (a, b) gradient and Hessian summed one task block at a time,
+    each block from its own QR of [X_t, Y_t] and its own unpadded head."""
+    edit, (d, k), r = model.edit, model.edit.w_star.shape, model.edit.rank
+    w_eff = edit.effective_weight()
+    p_a = k * r
+    loss, grad_w, h = 0.0, np.zeros_like(w_eff), np.zeros((p_a + d * r, p_a + d * r))
+    for t in sorted({t for _, t in pairs}):
+        idx = [i for i, u in pairs if u == t]
+        f = np.linalg.qr(np.hstack([ds.inputs[idx], ds.targets[t][idx]]), mode="r")
+        rt, zt, tail, m = f[:d, :d], f[:d, d:], f[d:, d:], model.heads[t]
+        e = rt @ (w_eff @ m.T) - zt
+        lam = ds.task_weights[t] if weighted else 1.0
+        loss += 0.5 * lam * (float(np.vdot(e, e)) + float(np.vdot(tail, tail)))
+        term = rt.T @ (e @ m)
+        grad_w += lam * term if weighted else term
+        gram, ma, mtm = rt.T @ rt, m @ edit.a, m.T @ m
+        s = edit.b.T @ gram
+        h[:p_a, :p_a] += np.kron(mtm, s @ edit.b)
+        h[p_a:, p_a:] += np.kron(gram, ma.T @ ma)
+        t_ab = np.einsum("ip,jl->ijlp", mtm @ edit.a, s)
+        t_ab += np.einsum("li,jp->ijlp", term, np.eye(r))
+        h[:p_a, p_a:] += t_ab.reshape(p_a, -1)
+        h[p_a:, :p_a] += t_ab.reshape(p_a, -1).T
+    grad_w /= len(pairs)
+    h /= len(pairs)
+    return loss / len(pairs), (grad_w.T @ edit.b, grad_w @ edit.a), 0.5 * (h + h.T)
+
+
+def equal_dims_problem():
+    """Equal task_dims, n_t >= d on every task, unequal task weights."""
+    return generate_synthetic(
+        GenConfig(
+            n_instances=200,
+            input_dim=8,
+            n_tasks=3,
+            task_dims=(2, 2, 2),
+            shared_dim=6,
+            teacher_rank=3,
+            noise_std=0.5,
+            seed=4,
+            task_weights=(1.0, 2.0, 0.5),
+        )
+    )
+
+
+@pytest.mark.parametrize("case", ["equal_dims", "conftest", "trapezoidal"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_stacked_blocks_match_per_block_reference(small_problem, case, weighted):
+    # Bit-identical where no block is padded; padded rows (n_t < d) or
+    # columns (unequal task_dims) may move the last bits only.
+    problem = small_problem if case == "conftest" else equal_dims_problem()
+    ds = problem.dataset
+    model = make_model(problem, rank=2, seed=3)
+    if case == "trapezoidal":
+        pairs = [(5, 1), (17, 1), (5, 1), (40, 0), (9, 2), (3, 2), (11, 2)]
+    else:
+        pairs = random_pairs(ds.n_instances, 3, 3 * ds.n_instances, seed=2)
+    subset = Subset.from_pairs(ds, pairs)
+    parts = [(subset, pairs)] + [
+        (part, [p for p in pairs if p[1] == t]) for t, part in zip(subset.tasks, subset.by_task())
+    ]
+    for part, part_pairs in parts:
+        loss, (ga, gb), h = per_block_reference(model, ds, part_pairs, weighted)
+        got_loss = subset_loss(model, ds, part, weighted=weighted)
+        got_ga, got_gb = subset_gradient(model, ds, part, weighted=weighted)
+        got_h = flattened_hessian(model, ds, part)
+        if case == "equal_dims":
+            assert got_loss == loss
+            assert got_ga.tobytes() == ga.tobytes() and got_gb.tobytes() == gb.tobytes()
+            assert got_h.tobytes() == h.tobytes()
+        else:
+            assert abs(got_loss - loss) <= 1e-12 * loss
+            for got, want in ((got_ga, ga), (got_gb, gb), (got_h, h)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_subset_rejects_bad_ids_and_foreign_dataset(small_problem):

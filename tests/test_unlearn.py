@@ -259,8 +259,8 @@ def test_non_finite_retain_gradient_names_epoch_and_source(pipeline, monkeypatch
     def poisoned(model, ds, subset, weighted=False):
         nonlocal inst_calls
         ga, gb = true_gradient(model, ds, subset, weighted)
-        blk = subset.blocks[0]
-        if blk.task in part.forget_tasks and not np.isin(blk.index, part.forget_instances).any():
+        (task,), (index,) = subset.tasks.tolist(), subset.instances
+        if task in part.forget_tasks and not np.isin(index, part.forget_instances).any():
             inst_calls += 1
             if inst_calls == 2:
                 ga = np.full_like(ga, np.nan)
