@@ -225,6 +225,7 @@ def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted
     terms = _w_gradients(model, subset)
     if weighted:
         terms *= ds.task_weights[subset._rows][:, None, None]
+    # One block (every by_task() call) is its own sum: skip the reduction call.
     grad_w = terms[0] if len(terms) == 1 else np.add.reduce(terms, axis=0)
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
