@@ -65,10 +65,10 @@ def mia_auc(member_losses, nonmember_losses) -> float:
     """ROC AUC of the negative-loss membership score (members positive).
 
     Equals the Mann-Whitney statistic with ties counted as one half. The
-    counts come from a sort of the nonmembers and a binary search per
-    member: O((n + m) log m) time and linear memory. The members are sorted
-    too, so the searches walk the nonmembers in order; the counts are the
-    same exact integers either way.
+    counts come from a sort of both lists and a binary search per member:
+    O((n + m) log(n + m)) time and linear memory. Sorting the members makes
+    the searches walk the nonmembers in order; the counts are the same
+    exact integers either way.
     """
     members = np.sort(_finite_losses(member_losses, "member_losses"))
     nonmembers = np.sort(_finite_losses(nonmember_losses, "nonmember_losses"))

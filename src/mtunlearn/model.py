@@ -62,28 +62,31 @@ class LowRankEdit:
 class MultiTaskModel:
     edit: LowRankEdit
     heads: tuple[np.ndarray, ...]  # fixed per-task maps, m_t x k
-    # The heads as one read-only (K, m_max, k) array, rows zero-padded;
-    # built once when None and shared by every ``with_edit`` copy.
-    stacked_heads: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.stacked_heads is None:
-            m_max = max(h.shape[0] for h in self.heads)
-            stack = np.stack([np.pad(h, ((0, m_max - h.shape[0]), (0, 0))) for h in self.heads])
-            stack.flags.writeable = False
-            object.__setattr__(self, "stacked_heads", stack)
 
     @property
     def n_tasks(self) -> int:
         return len(self.heads)
 
     @cached_property
+    def stacked_heads(self) -> np.ndarray:
+        """The heads as one read-only (K, m_max, k) array, rows zero-padded."""
+        m_max = max(h.shape[0] for h in self.heads)
+        stack = np.stack([np.pad(h, ((0, m_max - h.shape[0]), (0, 0))) for h in self.heads])
+        stack.flags.writeable = False
+        return stack
+
+    @cached_property
     def head_products(self) -> np.ndarray:
-        """``W_eff M_t^T`` for every task, (K, d, m_max); one product per model."""
-        return np.matmul(self.edit.effective_weight(), self.stacked_heads.transpose(0, 2, 1))
+        """``W_eff M_t^T`` for every task, (K, d, m_max), read-only; one product per model."""
+        p = np.matmul(self.edit.effective_weight(), self.stacked_heads.transpose(0, 2, 1))
+        p.flags.writeable = False
+        return p
 
     def with_edit(self, edit: LowRankEdit) -> "MultiTaskModel":
-        return MultiTaskModel(edit, self.heads, self.stacked_heads)
+        model = MultiTaskModel(edit, self.heads)
+        # Same heads: hand over the stack rather than build it once per epoch.
+        object.__setattr__(model, "stacked_heads", self.stacked_heads)
+        return model
 
 
 def zero_init_edit(w_star: np.ndarray, rank: int, seed: int):
@@ -125,7 +128,8 @@ class Subset:
     rho: np.ndarray  # (n_b,), |(I - Q_1 Q_1^T) Y_t|^2
     _n_pairs: int = field(init=False, repr=False)
     # Selects this subset's tasks from per-task arrays: a slice (a view)
-    # when the tasks are consecutive, as for every by_task() block.
+    # when the tasks are consecutive, as for every by_task() block, since
+    # gathering through an index array costs about as much as a block's product.
     _rows: slice | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -225,8 +229,7 @@ def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted
     terms = _w_gradients(model, subset)
     if weighted:
         terms *= ds.task_weights[subset._rows][:, None, None]
-    # One block (every by_task() call) is its own sum: skip the reduction call.
-    grad_w = terms[0] if len(terms) == 1 else np.add.reduce(terms, axis=0)
+    grad_w = np.add.reduce(terms, axis=0)
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
@@ -293,7 +296,9 @@ class TrainConfig:
         return self.rank if self.rank is not None else problem_config.teacher_rank
 
 
-def train_reference(problem: SyntheticProblem, pairs, config: TrainConfig) -> MultiTaskModel:
+def train_reference(
+    problem: SyntheticProblem, pairs, config: TrainConfig
+) -> MultiTaskModel:
     """Full-batch gradient descent on the task-weighted mean loss over ``pairs``.
 
     Trains (a, b) from a small seeded init over a zero base weight; stops at
@@ -311,8 +316,11 @@ def train_reference(problem: SyntheticProblem, pairs, config: TrainConfig) -> Mu
         gnorm = math.sqrt(np.add.reduce(ga * ga, axis=None) + np.add.reduce(gb * gb, axis=None))
         if gnorm < GRAD_TOL:
             break
-        step = config.step_size
-        edit = LowRankEdit(w_star=edit.w_star, a=edit.a - step * ga, b=edit.b - step * gb)
+        edit = LowRankEdit(
+            w_star=edit.w_star,
+            a=edit.a - config.step_size * ga,
+            b=edit.b - config.step_size * gb,
+        )
         model = model.with_edit(edit)
         loss = subset_loss(model, ds, subset, weighted=True)
         if not np.isfinite(loss) or loss > 1e12:

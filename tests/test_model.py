@@ -383,6 +383,30 @@ def test_stacked_blocks_match_per_block_reference(small_problem, case, weighted)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_stacked_heads_are_read_only_padded_and_shared_by_with_edit(small_problem):
+    model = make_model(small_problem)
+    stack = model.stacked_heads
+    assert not stack.flags.writeable and not model.head_products.flags.writeable
+    for t, head in enumerate(model.heads):  # task_dims 2/1/3: rows beyond m_t are zero
+        assert np.array_equal(stack[t, : len(head)], head) and not stack[t, len(head) :].any()
+    assert model.with_edit(model.edit).stacked_heads is stack
+    with pytest.raises(TypeError):
+        MultiTaskModel(model.edit, model.heads, stack)
+
+
+def test_subset_on_tasks_that_are_not_consecutive_reads_their_heads_and_weights():
+    problem = equal_dims_problem()  # task weights 1.0, 1.7, 0.3
+    ds, model = problem.dataset, make_model(problem, seed=1)
+    pairs = [(3, 2), (0, 0), (7, 2), (5, 0), (1, 2)]
+    loss, (ga, gb), h = per_block_reference(model, ds, pairs, weighted=True)
+    assert Subset.from_pairs(ds, pairs).tasks.tolist() == [0, 2]
+    assert abs(subset_loss(model, ds, pairs, weighted=True) - loss) <= 1e-12 * loss
+    for got, want in zip(subset_gradient(model, ds, pairs, weighted=True), (ga, gb)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    got_h = flattened_hessian(model, ds, pairs)
+    assert np.linalg.norm(got_h - h) <= 1e-12 * np.linalg.norm(h)
+
+
 def test_subset_rejects_bad_ids_and_foreign_dataset(small_problem):
     ds, val = small_problem.dataset, small_problem.val_dataset
     for bad in [(ds.n_instances, 0), (-1, 0), (0, ds.n_tasks), (0, -1)]:
