@@ -75,13 +75,6 @@ class MultiTaskModel:
         stack.flags.writeable = False
         return stack
 
-    @cached_property
-    def head_products(self) -> np.ndarray:
-        """``W_eff M_t^T`` for every task, (K, d, m_max), read-only; one product per model."""
-        p = np.matmul(self.edit.effective_weight(), self.stacked_heads.transpose(0, 2, 1))
-        p.flags.writeable = False
-        return p
-
     def with_edit(self, edit: LowRankEdit) -> "MultiTaskModel":
         model = MultiTaskModel(edit, self.heads)
         # Same heads: hand over the stack rather than build it once per epoch.
@@ -127,17 +120,9 @@ class Subset:
     z: np.ndarray  # (n_b, d, m_max), zero columns beyond m_t
     rho: np.ndarray  # (n_b,), |(I - Q_1 Q_1^T) Y_t|^2
     _n_pairs: int = field(init=False, repr=False)
-    # Selects this subset's tasks from per-task arrays: a slice (a view)
-    # when the tasks are consecutive, as for every by_task() block, since
-    # gathering through an index array costs about as much as a block's product.
-    _rows: slice | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_n_pairs", sum(idx.size for idx in self.instances))
-        n_b = self.tasks.size
-        lo = int(self.tasks[0]) if n_b else 0
-        consecutive = np.array_equal(self.tasks, np.arange(lo, lo + n_b))
-        object.__setattr__(self, "_rows", slice(lo, lo + n_b) if consecutive else self.tasks)
 
     @classmethod
     def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
@@ -189,17 +174,20 @@ def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:
     return subset
 
 
-def _residual(model: MultiTaskModel, subset: Subset) -> np.ndarray:
+def _residual(model: MultiTaskModel, subset: Subset, heads: np.ndarray) -> np.ndarray:
     """Every block's ``E_t = R_t W M_t^T - Z_t``, (n_b, d, m_max), in one
-    batched product; the loss, gradient and Hessian read it."""
-    return np.matmul(subset.r, model.head_products[subset._rows]) - subset.z
+    batched product from the blocks' heads; the loss, gradient and Hessian
+    read it."""
+    w_m = np.matmul(model.edit.effective_weight(), heads.transpose(0, 2, 1))  # W M_t^T
+    return np.matmul(subset.r, w_m) - subset.z
 
 
 def _w_gradients(model: MultiTaskModel, subset: Subset) -> np.ndarray:
     """Every block's ``X_t^T (X_t W M_t^T - Y_t) M_t = R_t^T E_t M_t``, (n_b, d, k)."""
-    heads = model.stacked_heads[subset._rows]
+    # ndarray.take gathers the blocks' heads about 3x faster than heads[tasks].
+    heads = model.stacked_heads.take(subset.tasks, axis=0)
     # R^T as a view: gemm then takes its transposed path, as for r.T.
-    return np.matmul(subset.r.transpose(0, 2, 1), np.matmul(_residual(model, subset), heads))
+    return np.matmul(subset.r.transpose(0, 2, 1), np.matmul(_residual(model, subset, heads), heads))
 
 
 def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=False):
@@ -211,8 +199,9 @@ def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=Fal
     quadratic does near zero loss; a call costs O(K d^2 m).
     """
     subset = _as_subset(ds, pairs, "subset_loss")
-    e = _residual(model, subset).reshape(subset.tasks.size, -1)
-    lam = ds.task_weights[subset._rows].tolist() if weighted else (1.0,) * len(e)
+    heads = model.stacked_heads.take(subset.tasks, axis=0)
+    e = _residual(model, subset, heads).reshape(subset.tasks.size, -1)
+    lam = ds.task_weights.take(subset.tasks).tolist() if weighted else (1.0,) * len(e)
     total = 0.0
     for sq, rho, w in zip(np.vecdot(e, e).tolist(), subset.rho.tolist(), lam):
         total += 0.5 * w * (sq + rho)
@@ -228,7 +217,7 @@ def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted
     subset = _as_subset(ds, pairs, "subset_gradient")
     terms = _w_gradients(model, subset)
     if weighted:
-        terms *= ds.task_weights[subset._rows][:, None, None]
+        terms *= ds.task_weights.take(subset.tasks)[:, None, None]
     grad_w = np.add.reduce(terms, axis=0)
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
@@ -252,7 +241,7 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
             "shrink the problem"
         )
     # Per block (leading axis n), each term below is summed over the blocks.
-    m = model.stacked_heads[subset._rows]  # m_t x k
+    m = model.stacked_heads.take(subset.tasks, axis=0)  # m_t x k
     rt = subset.r.transpose(0, 2, 1)
     gram = np.matmul(rt, subset.r)  # X^T X
     ma = np.matmul(m, edit.a)  # m_t x r

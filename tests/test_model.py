@@ -386,7 +386,7 @@ def test_stacked_blocks_match_per_block_reference(small_problem, case, weighted)
 def test_stacked_heads_are_read_only_padded_and_shared_by_with_edit(small_problem):
     model = make_model(small_problem)
     stack = model.stacked_heads
-    assert not stack.flags.writeable and not model.head_products.flags.writeable
+    assert not stack.flags.writeable
     for t, head in enumerate(model.heads):  # task_dims 2/1/3: rows beyond m_t are zero
         assert np.array_equal(stack[t, : len(head)], head) and not stack[t, len(head) :].any()
     assert model.with_edit(model.edit).stacked_heads is stack
