@@ -118,7 +118,10 @@ class MultiTaskDataset:
 
     inputs: np.ndarray
     targets: list[np.ndarray]
-    task_weights: np.ndarray
+    task_weights: np.ndarray  # a sequence is coerced to a float array
+
+    def __post_init__(self):
+        self.task_weights = np.asarray(self.task_weights, dtype=float)
 
     @property
     def n_instances(self) -> int:
@@ -143,7 +146,7 @@ class MultiTaskDataset:
                 raise DimensionError(f"task {t} targets rows != n_instances")
         if len(self.task_weights) != self.n_tasks:
             raise DimensionError("task_weights length != n_tasks")
-        if np.any(np.asarray(self.task_weights) <= 0):
+        if np.any(self.task_weights <= 0):
             raise ConfigError("task weights must be positive")
 
 

@@ -10,7 +10,14 @@ class DimensionError(MtUnlearnError):
 
 
 class DegenerateBasisError(MtUnlearnError):
-    """A matrix expected to have full column rank does not."""
+    """A matrix expected to have full column rank does not.
+
+    ``index`` is the failing matrix's flat index in a stack of matrices.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class CurvatureError(MtUnlearnError):

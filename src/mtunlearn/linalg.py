@@ -77,23 +77,35 @@ def orthonormalize(m) -> np.ndarray:
     flipped so that R has a nonnegative diagonal, which makes Q unique for
     full-rank ``m``. LAPACK is called directly because ``np.linalg.qr``'s
     wrapper costs twice the factorization at the small bases used here.
+
+    Leading axes are batch axes: each matrix of a stack is factored by the
+    same two LAPACK calls as a lone matrix, so its basis is the same to the
+    bit. A degenerate matrix raises ``DegenerateBasisError`` naming its
+    column and, in a stack, its flat index, which the error's ``index`` holds.
     """
-    m = as_matrix(m, "m")
-    rows, cols = m.shape
+    m = as_stack(m, "m")
+    rows, cols = m.shape[-2:]
     if cols > rows:
-        raise DimensionError(f"need cols <= rows, got {m.shape}")
+        raise DimensionError(f"need cols <= rows, got {m.shape[-2:]}")
     if not rows:  # LAPACK rejects a leading dimension of 0
         return np.empty_like(m)
-    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(m)
-    diag = qr.diagonal()
-    norms = np.linalg.norm(m, axis=0)
-    for j, (r_jj, norm) in enumerate(zip(diag.tolist(), norms.tolist())):
-        if norm == 0.0:
-            raise DegenerateBasisError(f"column {j} is zero")
-        if abs(r_jj) < DEPENDENT_COLUMN_RTOL * norm:
-            raise DegenerateBasisError(f"column {j} is linearly dependent on earlier columns")
-    q, _, _ = scipy.linalg.lapack.dorgqr(qr, tau)
-    return q * np.copysign(1.0, diag)
+    flat = m.reshape(-1, rows, cols)
+    q = np.empty_like(flat)
+    diag = np.empty((len(flat), cols))
+    for i, a in enumerate(flat):
+        qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a)
+        diag[i] = qr.diagonal()
+        q[i] = scipy.linalg.lapack.dorgqr(qr, tau)[0]
+    norms = np.sqrt(np.add.reduce(flat * flat, axis=-2))  # np.linalg.norm's sum
+    zero = norms == 0.0
+    bad = zero | (np.abs(diag) < DEPENDENT_COLUMN_RTOL * norms)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), cols)
+        what = "is zero" if zero[i, j] else "is linearly dependent on earlier columns"
+        where = "" if m.ndim == 2 else f"matrix {i}: "
+        raise DegenerateBasisError(f"{where}column {j} {what}", index=i)
+    q *= np.copysign(1.0, diag)[:, None, :]
+    return q.reshape(m.shape)
 
 
 def solve_spd(h, b) -> np.ndarray:

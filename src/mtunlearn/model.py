@@ -63,10 +63,6 @@ class MultiTaskModel:
     edit: LowRankEdit
     heads: tuple[np.ndarray, ...]  # fixed per-task maps, m_t x k
 
-    @property
-    def n_tasks(self) -> int:
-        return len(self.heads)
-
     @cached_property
     def stacked_heads(self) -> np.ndarray:
         """The heads as one read-only (K, m_max, k) array, rows zero-padded."""
@@ -127,11 +123,15 @@ class Subset:
     @classmethod
     def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
         """Group ``pairs`` by task (ascending), keeping pair order within a task."""
-        arr = np.asarray(pairs, dtype=np.intp)
+        arr = np.asarray(pairs)
         if arr.shape == (0,):
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise DimensionError(f"subset pairs must have shape (n, 2), got {arr.shape}")
+        # Checked because a cast to intp would silently truncate floats and bools.
+        if arr.size and arr.dtype.kind not in "iu":
+            raise DimensionError(f"subset pairs must be integer ids, got dtype {arr.dtype}")
+        arr = arr.astype(np.intp, copy=False)
         inst, task = arr[:, 0], arr[:, 1]
         # Checked here because a negative id would silently index from the end.
         if np.any((inst < 0) | (inst >= ds.n_instances)):

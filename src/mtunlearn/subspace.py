@@ -38,8 +38,8 @@ def init_subspaces(
     if mode == "disjoint-blocks":
         eye = np.eye(rank)
         return np.stack([eye[:, t * dim : (t + 1) * dim] for t in range(n_tasks)])
-    rng = np.random.default_rng(seed)
-    return np.stack([orthonormalize(rng.standard_normal((rank, dim))) for _ in range(n_tasks)])
+    # Filled in C order: the same stream as one (rank, dim) draw per task.
+    return orthonormalize(np.random.default_rng(seed).standard_normal((n_tasks, rank, dim)))
 
 
 def default_subspace_dim(rank: int, n_tasks: int) -> int:
@@ -94,10 +94,9 @@ def regularize_step(bases: np.ndarray, step_size: float) -> np.ndarray:
     n = len(bases)
     prods = (2.0 * (bases @ bases.transpose(0, 2, 1)))[None] @ bases[:, None]
     grads = prods[~np.eye(n, dtype=bool)].reshape(n, n - 1, *bases.shape[1:]).sum(axis=1)
-    stepped = bases - step_size * grads
-    for t, m in enumerate(stepped):
-        try:
-            stepped[t] = orthonormalize(m)
-        except DegenerateBasisError as exc:
-            raise DegenerateBasisError(f"task {t} basis collapsed during regularization") from exc
-    return stepped
+    try:
+        return orthonormalize(bases - step_size * grads)
+    except DegenerateBasisError as exc:
+        raise DegenerateBasisError(
+            f"task {exc.index} basis collapsed during regularization", index=exc.index
+        ) from exc

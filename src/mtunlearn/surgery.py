@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix, as_stack
+from .linalg import as_stack
 from .model import LowRankEdit
 
 DEFAULT_EPS = 1e-8
@@ -54,17 +54,26 @@ def orthogonalize(g_f, g_r, eps: float = DEFAULT_EPS) -> np.ndarray:
     Returns g_f - (<g_f, g_r> / (|g_r|^2 + eps)) * g_r. With eps = 0 the
     result is exactly orthogonal to g_r; with eps > 0 the residual
     alignment is eps / (|g_r|^2 + eps) of the original one.
+
+    Leading axes are batch axes that broadcast, so stacks orthogonalize each
+    forget gradient against its own retain gradient in one call. Each
+    matrix's inner products reduce its C-contiguous product as one run, so
+    a matrix of a stack gets the same bits as a lone matrix.
     """
-    g_f = as_matrix(g_f, "g_f")
-    g_r = as_matrix(g_r, "g_r")
-    if g_f.shape != g_r.shape:
+    g_f = as_stack(g_f, "g_f")
+    g_r = as_stack(g_r, "g_r")
+    if g_f.shape[-2:] != g_r.shape[-2:]:
         raise DimensionError(f"shape mismatch: {g_f.shape} vs {g_r.shape}")
     if not 0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    denom = float(np.add.reduce(g_r * g_r, axis=None)) + eps
-    if denom == 0.0:
+    # A 2-D call reduces to numpy scalars, whose arithmetic costs less than
+    # that of 0-d or (1, 1) arrays.
+    denom = np.add.reduce(g_r * g_r, axis=(-2, -1)) + eps
+    # With eps > 0 every denominator is at least eps.
+    if not eps and np.count_nonzero(denom) != denom.size:
         raise DimensionError("g_r is zero and eps = 0: projection undefined")
-    return g_f - (float(np.add.reduce(g_f * g_r, axis=None)) / denom) * g_r
+    coef = np.add.reduce(g_f * g_r, axis=(-2, -1)) / denom
+    return g_f - coef[..., None, None] * g_r
 
 
 def sequential_orthogonalize(

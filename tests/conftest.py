@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mtunlearn import GenConfig, generate_synthetic
+from mtunlearn.errors import DegenerateBasisError, DimensionError
+from mtunlearn.linalg import DEPENDENT_COLUMN_RTOL, as_matrix
 from mtunlearn.model import LowRankEdit, subset_loss
 
 
@@ -73,3 +76,31 @@ def fd_hessian_from_gradient(model, ds, pairs, h=1e-5):
         minus[i] -= h
         hess[:, i] = (grad_at(plus) - grad_at(minus)) / (2 * h)
     return hess
+
+
+def orthonormalize_reference(m):
+    """Per-matrix reference for ``linalg.orthonormalize``: one 2-D matrix,
+    LAPACK ``dgeqrf``/``dorgqr`` called directly, columns checked one by one,
+    then signs flipped so that R has a nonnegative diagonal."""
+    m = as_matrix(m, "m")
+    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(m)
+    diag = qr.diagonal()
+    norms = np.linalg.norm(m, axis=0)
+    for j, (r_jj, norm) in enumerate(zip(diag.tolist(), norms.tolist())):
+        if norm == 0.0:
+            raise DegenerateBasisError(f"column {j} is zero")
+        if abs(r_jj) < DEPENDENT_COLUMN_RTOL * norm:
+            raise DegenerateBasisError(f"column {j} is linearly dependent on earlier columns")
+    q, _, _ = scipy.linalg.lapack.dorgqr(qr, tau)
+    return q * np.copysign(1.0, diag)
+
+
+def orthogonalize_reference(g_f, g_r, eps):
+    """Per-matrix reference for ``surgery.orthogonalize``: one pair of 2-D
+    matrices, with its inner products taken as Python floats."""
+    g_f = as_matrix(g_f, "g_f")
+    g_r = as_matrix(g_r, "g_r")
+    denom = float(np.add.reduce(g_r * g_r, axis=None)) + eps
+    if denom == 0.0:
+        raise DimensionError("g_r is zero and eps = 0: projection undefined")
+    return g_f - (float(np.add.reduce(g_f * g_r, axis=None)) / denom) * g_r

@@ -136,6 +136,16 @@ def test_bench_orthogonalize(benchmark):
     assert abs(np.vdot(out, g_r)) <= 1e-12 * np.linalg.norm(g_f) * np.linalg.norm(g_r)
 
 
+def test_bench_orthogonalize_stack(benchmark):
+    # One 32-draw block of the orthogonalization-identity suite, at its
+    # largest shape.
+    g_f, g_r = np.random.default_rng(0).standard_normal((2, 32, 5, 5))
+    out = benchmark(orthogonalize, g_f, g_r, 0.0)
+    residual = np.abs(np.add.reduce(out * g_r, axis=(-2, -1)))
+    scale = np.linalg.norm(g_f, axis=(-2, -1)) * np.linalg.norm(g_r, axis=(-2, -1))
+    assert np.all(residual <= 1e-12 * scale)
+
+
 def test_bench_mia_auc(benchmark):
     rng = np.random.default_rng(0)
     members = rng.exponential(1.0, 50_000)
@@ -148,6 +158,14 @@ def test_bench_orthonormalize(benchmark):
     m = np.random.default_rng(0).standard_normal((16, 6))
     q = benchmark(orthonormalize, m)
     assert np.allclose(q.T @ q, np.eye(6), atol=1e-10)
+
+
+def test_bench_orthonormalize_stack(benchmark):
+    # One projection-bound block of `mtunlearn verify`: 32 draws of two
+    # rank-16 bases of dim 8.
+    m = np.random.default_rng(0).standard_normal((64, 16, 8))
+    q = benchmark(orthonormalize, m)
+    assert np.allclose(q.mT @ q, np.eye(8), atol=1e-10)
 
 
 def test_bench_solve_spd(benchmark):
@@ -179,6 +197,7 @@ def test_bench_check_projection_bound(benchmark):
 
 
 def test_bench_check_orthogonalization_identity(benchmark):
-    # The 1000 draws of `mtunlearn verify --seed 0`, 4000 `orthogonalize` calls.
+    # The 1000 draws of `mtunlearn verify --seed 0`, one stacked
+    # `orthogonalize` per block of up to 32 draws and eps.
     report = benchmark(check_orthogonalization_identity)
     assert report["passed"]

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import orthonormalize_reference
 from mtunlearn.errors import CurvatureError, DegenerateBasisError, DimensionError
 from mtunlearn.linalg import (
     as_matrix,
@@ -122,6 +123,38 @@ def test_orthonormalize_rejects_degenerate_columns():
         orthonormalize(np.hstack([col, 2 * col]))
     with pytest.raises(DimensionError):
         orthonormalize(np.ones((2, 3)))
+
+
+# The verify blocks (rank 4/16, dim 1/2/8), the K=3 bases of `regularize_step`,
+# a lone matrix and a stack with two batch axes.
+@pytest.mark.parametrize(
+    "shape",
+    [(64, 4, 1), (64, 4, 2), (64, 16, 1), (64, 16, 8), (3, 6, 2), (16, 6), (2, 3, 5, 4)],
+)
+def test_orthonormalize_equals_the_per_matrix_reference_to_the_bit(shape):
+    m = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
+    got = orthonormalize(m)
+    flat = m.reshape(-1, *shape[-2:])
+    want = np.stack([orthonormalize_reference(a) for a in flat]).reshape(shape)
+    assert got.shape == shape and got.tobytes() == want.tobytes()
+
+
+def test_orthonormalize_names_the_degenerate_matrix_of_a_stack():
+    stack = np.random.default_rng(0).standard_normal((4, 3, 2))
+    dependent = stack.copy()
+    dependent[2, :, 1] = 2 * dependent[2, :, 0]
+    with pytest.raises(DegenerateBasisError) as info:
+        orthonormalize(dependent)
+    assert str(info.value) == "matrix 2: column 1 is linearly dependent on earlier columns"
+    assert info.value.index == 2
+    zero = stack.copy()
+    zero[1, :, 0] = 0.0
+    zero[3, :, 1] = 0.0
+    with pytest.raises(DegenerateBasisError, match="^matrix 1: column 0 is zero$"):
+        orthonormalize(zero)
+    # A lone matrix keeps the reference's message.
+    with pytest.raises(DegenerateBasisError, match="^column 1 is linearly dependent"):
+        orthonormalize(dependent[2])
 
 
 @settings(max_examples=30, deadline=None)

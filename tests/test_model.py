@@ -24,6 +24,7 @@ from mtunlearn.errors import (
     SizeGuardError,
     StepSizeError,
 )
+from mtunlearn.data import MultiTaskDataset
 from mtunlearn.model import balanced_init_edit, zero_init_edit
 
 
@@ -72,6 +73,24 @@ def test_subset_loss_matches_pair_mean(small_problem):
     assert subset_loss(model, ds, pairs) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(EmptySubsetError):
         subset_loss(model, ds, [])
+
+
+def test_dataset_built_with_a_list_of_weights_equals_the_array_weighted_one(small_problem):
+    ds = small_problem.dataset
+    model = make_model(small_problem)
+    pairs = [(0, 0), (1, 2), (5, 1), (7, 0)]
+    from_array = MultiTaskDataset(ds.inputs, ds.targets, np.array([2.0, 1.0, 0.5]))
+    from_list = MultiTaskDataset(ds.inputs, ds.targets, [2, 1.0, 0.5])
+    from_list.validate()
+    assert from_list.task_weights.dtype == np.float64
+    assert subset_loss(model, from_list, pairs, weighted=True) == subset_loss(
+        model, from_array, pairs, weighted=True
+    )
+    for got, want in zip(
+        subset_gradient(model, from_list, pairs, weighted=True),
+        subset_gradient(model, from_array, pairs, weighted=True),
+    ):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_weighted_subset_loss(small_problem):
@@ -392,6 +411,17 @@ def test_stacked_heads_are_read_only_padded_and_shared_by_with_edit(small_proble
     assert model.with_edit(model.edit).stacked_heads is stack
     with pytest.raises(TypeError):
         MultiTaskModel(model.edit, model.heads, stack)
+
+
+@pytest.mark.parametrize(
+    "pairs, dtype", [([(0.9, 1.7), (2.5, 0.2)], "float64"), ([(True, False)], "bool")]
+)
+def test_subset_rejects_pairs_that_are_not_integer_ids(small_problem, pairs, dtype):
+    # A cast to intp would read these as instance 0 on task 1 and instance 2
+    # on task 0, and as instance 1 on task 0.
+    message = f"^subset pairs must be integer ids, got dtype {dtype}$"
+    with pytest.raises(DimensionError, match=message):
+        Subset.from_pairs(small_problem.dataset, pairs)
 
 
 def test_subset_on_tasks_that_are_not_consecutive_reads_their_heads_and_weights():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import orthonormalize_reference
 from mtunlearn import alignment, init_subspaces, regularize_step
-from mtunlearn.errors import CapacityError, DimensionError
+from mtunlearn.errors import CapacityError, DegenerateBasisError, DimensionError
 from mtunlearn.subspace import default_subspace_dim
 
 
@@ -50,6 +51,17 @@ def test_random_subspaces_orthonormal_projector_properties(n_tasks, rank, seed):
         assert np.array_equal(p, q @ q.T)
         assert np.allclose(p, p.T, atol=1e-8)
         assert np.allclose(p @ p, p, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("n_tasks, rank, dim", [(1, 4, 1), (2, 4, 2), (2, 16, 8), (3, 6, 2)])
+def test_random_subspaces_equal_the_per_task_loop_to_the_bit(n_tasks, rank, dim, seed):
+    rng = np.random.default_rng(seed)
+    want = np.stack(
+        [orthonormalize_reference(rng.standard_normal((rank, dim))) for _ in range(n_tasks)]
+    )
+    got = init_subspaces(n_tasks, rank, dim, mode="random", seed=seed)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_alignment_bounds_and_symmetry():
@@ -111,6 +123,28 @@ def test_regularize_step_reduces_total_alignment():
     assert out.shape == bases.shape
     for q in out:
         assert np.allclose(q.T @ q, np.eye(2), atol=1e-8)
+
+
+def test_regularize_step_equals_per_task_orthonormalization_to_the_bit():
+    bases = init_subspaces(3, rank=6, dim=2, mode="random", seed=4)
+    cross = bases @ bases.transpose(0, 2, 1)
+    # The penalty gradient of each task, summed in order of the other task.
+    grads = [sum((2.0 * cross[j]) @ bases[t] for j in range(3) if j != t) for t in range(3)]
+    stepped = bases - 1e-3 * np.stack(grads)
+    want = np.stack([orthonormalize_reference(m) for m in stepped])
+    assert regularize_step(bases, 1e-3).tobytes() == want.tobytes()
+
+
+def test_regularize_step_names_the_task_whose_basis_collapses():
+    # Tasks 1 and 2 share e2, so a step of 1/2 removes both bases; task 0 is untouched.
+    e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    bases = np.stack([e1, e2, e2])
+    with pytest.raises(
+        DegenerateBasisError, match="^task 1 basis collapsed during regularization$"
+    ) as info:
+        regularize_step(bases, step_size=0.5)
+    assert info.value.index == 1
+    assert str(info.value.__cause__) == "matrix 1: column 0 is zero"
 
 
 def test_regularize_step_rejects_negative_weight():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import orthogonalize_reference
 from mtunlearn import (
     GradientPair,
     LowRankEdit,
@@ -65,6 +66,34 @@ def test_orthogonal_inputs_pass_through():
     g_f = np.array([[1.0, 0.0], [0.0, 0.0]])
     g_r = np.array([[0.0, 0.0], [0.0, 1.0]])
     assert np.allclose(orthogonalize(g_f, g_r, eps=0.0), g_f)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-3, 1.0])
+def test_orthogonalize_equals_the_per_matrix_reference_to_the_bit(eps):
+    # Every shape of the orthogonalization-identity suite, as one 32-draw
+    # block and one matrix at a time, and ablation's 16 x 6 gradients.
+    rng = np.random.default_rng(5)
+    shapes = [(r, c) for r in range(1, 6) for c in range(1, 6)] + [(16, 6)]
+    for shape in shapes:
+        g_f, g_r = rng.standard_normal((2, 32, *shape))
+        got = orthogonalize(g_f, g_r, eps)
+        want = np.stack([orthogonalize_reference(f, r, eps) for f, r in zip(g_f, g_r)])
+        assert got.tobytes() == want.tobytes()
+        assert orthogonalize(g_f[7], g_r[7], eps).tobytes() == want[7].tobytes()
+    # One retain gradient broadcasts over a stack of forget gradients.
+    shared = orthogonalize(g_f.reshape(4, 8, *shape), g_r[0], eps)
+    assert shared[3, 5].tobytes() == orthogonalize_reference(g_f[29], g_r[0], eps).tobytes()
+
+
+def test_orthogonalize_rejects_a_zero_retain_gradient_in_a_stack_at_zero_eps():
+    g_f, g_r = np.random.default_rng(6).standard_normal((2, 4, 3, 2))
+    g_r[2] = 0.0
+    with pytest.raises(DimensionError, match="^g_r is zero and eps = 0: projection undefined$"):
+        orthogonalize(g_f, g_r, eps=0.0)
+    out = orthogonalize(g_f, g_r, eps=1e-8)
+    assert np.array_equal(out[2], g_f[2])
+    with pytest.raises(DimensionError, match="^shape mismatch"):
+        orthogonalize(g_f, g_r[..., :1])
 
 
 def test_project_task_idempotent_and_contracting():
