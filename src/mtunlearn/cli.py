@@ -25,19 +25,15 @@ from .data import (
     PartitionConfig,
     config_from_doc,
     config_to_doc,
-    decode_array,
-    decode_list,
     default_forget_split,
     encode_array,
     forget_count,
     generate_synthetic,
-    load_document,
     problem_to_json,
 )
 from .errors import ConfigError, MtUnlearnError
 from .evaluation import EvalReport, UISInput, evaluate, uis
 from .model import (
-    LowRankEdit,
     MultiTaskModel,
     TrainConfig,
     subset_loss,
@@ -59,10 +55,6 @@ CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 CHECKPOINT_SCHEMA_VERSION = 2
 TRACE_SCHEMA_VERSION = 1
-
-# Largest Frobenius norm of Q^T Q - I accepted for a loaded subspace basis.
-BASIS_ORTHONORMAL_TOL = 1e-8
-
 
 # Bytes read per chunk when hashing a file, so hashing never holds a whole
 # output in memory.
@@ -199,41 +191,6 @@ def checkpoint_to_json(
         "config": config_echo,
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def checkpoint_from_json(text: str):
-    """The four arguments that :func:`checkpoint_to_json` made ``text`` from.
-
-    The subspace bases come back as one (K, r, s) array. Array shapes
-    follow from the ``config`` echo; a bad field raises ConfigError naming it.
-    """
-    doc = load_document(text, "checkpoint", CHECKPOINT_SCHEMA_VERSION)
-    try:
-        cfg = RunConfig.from_doc(doc.get("config"))
-    except ConfigError as exc:
-        raise ConfigError(f"checkpoint config: {exc}") from None
-    digest = doc.get("dataset_digest")
-    if not isinstance(digest, str):
-        raise ConfigError(f"checkpoint dataset_digest: expected a string, got {digest!r}")
-    d, k, r, dims = cfg.data.input_dim, cfg.data.shared_dim, cfg.train.rank, cfg.data.task_dims
-    edit = LowRankEdit(
-        w_star=decode_array(doc.get("w_star"), "checkpoint w_star", (d, k)),
-        a=decode_array(doc.get("a"), "checkpoint a", (k, r)),
-        b=decode_array(doc.get("b"), "checkpoint b", (d, r)),
-    )
-    heads = decode_list(doc.get("heads"), "checkpoint heads", [(m, k) for m in dims])
-    bases = decode_list(
-        doc.get("subspace_bases"), "checkpoint subspace_bases", [(r, cfg.subspace.dim)] * len(dims)
-    )
-    for t, q in enumerate(bases):
-        err = float(np.linalg.norm(q.T @ q - np.eye(q.shape[1])))
-        if err > BASIS_ORTHONORMAL_TOL:
-            raise ConfigError(
-                f"checkpoint subspace_bases[{t}] is not orthonormal: "
-                f"|Q^T Q - I| = {err:.3g} > {BASIS_ORTHONORMAL_TOL:g}"
-            )
-    model = MultiTaskModel(edit=edit, heads=tuple(heads))
-    return model, np.stack(bases), digest, doc["config"]
 
 
 def trace_to_json(trace: UnlearnTrace) -> str:

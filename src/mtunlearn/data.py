@@ -292,49 +292,6 @@ def encode_array(a: np.ndarray) -> dict:
     }
 
 
-def decode_array(node, where: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`encode_array`, checked against ``shape``; errors start with ``where``."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where}: expected an encoded array object")
-    if node.get("dtype") != "<f8":
-        raise ConfigError(f"{where}: dtype {node.get('dtype')!r} is not '<f8'")
-    if node.get("shape") != list(shape):
-        raise ConfigError(f"{where}: shape {node.get('shape')!r} != {list(shape)}")
-    try:
-        raw = base64.b64decode(node.get("data"), validate=True)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: data is not valid base64 ({exc})") from exc
-    if len(raw) != 8 * math.prod(shape):
-        raise ConfigError(f"{where}: {len(raw)} bytes, expected {8 * math.prod(shape)}")
-    # astype copies into a writable array of the native float64 byte order.
-    a = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{where}: {int(np.sum(~np.isfinite(a)))} non-finite entries")
-    return a
-
-
-def decode_list(nodes, where: str, shapes) -> list[np.ndarray]:
-    """:func:`decode_array` over a list, one array per shape; entries read ``where[i]``."""
-    if not isinstance(nodes, list) or len(nodes) != len(shapes):
-        raise ConfigError(f"{where}: expected a list of {len(shapes)} arrays")
-    return [
-        decode_array(node, f"{where}[{i}]", shape)
-        for i, (node, shape) in enumerate(zip(nodes, shapes))
-    ]
-
-
-def load_document(text: str, what: str, version: int) -> dict:
-    """The JSON object ``text``, checked to have ``schema_version`` ``version``."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-    found = doc.get("schema_version") if isinstance(doc, dict) else None
-    if found != version:
-        raise ConfigError(f"unsupported {what} schema_version {found!r}")
-    return doc
-
-
 def problem_to_json(problem: SyntheticProblem) -> str:
     """Serialize the problem as versioned JSON, each array as base64 float64."""
     val = problem.val_dataset
@@ -351,37 +308,3 @@ def problem_to_json(problem: SyntheticProblem) -> str:
     }
     return json.dumps(doc, sort_keys=True)
 
-
-def problem_from_json(text: str) -> SyntheticProblem:
-    """Parse :func:`problem_to_json` output; a malformed field raises ConfigError."""
-    doc = load_document(text, "dataset", DATASET_SCHEMA_VERSION)
-    cfg = config_from_doc(GenConfig, doc.get("config"), "config")
-    n, d, k, dims = cfg.n_instances, cfg.input_dim, cfg.shared_dim, cfg.task_dims
-
-    def read(key, shape):
-        """``doc[key]`` decoded: one array for a shape tuple, a list of them for a list."""
-        decode = decode_list if isinstance(shape, list) else decode_array
-        return decode(doc.get(key), f"dataset field {key}", shape)
-
-    weights = read("task_weights", (cfg.n_tasks,))
-    train = MultiTaskDataset(
-        inputs=read("inputs", (n, d)),
-        targets=read("targets", [(n, m) for m in dims]),
-        task_weights=weights,
-    )
-    train.validate()
-    val = None
-    if cfg.n_val > 0:
-        val = MultiTaskDataset(
-            inputs=read("val_inputs", (cfg.n_val, d)),
-            targets=read("val_targets", [(cfg.n_val, m) for m in dims]),
-            task_weights=weights,
-        )
-        val.validate()
-    return SyntheticProblem(
-        dataset=train,
-        val_dataset=val,
-        heads=read("heads", [(m, k) for m in dims]),
-        teacher=read("teacher", (d, k)),
-        config=cfg,
-    )

@@ -41,7 +41,10 @@ def project_task(grad, basis: np.ndarray) -> np.ndarray:
     grad = as_stack(grad, "grad")
     if grad.shape[-1] != basis.shape[-2]:
         raise DimensionError(f"grad has {grad.shape[-1]} columns, basis rank is {basis.shape[-2]}")
-    return grad @ (basis @ basis.mT)
+    try:
+        return grad @ (basis @ basis.mT)
+    except ValueError:  # batch axes that do not broadcast
+        raise DimensionError(f"batch axes of {grad.shape} and {basis.shape} do not broadcast") from None
 
 
 def project_pair(pair: GradientPair, basis: np.ndarray) -> GradientPair:
@@ -72,7 +75,10 @@ def orthogonalize(g_f, g_r, eps: float = DEFAULT_EPS) -> np.ndarray:
     # With eps > 0 every denominator is at least eps.
     if not eps and np.count_nonzero(denom) != denom.size:
         raise DimensionError("g_r is zero and eps = 0: projection undefined")
-    coef = np.add.reduce(g_f * g_r, axis=(-2, -1)) / denom
+    try:
+        coef = np.add.reduce(g_f * g_r, axis=(-2, -1)) / denom
+    except ValueError:  # batch axes that do not broadcast
+        raise DimensionError(f"batch axes of {g_f.shape} and {g_r.shape} do not broadcast") from None
     return g_f - coef[..., None, None] * g_r
 
 

@@ -1,3 +1,4 @@
+import base64
 import sys
 from pathlib import Path
 
@@ -104,3 +105,9 @@ def orthogonalize_reference(g_f, g_r, eps):
     if denom == 0.0:
         raise DimensionError("g_r is zero and eps = 0: projection undefined")
     return g_f - (float(np.add.reduce(g_f * g_r, axis=None)) / denom) * g_r
+
+
+def decode(node):
+    """An array that ``data.encode_array`` wrote: base64 of little-endian float64 bytes in C order."""
+    assert node["dtype"] == "<f8"
+    return np.frombuffer(base64.b64decode(node["data"], validate=True), "<f8").reshape(node["shape"])

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchdata import BENCH_A_ORIGINAL, report_from_cells
+from conftest import decode
 from mtunlearn import LowRankEdit, MultiTaskModel, cli, init_subspaces, surgery
-from mtunlearn.data import decode_array, encode_array
 from mtunlearn.errors import ConfigError
 
 
@@ -117,13 +117,26 @@ def test_run_artifacts_and_rerun_digest_equality(tmp_path):
         assert digest(out1 / rel) == expected
 
 
+def decoded_checkpoint(text):
+    """The four arguments that ``cli.checkpoint_to_json`` made ``text`` from."""
+    doc = json.loads(text)
+    assert doc["schema_version"] == cli.CHECKPOINT_SCHEMA_VERSION
+    edit = LowRankEdit(*(decode(doc[name]) for name in ("w_star", "a", "b")))
+    model = MultiTaskModel(edit=edit, heads=tuple(decode(h) for h in doc["heads"]))
+    bases = np.stack([decode(q) for q in doc["subspace_bases"]])
+    return model, bases, doc["dataset_digest"], doc["config"]
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "r"
     cli.main(["run", "--config", str(cfg), "--out", str(out)])
     for name in ("original", "retrain", "unlearned"):
         text = (out / "seed_0" / f"checkpoint_{name}.json").read_text()
-        assert cli.checkpoint_to_json(*cli.checkpoint_from_json(text)) == text
+        decoded = decoded_checkpoint(text)
+        assert cli.checkpoint_to_json(*decoded) == text
+        for q in decoded[1]:
+            assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-8
 
 
 def random_checkpoint():
@@ -146,94 +159,13 @@ def random_checkpoint():
 
 def test_checkpoint_round_trip_keeps_random_bases():
     text, model, bases = random_checkpoint()
-    loaded, loaded_bases, digest_, echo = cli.checkpoint_from_json(text)
+    loaded, loaded_bases, digest_, echo = decoded_checkpoint(text)
     for name in ("w_star", "a", "b"):
         assert np.array_equal(getattr(loaded.edit, name), getattr(model.edit, name))
     assert all(np.array_equal(h, g) for h, g in zip(loaded.heads, model.heads, strict=True))
     assert loaded_bases.shape == (3, 4, 2) and np.array_equal(loaded_bases, bases)
     assert digest_ == "digest" and echo == json.loads(text)["config"]
     assert cli.checkpoint_to_json(loaded, loaded_bases, digest_, echo) == text
-
-
-@pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.0, float("nan")])
-def test_checkpoint_rejects_corrupted_basis_naming_the_task(scale):
-    text, _, _ = random_checkpoint()
-    doc = json.loads(text)
-    q = decode_array(doc["subspace_bases"][1], "basis", (4, 2))
-    q[2, 0] *= scale
-    doc["subspace_bases"][1] = encode_array(q)
-    with pytest.raises(ConfigError, match=r"subspace_bases\[1\]"):
-        cli.checkpoint_from_json(json.dumps(doc))
-
-
-def _as_version_1(doc):
-    """The decimal-list layout of checkpoint schema version 1."""
-    for key in ("w_star", "a", "b"):
-        doc[key] = decode_array(doc[key], key, doc[key]["shape"]).tolist()
-    for key in ("heads", "subspace_bases"):
-        doc[key] = [decode_array(n, key, n["shape"]).tolist() for n in doc[key]]
-    doc["schema_version"] = 1
-
-
-def _nan_in_a(doc):
-    a = decode_array(doc["a"], "a", (5, 4))
-    a[1, 2] = np.nan
-    doc["a"] = encode_array(a)
-
-
-def edited(change):
-    """A text edit that applies ``change`` to the parsed checkpoint in place."""
-
-    def edit(text):
-        doc = json.loads(text)
-        change(doc)
-        return json.dumps(doc)
-
-    return edit
-
-
-# One checkpoint field broken at a time: (edit of the checkpoint text, what the error says).
-BAD_CHECKPOINTS = {
-    "truncated JSON": (lambda text: text[: len(text) // 2], r"checkpoint is not valid JSON"),
-    "not an object": (lambda text: "[1, 2]", r"unsupported checkpoint schema_version None"),
-    "version 1": (edited(_as_version_1), r"unsupported checkpoint schema_version 1"),
-    "missing a": (
-        edited(lambda doc: doc.pop("a")),
-        r"checkpoint a: expected an encoded array object",
-    ),
-    "NaN in a": (edited(_nan_in_a), r"checkpoint a: 1 non-finite entries"),
-    "head of wrong width": (
-        edited(lambda doc: doc["heads"].__setitem__(1, encode_array(np.zeros((1, 2))))),
-        r"checkpoint heads\[1\]: shape \[1, 2\] != \[2, 5\]",
-    ),
-    "heads not a list": (
-        edited(lambda doc: doc.update(heads={"0": doc["heads"][0]})),
-        r"checkpoint heads: expected a list of 3 arrays",
-    ),
-    "one basis for 3 tasks": (
-        edited(lambda doc: doc["subspace_bases"].pop()),
-        r"checkpoint subspace_bases: expected a list of 3 arrays",
-    ),
-    "config echo lacks a field": (
-        edited(lambda doc: doc["config"]["data"].pop("teacher_rank")),
-        r"checkpoint config: data: missing or invalid 'teacher_rank'",
-    ),
-    "config echo shape mismatch": (
-        edited(lambda doc: doc["config"]["train"].update(rank=3)),
-        r"checkpoint a: shape \[5, 4\] != \[5, 3\]",
-    ),
-    "digest not a string": (
-        edited(lambda doc: doc.pop("dataset_digest")),
-        r"checkpoint dataset_digest: expected a string, got None",
-    ),
-}
-
-
-@pytest.mark.parametrize("edit, message", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS)
-def test_checkpoint_rejects_malformed_field_naming_it(edit, message):
-    text, _, _ = random_checkpoint()
-    with pytest.raises(ConfigError, match=message):
-        cli.checkpoint_from_json(edit(text))
 
 
 def test_run_multi_seed_summary(tmp_path):

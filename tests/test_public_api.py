@@ -1,4 +1,7 @@
-"""Every name the package exports has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests.
+
+A public name is one that ``mtunlearn`` exports, or a module-level function
+or class of ``src/mtunlearn`` whose name has no leading underscore.
 
 The package, the demos and the benchmark are parsed as text, so nothing
 is imported from or written under ``demos/`` or ``perfbench/``. A name
@@ -13,10 +16,12 @@ import mtunlearn
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = ("src/mtunlearn", "demos", "perfbench")
 
-# Exported without a caller, on purpose.
+# Public without a caller, on purpose.
 UNCALLED = {
     "flattened_hessian": "the exact Hessian oracle that the finite-difference "
     "acceptance checks compare against, documented as public API",
+    "project_pair": "the benchmark's tracer wraps surgery.project_pair by name, "
+    "so it goes with the next change to the benchmark",
 }
 
 
@@ -42,12 +47,23 @@ def references(tree: ast.AST) -> set[str]:
     return found
 
 
+def public_names() -> set[str]:
+    """The names ``mtunlearn`` exports, and the functions and classes defined
+    at the top of its modules without a leading underscore."""
+    return set(mtunlearn.__all__) | {
+        node.name
+        for path in sorted((ROOT / "src/mtunlearn").glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
 def test_every_exported_name_has_a_caller_outside_the_tests():
     used = set()
     for source in SOURCES:
         for path in sorted((ROOT / source).glob("*.py")):
             if path.name != "__init__.py":
                 used |= references(ast.parse(path.read_text(), str(path)))
-    exported = set(mtunlearn.__all__)
-    assert UNCALLED.keys() <= exported
-    assert sorted(exported - used - UNCALLED.keys()) == []
+    public = public_names()
+    assert UNCALLED.keys() <= public
+    assert sorted(public - used - UNCALLED.keys()) == []

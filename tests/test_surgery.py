@@ -132,6 +132,19 @@ def test_project_task_on_stacks_equals_each_2d_call_to_the_bit():
         project_task(grads, bases[..., :4, :])
 
 
+def test_stacks_whose_batch_axes_do_not_broadcast_name_both_shapes():
+    with pytest.raises(DimensionError, match=r"^batch axes of \(3, 2, 2\) and \(4, 2, 2\) do not"):
+        orthogonalize(np.ones((3, 2, 2)), np.ones((4, 2, 2)))
+    with pytest.raises(DimensionError, match=r"^batch axes of \(3, 2, 2\) and \(4, 2, 1\) do not"):
+        project_task(np.ones((3, 2, 2)), np.ones((4, 2, 1)))
+    # A lone matrix broadcasts over a stack.
+    g_f, g_r = np.random.default_rng(8).standard_normal((2, 3, 2, 2))
+    out = orthogonalize(g_f, g_r[0])
+    assert all(np.array_equal(out[i], orthogonalize(g_f[i], g_r[0])) for i in range(3))
+    basis = np.array([[1.0], [0.0]])
+    assert np.array_equal(project_task(g_f, basis), g_f * [1.0, 0.0])
+
+
 def test_sequential_orthogonalize_order_and_skip():
     rng = np.random.default_rng(7)
     forget, clean, inst, task = (rand_pair(rng) for _ in range(4))
