@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-DATASET_SCHEMA_VERSION = 2
+DATASET_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class GenConfig:
     noise_std: float
     seed: int
     n_val: int = 0
-    task_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.n_instances < 2 or self.n_tasks < 2 or self.input_dim < 2:
@@ -52,11 +51,6 @@ class GenConfig:
         for name in ("seed", "n_val"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.task_weights is not None and (
-            len(self.task_weights) != self.n_tasks
-            or any(not 0 < w < math.inf for w in self.task_weights)
-        ):
-            raise ConfigError("task_weights must be n_tasks finite positive numbers")
 
 
 def _typed(value, tp, where: str):
@@ -118,10 +112,6 @@ class MultiTaskDataset:
 
     inputs: np.ndarray
     targets: list[np.ndarray]
-    task_weights: np.ndarray  # a sequence is coerced to a float array
-
-    def __post_init__(self):
-        self.task_weights = np.asarray(self.task_weights, dtype=float)
 
     @property
     def n_instances(self) -> int:
@@ -144,10 +134,6 @@ class MultiTaskDataset:
         for t, y in enumerate(self.targets):
             if y.shape[0] != self.n_instances:
                 raise DimensionError(f"task {t} targets rows != n_instances")
-        if len(self.task_weights) != self.n_tasks:
-            raise DimensionError("task_weights length != n_tasks")
-        if np.any(self.task_weights <= 0):
-            raise ConfigError("task weights must be positive")
 
 
 def grid(instances, tasks) -> np.ndarray:
@@ -226,11 +212,6 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
     heads = [
         rng.standard_normal((m, k)) / np.sqrt(k) for m in config.task_dims
     ]
-    weights = np.asarray(
-        config.task_weights
-        if config.task_weights is not None
-        else [1.0] * config.n_tasks
-    )
 
     def draw(n: int) -> MultiTaskDataset:
         x = rng.standard_normal((n, d))
@@ -239,7 +220,7 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
             shared @ h.T + config.noise_std * rng.standard_normal((n, h.shape[0]))
             for h in heads
         ]
-        ds = MultiTaskDataset(inputs=x, targets=targets, task_weights=weights)
+        ds = MultiTaskDataset(inputs=x, targets=targets)
         ds.validate()
         return ds
 
@@ -300,7 +281,6 @@ def problem_to_json(problem: SyntheticProblem) -> str:
         "config": config_to_doc(problem.config),
         "inputs": encode_array(problem.dataset.inputs),
         "targets": [encode_array(y) for y in problem.dataset.targets],
-        "task_weights": encode_array(problem.dataset.task_weights),
         "heads": [encode_array(h) for h in problem.heads],
         "teacher": encode_array(problem.teacher),
         "val_inputs": encode_array(val.inputs) if val is not None else None,

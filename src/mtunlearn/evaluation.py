@@ -32,7 +32,7 @@ def per_instance_losses(model: MultiTaskModel, inputs: np.ndarray, targets: dict
     ``targets`` maps a task to the targets of the rows ``inputs``. One
     ``inputs @ W_eff`` product is shared by every task's head.
     """
-    features = inputs @ model.edit.effective_weight()
+    features = inputs @ model.edit.effective_weight
     losses = {}
     for t, y in targets.items():
         e = features @ model.heads[t].T - y

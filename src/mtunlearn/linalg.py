@@ -55,19 +55,28 @@ def as_stack(a, name: str = "matrix") -> np.ndarray:
     return _finite(m, name)
 
 
-def frob_inner(a, b) -> float:
-    """Frobenius inner product sum_ij a_ij * b_ij."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
+def frob_inner(a, b) -> float | np.ndarray:
+    """Frobenius inner product sum_ij a_ij * b_ij of each pair of matrices in
+    two same-shape stacks; two lone matrices give a float."""
+    a = as_stack(a, "a")
+    b = as_stack(b, "b")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.add.reduce(a * b, axis=None))
+    inner = np.add.reduce(a * b, axis=(-2, -1))
+    return float(inner) if a.ndim == 2 else inner
 
 
-def frob_norm(a) -> float:
-    """Frobenius norm, the same dot product ``np.linalg.norm`` takes."""
-    v = as_matrix(a, "a").ravel(order="K")
-    return math.sqrt(v @ v)
+def frob_norm(a) -> float | np.ndarray:
+    """Frobenius norm of each matrix in a stack, one dot product per matrix;
+    a lone matrix gives a float, from the dot product ``np.linalg.norm`` takes."""
+    a = as_stack(a, "a")
+    if a.ndim == 2:  # in memory order, as np.linalg.norm reads a matrix
+        v = a.ravel(order="K")
+        return math.sqrt(v @ v)
+    # Each matrix in C order at unit stride, where the dot product rounds as
+    # it does for a lone C-ordered matrix; at a larger stride it rounds apart.
+    flat = np.ascontiguousarray(a).reshape(*a.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def orthonormalize(m) -> np.ndarray:

@@ -47,12 +47,9 @@ class LowRankEdit:
     def rank(self) -> int:
         return self.a.shape[1]
 
-    def effective_weight(self) -> np.ndarray:
-        """``w_star + b a^T``, computed once per edit and returned read-only."""
-        return self._effective_weight
-
     @cached_property
-    def _effective_weight(self) -> np.ndarray:
+    def effective_weight(self) -> np.ndarray:
+        """``w_star + b a^T``, computed once per edit and read-only."""
         w = self.w_star + self.b @ self.a.T
         w.flags.writeable = False
         return w
@@ -178,7 +175,7 @@ def _residual(model: MultiTaskModel, subset: Subset, heads: np.ndarray) -> np.nd
     """Every block's ``E_t = R_t W M_t^T - Z_t``, (n_b, d, m_max), in one
     batched product from the blocks' heads; the loss, gradient and Hessian
     read it."""
-    w_m = np.matmul(model.edit.effective_weight(), heads.transpose(0, 2, 1))  # W M_t^T
+    w_m = np.matmul(model.edit.effective_weight, heads.transpose(0, 2, 1))  # W M_t^T
     return np.matmul(subset.r, w_m) - subset.z
 
 
@@ -190,8 +187,8 @@ def _w_gradients(model: MultiTaskModel, subset: Subset) -> np.ndarray:
     return np.matmul(subset.r.transpose(0, 2, 1), np.matmul(_residual(model, subset, heads), heads))
 
 
-def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=False):
-    """Mean per-pair loss over ``pairs``; optionally task-weighted.
+def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs):
+    """Mean per-pair loss over ``pairs``.
 
     ``pairs`` is a :class:`Subset` of ``ds`` or a sequence of (instance,
     task) pairs. Per task, |X_t W M_t^T - Y_t|^2 = |E_t|^2 + rho_t, a sum
@@ -201,24 +198,20 @@ def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=Fal
     subset = _as_subset(ds, pairs, "subset_loss")
     heads = model.stacked_heads.take(subset.tasks, axis=0)
     e = _residual(model, subset, heads).reshape(subset.tasks.size, -1)
-    lam = ds.task_weights.take(subset.tasks).tolist() if weighted else (1.0,) * len(e)
     total = 0.0
-    for sq, rho, w in zip(np.vecdot(e, e).tolist(), subset.rho.tolist(), lam):
-        total += 0.5 * w * (sq + rho)
+    for sq, rho in zip(np.vecdot(e, e).tolist(), subset.rho.tolist()):
+        total += 0.5 * (sq + rho)
     return total / len(subset)
 
 
-def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs, weighted=False):
+def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs):
     """Analytic gradients of the subset-mean loss w.r.t. (a, b), w_star frozen.
 
     Per task, X_t^T (X_t W M_t^T - Y_t) M_t = R_t^T E_t M_t, so a call
     costs O(K d^2 (k + m)) and reads the same residual as the loss.
     """
     subset = _as_subset(ds, pairs, "subset_gradient")
-    terms = _w_gradients(model, subset)
-    if weighted:
-        terms *= ds.task_weights.take(subset.tasks)[:, None, None]
-    grad_w = np.add.reduce(terms, axis=0)
+    grad_w = np.add.reduce(_w_gradients(model, subset), axis=0)
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
@@ -268,15 +261,12 @@ class TrainConfig:
     step_size: float
     seed: int
     rank: int | None = None  # None: see rank_for
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("step_size", "init_scale"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 < self.step_size < math.inf:
+            raise ConfigError(f"step_size must be finite and > 0, got {self.step_size!r}")
         if self.rank is not None and self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
 
@@ -288,7 +278,7 @@ class TrainConfig:
 def train_reference(
     problem: SyntheticProblem, pairs, config: TrainConfig
 ) -> MultiTaskModel:
-    """Full-batch gradient descent on the task-weighted mean loss over ``pairs``.
+    """Full-batch gradient descent on the mean loss over ``pairs``.
 
     Trains (a, b) from a small seeded init over a zero base weight; stops at
     the epoch budget or when the gradient norm drops below ``GRAD_TOL``.
@@ -296,12 +286,10 @@ def train_reference(
     ds = problem.dataset
     subset = _as_subset(ds, pairs, "train_reference")
     d, k = problem.config.input_dim, problem.shared_dim
-    edit = balanced_init_edit(
-        np.zeros((d, k)), config.rank_for(problem.config), config.seed, scale=config.init_scale
-    )
+    edit = balanced_init_edit(np.zeros((d, k)), config.rank_for(problem.config), config.seed)
     model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
     for epoch in range(1, config.epochs + 1):
-        ga, gb = subset_gradient(model, ds, subset, weighted=True)
+        ga, gb = subset_gradient(model, ds, subset)
         gnorm = math.sqrt(np.add.reduce(ga * ga, axis=None) + np.add.reduce(gb * gb, axis=None))
         if gnorm < GRAD_TOL:
             break
@@ -311,7 +299,7 @@ def train_reference(
             b=edit.b - config.step_size * gb,
         )
         model = model.with_edit(edit)
-        loss = subset_loss(model, ds, subset, weighted=True)
+        loss = subset_loss(model, ds, subset)
         if not np.isfinite(loss) or loss > 1e12:
             raise StepSizeError(f"train_reference epoch {epoch}: loss={float(loss)!r}")
     return model

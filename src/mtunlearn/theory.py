@@ -17,7 +17,7 @@ import numpy as np
 
 from . import surgery
 from .errors import CurvatureError, DimensionError, EmptySubsetError
-from .linalg import as_stack, orthonormalize, solve_spd
+from .linalg import frob_inner, frob_norm, orthonormalize, solve_spd
 from .subspace import alignment
 
 THEORY_SCHEMA_VERSION = 1
@@ -331,25 +331,6 @@ def check_optimal_direction(
     }
 
 
-def _frob_inners(a, b) -> np.ndarray:
-    """``frob_inner`` of each pair of matrices in two same-shape stacks, with
-    its checks and to the bit: the product is C-contiguous, so each matrix is
-    reduced as one run."""
-    a = as_stack(a, "a")
-    b = as_stack(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return np.add.reduce(a * b, axis=(-2, -1))
-
-
-def _frob_norms(a) -> np.ndarray:
-    """``frob_norm`` of each matrix in a stack of C-contiguous matrices, with
-    its checks and to the bit: one dot product per flattened matrix."""
-    a = as_stack(a, "a")
-    flat = a.reshape(*a.shape[:-2], -1)
-    return np.sqrt(np.vecdot(flat, flat))
-
-
 def check_projection_bound(n_draws: int = 1000, seed: int = 0) -> dict:
     """|<G P_t, G' P_t'>| <= spectral_alignment * |G|_F * |G'|_F on random draws.
 
@@ -377,8 +358,8 @@ def check_projection_bound(n_draws: int = 1000, seed: int = 0) -> dict:
                 bases = orthonormalize(raw)
                 _, spectral = alignment(bases[:, 0], bases[:, 1])
                 proj = surgery.project_task(grads, bases)
-                lhs = np.abs(_frob_inners(proj[:, 0], proj[:, 1]))
-                norms = _frob_norms(grads)
+                lhs = np.abs(frob_inner(proj[:, 0], proj[:, 1]))
+                norms = frob_norm(grads)
                 rhs = spectral * norms[:, 0] * norms[:, 1]
                 worst_excess = max(worst_excess, float(np.max(lhs - rhs)))
                 count += size
@@ -395,12 +376,12 @@ def _identity_deviations(draws: list) -> tuple[float, float]:
     of the orthogonalization identity over same-shape ``[g_f, g_r]`` draws."""
     stacked = np.stack(draws)
     g_f, g_r = stacked[:, 0], stacked[:, 1]
-    base = np.abs(_frob_inners(g_f, g_r))
-    norm_r = _frob_norms(g_r)
-    scale = _frob_norms(g_f) * norm_r
+    base = np.abs(frob_inner(g_f, g_r))
+    norm_r = frob_norm(g_r)
+    scale = frob_norm(g_f) * norm_r
     worst_rel = worst_exact = 0.0
     for eps in (0.0, 1e-8, 1e-3, 1.0):
-        residual = np.abs(_frob_inners(surgery.orthogonalize(g_f, g_r, eps), g_r))
+        residual = np.abs(frob_inner(surgery.orthogonalize(g_f, g_r, eps), g_r))
         if eps == 0.0:
             worst_exact = float(np.max(residual / scale))
         else:

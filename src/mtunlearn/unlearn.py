@@ -179,7 +179,7 @@ def run_unlearning(
         )
 
     rank = bases.shape[1]
-    edit = zero_init_edit(original.edit.effective_weight(), rank, cfg.seed)
+    edit = zero_init_edit(original.edit.effective_weight, rank, cfg.seed)
     model = MultiTaskModel(edit=edit, heads=original.heads)
 
     # Every subset is grouped by task once per run: the loss subsets, and

@@ -62,14 +62,14 @@ def prebuilt():
 
 def test_bench_subset_gradient(benchmark):
     model, ds, subset = prebuilt()
-    ga, gb = benchmark(subset_gradient, model, ds, subset, weighted=True)
+    ga, gb = benchmark(subset_gradient, model, ds, subset)
     assert ga.shape == (12, 6) and gb.shape == (16, 6)
     assert np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))
 
 
 def test_bench_subset_loss(benchmark):
     model, ds, subset = prebuilt()
-    loss = benchmark(subset_loss, model, ds, subset, weighted=True)
+    loss = benchmark(subset_loss, model, ds, subset)
     assert np.isfinite(loss) and loss > 0
 
 

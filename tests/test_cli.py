@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,7 +455,8 @@ BAD_CONFIGS = [
     (("data", "noise_std"), float("nan"), r"data\.noise_std: expected float, got .*'NaN'"),
     (("partition", "forget_tasks"), [5], r"partition\.forget_tasks: \[5\] not in \[0, 2\)"),
     (("subspace", "dim"), 9, r"subspace: need 1 <= dim <= rank, got dim=9, rank=2"),
-    (("train", "init_scale"), float("inf"), r"train\.init_scale: expected float, got .*'Infinity'"),
+    (("train", "init_scale"), float("inf"), r"train\.init_scale: unknown field"),
+    (("data", "task_weights"), None, r"data\.task_weights: unknown field"),
     (("partition", "forget_fraction"), 1.5, r"partition: forget_fraction must be in \(0, 1\)"),
     (("partition", "forget_fraction"), DELETE, r"partition\.forget_fraction is required"),
     (("partition", "forget_fraction"), 0.99, r"partition\.forget_fraction: 0\.99 forgets all 30"),
@@ -539,6 +542,32 @@ def test_echoed_setting_must_match_forget_tasks():
     doc["unlearn"]["setting"] = "full"
     with pytest.raises(ConfigError, match=r"unlearn\.setting: .*forget_tasks select 'partial'"):
         cli.RunConfig.from_doc(doc)
+
+
+def readme_config_fields() -> list[str]:
+    """The names in the first column of the README's "Every field" table; a
+    bare name inherits the section prefix of the name before it in its cell."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.split("Every field:", 1)[1].strip().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
+    fields = []
+    for row in list(rows)[2:]:  # after the header and the separator
+        prefix = ""
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            if "." in name:
+                prefix = name.rsplit(".", 1)[0] + "."
+            fields.append(name if "." in name else prefix + name)
+    return fields
+
+
+def test_readme_field_table_lists_every_config_field():
+    doc = cli.RunConfig.from_doc(base_config()).to_doc()
+    keys = []
+    for key, value in doc.items():
+        keys += [f"{key}.{name}" for name in value] if isinstance(value, dict) else [key]
+    fields = readme_config_fields()
+    assert len(fields) == len(set(fields))
+    assert sorted(fields) == sorted(keys)
 
 
 # Any JSON value, or one close enough to a valid field value to be accepted.

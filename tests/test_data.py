@@ -76,8 +76,6 @@ def test_config_validation():
         make_config(noise_std=-0.5)
     with pytest.raises(ConfigError):
         make_config(teacher_rank=99)
-    with pytest.raises(ConfigError):
-        make_config(task_weights=(1.0, -1.0))
 
 
 def test_partition_covers_grid_exactly_once():
@@ -130,7 +128,7 @@ def test_partition_matches_double_loop_reference(data):
     n, k = data.draw(st.integers(2, 40)), data.draw(st.integers(2, 5))
     forget_ids = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
     tasks = data.draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))
-    ds = MultiTaskDataset(np.zeros((n, 1)), [np.zeros((n, 1))] * k, np.ones(k))
+    ds = MultiTaskDataset(np.zeros((n, 1)), [np.zeros((n, 1))] * k)
     part = partition(ds, forget_ids, tasks)
     ref = reference_partition(n, k, forget_ids, tasks)
     for name, pairs in ref.items():
@@ -177,10 +175,9 @@ def decoded_problem(text):
     """The problem that ``problem_to_json`` wrote ``text`` from, read back from its bytes."""
     doc = json.loads(text)
     assert doc["schema_version"] == DATASET_SCHEMA_VERSION
-    weights = decode(doc["task_weights"])
 
     def dataset(inputs, targets):
-        return MultiTaskDataset(decode(doc[inputs]), [decode(y) for y in doc[targets]], weights)
+        return MultiTaskDataset(decode(doc[inputs]), [decode(y) for y in doc[targets]])
 
     return SyntheticProblem(
         dataset=dataset("inputs", "targets"),
@@ -208,7 +205,7 @@ def test_json_round_trip_is_value_identical():
 
 def all_arrays(p):
     ds, val = p.dataset, p.val_dataset
-    return [ds.inputs, *ds.targets, ds.task_weights, *p.heads, p.teacher, val.inputs, *val.targets]
+    return [ds.inputs, *ds.targets, *p.heads, p.teacher, val.inputs, *val.targets]
 
 
 def test_json_round_trip_is_bit_identical_for_signed_zero_and_subnormal():

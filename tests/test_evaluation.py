@@ -129,7 +129,7 @@ def test_evaluate_equals_a_per_cell_reference(small_problem, forget_tasks):
     rep = evaluate(model, ds, part, val)
 
     def losses(split_ds, t, instances):
-        e = split_ds.inputs[instances] @ edit.effective_weight() @ model.heads[t].T
+        e = split_ds.inputs[instances] @ edit.effective_weight @ model.heads[t].T
         e -= split_ds.targets[t][instances]
         return 0.5 * (e * e).sum(axis=1)
 

@@ -72,6 +72,36 @@ def test_frob_inner_and_norm_equal_numpy_bit_for_bit():
         assert frob_norm(a[:, ::2]) == float(np.linalg.norm(a[:, ::2]))
 
 
+@pytest.mark.parametrize("shape", [(33, 5, 4), (32, 2, 5, 16), (1, 16, 6), (3, 2, 1, 1)])
+def test_frob_inner_and_norm_on_stacks_equal_each_2d_call_to_the_bit(shape):
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    pairs = [(a, b), (a[..., ::2], b[..., ::2])]  # whole stacks and strided views of them
+    for x, y in pairs:
+        inner, norm = frob_inner(x, y), frob_norm(x)
+        assert inner.shape == norm.shape == x.shape[:-2]
+        for i in np.ndindex(x.shape[:-2]):
+            assert inner[i] == frob_inner(x[i], y[i])
+            assert norm[i] == frob_norm(x[i])
+    # A lone matrix gives a Python float.
+    first = (0,) * (len(shape) - 2)
+    assert type(frob_inner(a[first], b[first])) is float and type(frob_norm(a[first])) is float
+
+
+def test_frob_inner_and_norm_check_stacks():
+    a = np.ones((3, 2, 2))
+    with pytest.raises(DimensionError, match=r"^shape mismatch: \(3, 2, 2\) vs \(2, 2, 2\)$"):
+        frob_inner(a, a[:2])
+    bad = a.copy()
+    bad[2, 1, 0] = np.nan
+    with pytest.raises(DimensionError, match="^b contains non-finite entries$"):
+        frob_inner(a, bad)
+    with pytest.raises(DimensionError, match="^a contains non-finite entries$"):
+        frob_norm(bad)
+    with pytest.raises(DimensionError, match="^a must be at least 2-D, got ndim=1$"):
+        frob_norm(a[0, 0])
+
+
 def test_frob_inner_matches_trace_formula():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 3))

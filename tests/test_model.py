@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -24,7 +25,6 @@ from mtunlearn.errors import (
     SizeGuardError,
     StepSizeError,
 )
-from mtunlearn.data import MultiTaskDataset
 from mtunlearn.model import balanced_init_edit, zero_init_edit
 
 
@@ -42,13 +42,18 @@ def make_model(problem, rank=3, seed=0):
 def pair_loss(model, ds, pair) -> float:
     """Per-pair reference: squared loss 0.5 |x_i W_eff M_t^T - y_i|^2."""
     i, t = pair
-    err = ds.inputs[i] @ model.edit.effective_weight() @ model.heads[t].T - ds.targets[t][i]
+    err = ds.inputs[i] @ model.edit.effective_weight @ model.heads[t].T - ds.targets[t][i]
     return 0.5 * float(err @ err)
 
 
 def test_effective_weight_is_base_plus_edit(small_problem):
     edit = make_model(small_problem).edit
-    assert np.allclose(edit.effective_weight(), edit.w_star + edit.b @ edit.a.T)
+    assert np.allclose(edit.effective_weight, edit.w_star + edit.b @ edit.a.T)
+    # computed once, read-only, and not assignable
+    assert edit.effective_weight is edit.effective_weight
+    assert not edit.effective_weight.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edit.effective_weight = edit.w_star
 
 
 def test_edit_shape_validation():
@@ -61,7 +66,7 @@ def test_edit_shape_validation():
 def test_zero_init_edit_has_zero_delta():
     w_star = np.arange(12.0).reshape(4, 3)
     edit = zero_init_edit(w_star, rank=2, seed=0)
-    assert np.array_equal(edit.effective_weight(), w_star)
+    assert np.array_equal(edit.effective_weight, w_star)
     assert np.any(edit.a != 0)
 
 
@@ -73,35 +78,6 @@ def test_subset_loss_matches_pair_mean(small_problem):
     assert subset_loss(model, ds, pairs) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(EmptySubsetError):
         subset_loss(model, ds, [])
-
-
-def test_dataset_built_with_a_list_of_weights_equals_the_array_weighted_one(small_problem):
-    ds = small_problem.dataset
-    model = make_model(small_problem)
-    pairs = [(0, 0), (1, 2), (5, 1), (7, 0)]
-    from_array = MultiTaskDataset(ds.inputs, ds.targets, np.array([2.0, 1.0, 0.5]))
-    from_list = MultiTaskDataset(ds.inputs, ds.targets, [2, 1.0, 0.5])
-    from_list.validate()
-    assert from_list.task_weights.dtype == np.float64
-    assert subset_loss(model, from_list, pairs, weighted=True) == subset_loss(
-        model, from_array, pairs, weighted=True
-    )
-    for got, want in zip(
-        subset_gradient(model, from_list, pairs, weighted=True),
-        subset_gradient(model, from_array, pairs, weighted=True),
-    ):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_weighted_subset_loss(small_problem):
-    model = make_model(small_problem)
-    ds = small_problem.dataset
-    ds.task_weights = np.array([2.0, 1.0, 0.5])
-    pairs = [(0, 0), (1, 2)]
-    expected = (
-        2.0 * pair_loss(model, ds, (0, 0)) + 0.5 * pair_loss(model, ds, (1, 2))
-    ) / 2
-    assert subset_loss(model, ds, pairs, weighted=True) == pytest.approx(expected)
 
 
 def test_gradient_matches_central_differences(small_problem):
@@ -152,21 +128,20 @@ def test_gradient_empty_subset(small_problem):
             subset_loss(model, ds, empty)
 
 
-def residual_gradient(model, ds, pairs, weighted):
+def residual_gradient(model, ds, pairs):
     """Reference: sum the per-pair residual gradients one pair at a time."""
-    w_eff = model.edit.effective_weight()
+    w_eff = model.edit.effective_weight
     grad_w = np.zeros_like(w_eff)
     for i, t in pairs:
         x, m = ds.inputs[i], model.heads[t]
         e = m @ (w_eff.T @ x) - ds.targets[t][i]
-        lam = ds.task_weights[t] if weighted else 1.0
-        grad_w += lam * np.outer(x, e @ m)
+        grad_w += np.outer(x, e @ m)
     grad_w /= len(pairs)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
 
 def large_problem(noise_std=0.5):
-    """N=2000 with unequal task weights, for checks against per-pair sums."""
+    """N=2000, for checks against per-pair sums."""
     return generate_synthetic(
         GenConfig(
             n_instances=2000,
@@ -177,7 +152,6 @@ def large_problem(noise_std=0.5):
             teacher_rank=3,
             noise_std=noise_std,
             seed=3,
-            task_weights=(1.0, 2.0, 0.5),
         )
     )
 
@@ -189,37 +163,35 @@ def random_pairs(n_instances, n_tasks, n, seed=0):
     return list(zip(instances, rng.integers(0, n_tasks, n).tolist()))
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_subset_gradient_matches_residual_form(weighted):
+def test_subset_gradient_matches_residual_form():
     problem = large_problem()
     ds = problem.dataset
     model = make_model(problem, rank=3, seed=1)
     pairs = random_pairs(2000, 3, 3000)
     subset = Subset.from_pairs(ds, pairs)
     assert len(subset) == len(pairs)
-    ga, gb = subset_gradient(model, ds, subset, weighted=weighted)
-    ra, rb = residual_gradient(model, ds, pairs, weighted)
+    ga, gb = subset_gradient(model, ds, subset)
+    ra, rb = residual_gradient(model, ds, pairs)
     got = np.concatenate([ga.ravel(), gb.ravel()])
     want = np.concatenate([ra.ravel(), rb.ravel()])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # a list of pairs goes through the same Subset
-    la, lb = subset_gradient(model, ds, pairs, weighted=weighted)
+    la, lb = subset_gradient(model, ds, pairs)
     assert np.array_equal(la, ga) and np.array_equal(lb, gb)
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_subset_loss_matches_residual_sum(weighted):
+def test_subset_loss_matches_residual_sum():
     problem = large_problem()
     ds = problem.dataset
     model = make_model(problem, rank=3, seed=1)
     pairs = random_pairs(2000, 3, 3000)
-    w_eff = model.edit.effective_weight()
+    w_eff = model.edit.effective_weight
     total = 0.0
     for i, t in pairs:
         e = model.heads[t] @ (w_eff.T @ ds.inputs[i]) - ds.targets[t][i]
-        total += 0.5 * (ds.task_weights[t] if weighted else 1.0) * float(e @ e)
+        total += 0.5 * float(e @ e)
     want = total / len(pairs)
-    got = subset_loss(model, ds, Subset.from_pairs(ds, pairs), weighted=weighted)
+    got = subset_loss(model, ds, Subset.from_pairs(ds, pairs))
     assert abs(got - want) <= 1e-12 * want
 
 
@@ -246,7 +218,7 @@ def test_subset_factors_each_block_once_when_built(monkeypatch):
     # by_task() views the stacked factors, and every call reads them
     for part in (subset, *subset.by_task()):
         subset_loss(model, ds, part)
-        subset_gradient(model, ds, part, weighted=True)
+        subset_gradient(model, ds, part)
         flattened_hessian(model, ds, part)
     assert len(calls) == 3
 
@@ -289,9 +261,7 @@ def test_subset_loss_at_teacher_on_noiseless_data_is_tiny_not_negative():
     )
     model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
     subset = Subset.from_pairs(ds, ds.all_pairs())
-    for weighted in (False, True):
-        loss = subset_loss(model, ds, subset, weighted=weighted)
-        assert 0.0 <= loss <= 1e-20
+    assert 0.0 <= subset_loss(model, ds, subset) <= 1e-20
 
 
 def test_subset_single_task_equals_task_slice(small_problem):
@@ -323,11 +293,11 @@ def test_subset_rejects_pairs_not_shaped_n_by_2(small_problem, pairs):
         Subset.from_pairs(small_problem.dataset, pairs)
 
 
-def per_block_reference(model, ds, pairs, weighted):
+def per_block_reference(model, ds, pairs):
     """Loss, (a, b) gradient and Hessian summed one task block at a time,
     each block from its own QR of [X_t, Y_t] and its own unpadded head."""
     edit, (d, k), r = model.edit, model.edit.w_star.shape, model.edit.rank
-    w_eff = edit.effective_weight()
+    w_eff = edit.effective_weight
     p_a = k * r
     loss, grad_w, h = 0.0, np.zeros_like(w_eff), np.zeros((p_a + d * r, p_a + d * r))
     for t in sorted({t for _, t in pairs}):
@@ -335,10 +305,9 @@ def per_block_reference(model, ds, pairs, weighted):
         f = np.linalg.qr(np.hstack([ds.inputs[idx], ds.targets[t][idx]]), mode="r")
         rt, zt, tail, m = f[:d, :d], f[:d, d:], f[d:, d:], model.heads[t]
         e = rt @ (w_eff @ m.T) - zt
-        lam = ds.task_weights[t] if weighted else 1.0
-        loss += 0.5 * lam * (float(np.vdot(e, e)) + float(np.vdot(tail, tail)))
+        loss += 0.5 * (float(np.vdot(e, e)) + float(np.vdot(tail, tail)))
         term = rt.T @ (e @ m)
-        grad_w += lam * term if weighted else term
+        grad_w += term
         gram, ma, mtm = rt.T @ rt, m @ edit.a, m.T @ m
         s = edit.b.T @ gram
         h[:p_a, :p_a] += np.kron(mtm, s @ edit.b)
@@ -353,8 +322,7 @@ def per_block_reference(model, ds, pairs, weighted):
 
 
 def equal_dims_problem():
-    """The benchmark's shapes (equal task_dims, n_t >= d on every task),
-    with task weights that are not powers of two."""
+    """The benchmark's shapes (equal task_dims, n_t >= d on every task)."""
     return generate_synthetic(
         GenConfig(
             n_instances=200,
@@ -365,14 +333,12 @@ def equal_dims_problem():
             teacher_rank=6,
             noise_std=0.5,
             seed=4,
-            task_weights=(1.0, 1.7, 0.3),
         )
     )
 
 
 @pytest.mark.parametrize("case", ["equal_dims", "conftest", "trapezoidal"])
-@pytest.mark.parametrize("weighted", [False, True])
-def test_stacked_blocks_match_per_block_reference(small_problem, case, weighted):
+def test_stacked_blocks_match_per_block_reference(small_problem, case):
     # Bit-identical where no block is padded; padded rows (n_t < d) or
     # columns (unequal task_dims) may move the last bits only.
     problem = small_problem if case == "conftest" else equal_dims_problem()
@@ -388,9 +354,9 @@ def test_stacked_blocks_match_per_block_reference(small_problem, case, weighted)
     # Several models, so that some sum depends on the order of its terms.
     models = [make_model(problem, rank=problem.config.teacher_rank, seed=s) for s in range(4)]
     for model, (part, part_pairs) in itertools.product(models, parts):
-        loss, (ga, gb), h = per_block_reference(model, ds, part_pairs, weighted)
-        got_loss = subset_loss(model, ds, part, weighted=weighted)
-        got_ga, got_gb = subset_gradient(model, ds, part, weighted=weighted)
+        loss, (ga, gb), h = per_block_reference(model, ds, part_pairs)
+        got_loss = subset_loss(model, ds, part)
+        got_ga, got_gb = subset_gradient(model, ds, part)
         got_h = flattened_hessian(model, ds, part)
         if case == "equal_dims":
             assert got_loss == loss
@@ -424,14 +390,14 @@ def test_subset_rejects_pairs_that_are_not_integer_ids(small_problem, pairs, dty
         Subset.from_pairs(small_problem.dataset, pairs)
 
 
-def test_subset_on_tasks_that_are_not_consecutive_reads_their_heads_and_weights():
-    problem = equal_dims_problem()  # task weights 1.0, 1.7, 0.3
+def test_subset_on_tasks_that_are_not_consecutive_reads_their_heads():
+    problem = equal_dims_problem()
     ds, model = problem.dataset, make_model(problem, seed=1)
     pairs = [(3, 2), (0, 0), (7, 2), (5, 0), (1, 2)]
-    loss, (ga, gb), h = per_block_reference(model, ds, pairs, weighted=True)
+    loss, (ga, gb), h = per_block_reference(model, ds, pairs)
     assert Subset.from_pairs(ds, pairs).tasks.tolist() == [0, 2]
-    assert abs(subset_loss(model, ds, pairs, weighted=True) - loss) <= 1e-12 * loss
-    for got, want in zip(subset_gradient(model, ds, pairs, weighted=True), (ga, gb)):
+    assert abs(subset_loss(model, ds, pairs) - loss) <= 1e-12 * loss
+    for got, want in zip(subset_gradient(model, ds, pairs), (ga, gb)):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     got_h = flattened_hessian(model, ds, pairs)
     assert np.linalg.norm(got_h - h) <= 1e-12 * np.linalg.norm(h)

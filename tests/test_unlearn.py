@@ -102,7 +102,7 @@ def test_base_weight_is_frozen_and_matches_original(pipeline):
     problem, part, _, original, retrain, _, subs = pipeline
     cfg = UnlearnConfig(setting="partial", eta1=0.3, eta2=0.05, max_epochs=4)
     model, _ = run_unlearning(original, problem, part, subs, cfg, retrain)
-    assert np.allclose(model.edit.w_star, original.edit.effective_weight())
+    assert np.allclose(model.edit.w_star, original.edit.effective_weight)
     for h_new, h_old in zip(model.heads, original.heads):
         assert np.array_equal(h_new, h_old)
 
@@ -221,7 +221,7 @@ def test_unlearning_overflowing_forget_gradient_names_epoch(pipeline):
 def forget_task_auc_reference(model, problem, part):
     """The forgotten tasks' mean membership AUC, one task at a time in numpy."""
     ds, val = problem.dataset, problem.val_dataset
-    inst, w_eff = part.forget_instances, model.edit.effective_weight()
+    inst, w_eff = part.forget_instances, model.edit.effective_weight
 
     def losses(x, y, t):
         e = x @ w_eff @ model.heads[t].T - y
@@ -256,9 +256,9 @@ def test_non_finite_retain_gradient_names_epoch_and_source(pipeline, monkeypatch
     true_gradient = unlearn.subset_gradient
     inst_calls = 0
 
-    def poisoned(model, ds, subset, weighted=False):
+    def poisoned(model, ds, subset):
         nonlocal inst_calls
-        ga, gb = true_gradient(model, ds, subset, weighted)
+        ga, gb = true_gradient(model, ds, subset)
         (task,), (index,) = subset.tasks.tolist(), subset.instances
         if task in part.forget_tasks and not np.isin(index, part.forget_instances).any():
             inst_calls += 1
