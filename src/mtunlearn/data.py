@@ -113,6 +113,13 @@ class MultiTaskDataset:
     inputs: np.ndarray
     targets: list[np.ndarray]
 
+    def __post_init__(self):
+        if self.inputs.ndim != 2:
+            raise DimensionError(f"inputs must be 2-D, got shape {self.inputs.shape}")
+        for t, y in enumerate(self.targets):
+            if y.ndim != 2 or y.shape[0] != self.n_instances:
+                raise DimensionError(f"task {t} targets {y.shape}, need ({self.n_instances}, m)")
+
     @property
     def n_instances(self) -> int:
         return self.inputs.shape[0]
@@ -127,13 +134,6 @@ class MultiTaskDataset:
 
     def all_pairs(self) -> np.ndarray:
         return grid(np.arange(self.n_instances), range(self.n_tasks))
-
-    def validate(self):
-        if self.inputs.ndim != 2:
-            raise DimensionError("inputs must be 2-D")
-        for t, y in enumerate(self.targets):
-            if y.shape[0] != self.n_instances:
-                raise DimensionError(f"task {t} targets rows != n_instances")
 
 
 def grid(instances, tasks) -> np.ndarray:
@@ -220,9 +220,7 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
             shared @ h.T + config.noise_std * rng.standard_normal((n, h.shape[0]))
             for h in heads
         ]
-        ds = MultiTaskDataset(inputs=x, targets=targets)
-        ds.validate()
-        return ds
+        return MultiTaskDataset(inputs=x, targets=targets)
 
     train = draw(config.n_instances)
     val = draw(config.n_val) if config.n_val > 0 else None

@@ -24,6 +24,7 @@ SPLITS = ("ret", "unl", "val")
 METRIC_NAME = "exp_neg_loss"
 # The metric column each CSV cell must carry.
 CELL_METRICS = {**dict.fromkeys(SPLITS, METRIC_NAME), "mia": "auc", "mia_retain": "auc"}
+CSV_HEADER = "task,cell,metric,value"
 
 
 def per_instance_losses(model: MultiTaskModel, inputs: np.ndarray, targets: dict) -> dict:
@@ -110,7 +111,7 @@ class EvalReport:
 
     def to_csv(self) -> str:
         """Flat table, one row per cell: task,cell,metric,value."""
-        lines = ["task,cell,metric,value"]
+        lines = [CSV_HEADER]
         for t in range(self.n_tasks):
             for s in SPLITS:
                 lines.append(f"{t},{s},{METRIC_NAME},{self.metrics[(t, s)]!r}")
@@ -120,8 +121,11 @@ class EvalReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "EvalReport":
+        header, *lines = text.strip().splitlines() or [""]
+        if header != CSV_HEADER:
+            raise ConfigError(f"report CSV header {header!r} is not {CSV_HEADER!r}")
         rows = []
-        for line in text.strip().splitlines()[1:]:
+        for line in lines:
             if not line.strip():
                 continue
             try:
@@ -171,6 +175,8 @@ def evaluate(
     Splits are by instance: retained instances, forgotten instances, and
     the held-out validation set.
     """
+    if val_ds is None:
+        raise ConfigError("evaluate: a validation dataset is required (n_val >= 1)")
     if ds.n_tasks != val_ds.n_tasks:
         raise DimensionError("train and validation task sets differ")
     unl_idx, ret_idx = part.forget_instances, part.retain_instances

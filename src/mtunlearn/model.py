@@ -8,7 +8,7 @@ and the flattened Hessian exactly computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,12 +84,12 @@ def zero_init_edit(w_star: np.ndarray, rank: int, seed: int):
     return LowRankEdit(w_star=w_star, a=a, b=b)
 
 
-def balanced_init_edit(w_star: np.ndarray, rank: int, seed: int, scale: float = 0.1):
-    """Small balanced random factors; used for reference training from scratch."""
+def balanced_init_edit(w_star: np.ndarray, rank: int, seed: int):
+    """Small balanced random factors (scale 0.1); used for reference training from scratch."""
     rng = np.random.default_rng(seed)
     d, k = w_star.shape
-    a = scale * rng.standard_normal((k, rank))
-    b = scale * rng.standard_normal((d, rank))
+    a = 0.1 * rng.standard_normal((k, rank))
+    b = 0.1 * rng.standard_normal((d, rank))
     return LowRankEdit(w_star=w_star, a=a, b=b)
 
 
@@ -108,14 +108,10 @@ class Subset:
 
     dataset: MultiTaskDataset
     tasks: np.ndarray  # (n_b,), ascending
-    instances: tuple[np.ndarray, ...]  # per block, in pair order (repeats allowed)
+    counts: tuple[int, ...]  # pairs per block, repeats included
     r: np.ndarray  # (n_b, d, d), upper triangular (trapezoidal if n_t < d)
     z: np.ndarray  # (n_b, d, m_max), zero columns beyond m_t
     rho: np.ndarray  # (n_b,), |(I - Q_1 Q_1^T) Y_t|^2
-    _n_pairs: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_n_pairs", sum(idx.size for idx in self.instances))
 
     @classmethod
     def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
@@ -136,10 +132,9 @@ class Subset:
         if np.any((task < 0) | (task >= ds.n_tasks)):
             raise DimensionError("subset task id out of range")
         d = ds.inputs.shape[1]
-        tasks = np.unique(task)
+        tasks, counts = np.unique(task, return_counts=True)
         rz = np.zeros((tasks.size, d, d + max(ds.task_dims)))  # [r, z] per block
         rho = np.zeros(tasks.size)
-        instances = []
         for i, t in enumerate(tasks.tolist()):
             idx = inst[task == t]
             # np.take gathers whole rows several times faster than a[idx].
@@ -147,17 +142,16 @@ class Subset:
             f = np.linalg.qr(np.hstack([x, y]), mode="r")  # min(n_t, d + m_t) x (d + m_t)
             rz[i, : min(idx.size, d), : f.shape[1]] = f[:d]
             rho[i] = np.vdot(f[d:, d:], f[d:, d:])
-            instances.append(idx)
-        return cls(ds, tasks, tuple(instances), rz[..., :d], rz[..., d:], rho)
+        return cls(ds, tasks, tuple(counts.tolist()), rz[..., :d], rz[..., d:], rho)
 
     def __len__(self) -> int:
-        return self._n_pairs
+        return sum(self.counts)
 
     def by_task(self) -> list["Subset"]:
         """One single-task subset per block, viewing this subset's arrays."""
         cut = [slice(i, i + 1) for i in range(self.tasks.size)]
         return [
-            Subset(self.dataset, self.tasks[b], self.instances[b], self.r[b], self.z[b], self.rho[b])
+            Subset(self.dataset, self.tasks[b], self.counts[b], self.r[b], self.z[b], self.rho[b])
             for b in cut
         ]
 

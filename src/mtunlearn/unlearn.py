@@ -46,15 +46,15 @@ STRATEGIES = {
     "wo_clean": (True, ("inst", "task")),
 }
 
+REG_STEP_SIZE = 1e-3  # the subspace regularization step of a projecting epoch
+
 
 @dataclass(frozen=True)
 class UnlearnConfig:
     setting: str  # "full" or "partial"
     eta1: float = 1.0
     eta2: float = 0.1
-    eps: float = 1e-8
     max_epochs: int = 20
-    reg_step_size: float = 1e-3
     strategy: str = "ours"
     anchor_fraction: float = 0.10
     seed: int = 0
@@ -64,7 +64,7 @@ class UnlearnConfig:
             raise ConfigError(f"unknown setting {self.setting!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        for name in ("eta1", "eta2", "eps", "reg_step_size"):
+        for name in ("eta1", "eta2"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
@@ -251,12 +251,12 @@ def run_unlearning(
         if descent is not None:
             _check_retain_gradients(grads, descent, epoch)
         forget_dir = sequential_orthogonalize(
-            grads["forget"], [grads[name] for name in stages if name in weights], cfg.eps
+            grads["forget"], [grads[name] for name in stages if name in weights]
         )
         edit = apply_update(edit, descent, forget_dir, cfg.eta1, cfg.eta2)
         model = model.with_edit(edit)
         if project:
-            bases = regularize_step(bases, cfg.reg_step_size)
+            bases = regularize_step(bases, REG_STEP_SIZE)
         record(epoch)
         snapshots.append(edit)
 

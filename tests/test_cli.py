@@ -259,6 +259,29 @@ def test_uis_command_rejects_wrong_metric_label(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("header", ["value,metric,cell,task", None], ids=["reversed", "missing"])
+def test_uis_command_rejects_a_csv_without_its_header(tmp_path, capsys, header):
+    report = tmp_path / "report.csv"
+    report.write_text(report_from_cells(BENCH_A_ORIGINAL).to_csv())
+    lines = report.read_text().splitlines()
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines[1:] if header is None else [header, *lines[1:]]) + "\n")
+    code = cli.main(
+        [
+            "uis",
+            "--evaluated", str(broken),
+            "--original", str(report),
+            "--retrain", str(report),
+            "--setting", "full",
+        ]
+    )
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    first = header if header is not None else lines[1]
+    assert f"report CSV header {first!r} is not 'task,cell,metric,value'" in captured.err
+    assert captured.out == ""
+
+
 def test_uis_command_rejects_repeated_cell(tmp_path, capsys):
     report = tmp_path / "report.csv"
     report.write_text(report_from_cells(BENCH_A_ORIGINAL).to_csv() + "0,ret,exp_neg_loss,0.9\n")
@@ -446,7 +469,8 @@ BAD_CONFIGS = [
     (("unlearn", "eta_1"), 0.3, r"unlearn\.eta_1: unknown field"),
     (("unlearn", "reg_weight"), 1.0, r"unlearn\.reg_weight: unknown field"),
     (("data", "task_dims"), [0, 2], r"data: task_dims must all be >= 1"),
-    (("unlearn", "eps"), "1e-8", r"unlearn\.eps: expected float, got '1e-8'"),
+    (("unlearn", "eps"), "1e-8", r"unlearn\.eps: unknown field"),
+    (("unlearn", "reg_step_size"), 0.001, r"unlearn\.reg_step_size: unknown field"),
     (("subspace", "mode"), "bogus", r"subspace: unknown mode 'bogus'"),
     (("unlearn", "eta1"), "x", r"unlearn\.eta1: expected float, got 'x'"),
     (("partition", "forget_tasks"), ["a"], r"partition\.forget_tasks\[0\]: expected int"),

@@ -11,6 +11,7 @@ from mtunlearn import (
     EvalReport,
     UISInput,
     evaluate,
+    generate_synthetic,
     mia_auc,
     partition,
     uis,
@@ -113,6 +114,18 @@ def test_evaluate_fills_every_cell(small_problem):
             assert 0.0 < rep.metrics[(t, s)] <= 1.0
         assert 0.0 <= rep.mia_unl[t] <= 1.0
         assert 0.0 <= rep.mia_ret[t] <= 1.0
+
+
+def test_evaluate_without_a_validation_set_raises_config_error(small_problem):
+    # GenConfig's default n_val=0 generates no validation set.
+    problem = generate_synthetic(dataclasses.replace(small_problem.config, n_val=0))
+    assert problem.val_dataset is None
+    model = MultiTaskModel(
+        edit=zero_init_edit(np.zeros((5, 4)), rank=2, seed=0), heads=tuple(problem.heads)
+    )
+    part = partition(problem.dataset, [0, 1], [0])
+    with pytest.raises(ConfigError, match=r"^evaluate: a validation dataset is required"):
+        evaluate(model, problem.dataset, part, problem.val_dataset)
 
 
 @pytest.mark.parametrize("forget_tasks", [[0], [0, 1, 2]], ids=["partial", "full"])

@@ -251,7 +251,9 @@ def test_membership_aucs_equal_the_per_instance_losses_path(pipeline, setting):
 @pytest.mark.parametrize("strategy", ["ours", "neggrad_plus"])
 def test_non_finite_retain_gradient_names_epoch_and_source(pipeline, monkeypatch, strategy):
     # The second gradient of the "inst" source (retained instances on the
-    # forgotten task) has NaN entries in its 6x3 factor a.
+    # forgotten task) has NaN entries in its 6x3 factor a. Its block holds a
+    # pair per retained instance; the forget block on that task, one per
+    # forgotten instance.
     problem, part, _, original, retrain, _, subs = pipeline
     true_gradient = unlearn.subset_gradient
     inst_calls = 0
@@ -259,8 +261,8 @@ def test_non_finite_retain_gradient_names_epoch_and_source(pipeline, monkeypatch
     def poisoned(model, ds, subset):
         nonlocal inst_calls
         ga, gb = true_gradient(model, ds, subset)
-        (task,), (index,) = subset.tasks.tolist(), subset.instances
-        if task in part.forget_tasks and not np.isin(index, part.forget_instances).any():
+        (task,), (count,) = subset.tasks.tolist(), subset.counts
+        if task in part.forget_tasks and count == len(part.retain_instances):
             inst_calls += 1
             if inst_calls == 2:
                 ga = np.full_like(ga, np.nan)
