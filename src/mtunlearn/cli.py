@@ -53,7 +53,7 @@ EXIT_NUMERIC = 3
 
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 TRACE_SCHEMA_VERSION = 1
 
 # Bytes read per chunk when hashing a file, so hashing never holds a whole
@@ -88,9 +88,8 @@ def load_config(path) -> dict:
 
 
 def gen_config_from_doc(doc: dict, seed: int) -> GenConfig:
-    """The generator config of ``doc["data"]``; ``n_val`` defaults to max(50, N // 2)."""
-    cfg = config_from_doc(GenConfig, doc.get("data"), "data", seed=seed)
-    return cfg if "n_val" in doc["data"] else replace(cfg, n_val=max(50, cfg.n_instances // 2))
+    """The generator config of ``doc["data"]``."""
+    return config_from_doc(GenConfig, doc.get("data"), "data", seed=seed)
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,6 @@ class RunConfig:
         top = config_from_doc(_ConfigFile, doc, "config")
         seed = top.seed if seed is None else seed
         data = gen_config_from_doc(doc, seed)
-        if data.n_val < 1:
-            raise ConfigError("data.n_val: must be >= 1, early stopping needs a validation set")
         partition = config_from_doc(PartitionConfig, top.partition, "partition")
         tasks = tuple(sorted(set(partition.forget_tasks)))
         if not 0 <= tasks[0] <= tasks[-1] < data.n_tasks:
@@ -158,8 +155,6 @@ class RunConfig:
             raise ConfigError(f"subspace: {exc}") from None
         setting = "full" if len(tasks) == data.n_tasks else "partial"
         node = dict(top.unlearn)
-        if node.pop("setting", setting) != setting:
-            raise ConfigError(f"unlearn.setting: partition.forget_tasks select {setting!r}")
         if strategy is not None:
             node["strategy"] = strategy
         unlearn = config_from_doc(UnlearnConfig, node, "unlearn", seed=seed, setting=setting)
@@ -168,25 +163,18 @@ class RunConfig:
     def to_doc(self) -> dict:
         """The config document that :meth:`from_doc` reads back as this config."""
         sections = ("data", "partition", "train", "subspace", "unlearn")
-        doc = {name: config_to_doc(getattr(self, name), "seed") for name in sections}
+        doc = {name: config_to_doc(getattr(self, name), "seed", "setting") for name in sections}
         return dict(doc, schema_version=CONFIG_SCHEMA_VERSION, seed=self.seed, n_seeds=self.n_seeds)
 
 
-def checkpoint_to_json(
-    model: MultiTaskModel,
-    bases: np.ndarray,
-    dataset_digest: str,
-    config_echo: dict,
-) -> str:
-    """A model and its (K, r, s) subspace bases as versioned JSON; every array,
-    and each task's basis on its own, is base64 float64."""
+def checkpoint_to_json(model: MultiTaskModel, dataset_digest: str, config_echo: dict) -> str:
+    """A model as versioned JSON; every array is base64 float64."""
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "w_star": encode_array(model.edit.w_star),
         "a": encode_array(model.edit.a),
         "b": encode_array(model.edit.b),
         "heads": [encode_array(h) for h in model.heads],
-        "subspace_bases": [encode_array(q) for q in bases],
         "dataset_digest": dataset_digest,
         "config": config_echo,
     }
@@ -246,9 +234,8 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     problem = generate_synthetic(cfg.data)
     ds = problem.dataset
-    ds_path = out / "dataset.json"
-    ds_path.write_text(problem_to_json(problem))
-    ds_digest = sha256_of_file(ds_path)
+    # The sha256 of the dataset.json that `generate` writes for this config and seed.
+    ds_digest = hashlib.sha256(problem_to_json(problem).encode()).hexdigest()
 
     pc = cfg.partition
     part = default_forget_split(ds, pc.forget_fraction, pc.forget_tasks, seed)
@@ -265,7 +252,7 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
         reports[name] = evaluate(model, ds, part, problem.val_dataset)
         (out / f"eval_{name}.csv").write_text(reports[name].to_csv())
         (out / f"checkpoint_{name}.json").write_text(
-            checkpoint_to_json(model, bases, ds_digest, echo)
+            checkpoint_to_json(model, ds_digest, echo)
         )
     (out / "trace.json").write_text(trace_to_json(trace))
 

@@ -35,11 +35,15 @@ class GenConfig:
     teacher_rank: int
     noise_std: float
     seed: int
-    n_val: int = 0
+    n_val: int | None = None  # None: max(50, n_instances // 2)
 
     def __post_init__(self):
         if self.n_instances < 2 or self.n_tasks < 2 or self.input_dim < 2:
             raise ConfigError("need n_instances >= 2, n_tasks >= 2, input_dim >= 2")
+        if self.n_val is None:
+            object.__setattr__(self, "n_val", max(50, self.n_instances // 2))
+        if self.n_val < 1:
+            raise ConfigError(f"n_val must be >= 1 (early stopping reads it), got {self.n_val}")
         if len(self.task_dims) != self.n_tasks:
             raise ConfigError("task_dims length must equal n_tasks")
         if any(m < 1 for m in self.task_dims):
@@ -48,9 +52,8 @@ class GenConfig:
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
         if not 1 <= self.teacher_rank <= min(self.input_dim, self.shared_dim):
             raise ConfigError("teacher_rank must be in [1, min(input_dim, shared_dim)]")
-        for name in ("seed", "n_val"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _typed(value, tp, where: str):
@@ -188,10 +191,14 @@ class SyntheticProblem:
     """Dataset plus the fixed task heads and hidden teacher that produced it."""
 
     dataset: MultiTaskDataset
-    val_dataset: MultiTaskDataset | None
+    val_dataset: MultiTaskDataset
     heads: list[np.ndarray]
     teacher: np.ndarray
     config: GenConfig
+
+    def __post_init__(self):
+        if self.val_dataset is None:
+            raise ConfigError("val_dataset is required: early stopping reads it")
 
     @property
     def shared_dim(self) -> int:
@@ -223,9 +230,8 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
         return MultiTaskDataset(inputs=x, targets=targets)
 
     train = draw(config.n_instances)
-    val = draw(config.n_val) if config.n_val > 0 else None
     return SyntheticProblem(
-        dataset=train, val_dataset=val, heads=heads, teacher=teacher, config=config
+        dataset=train, val_dataset=draw(config.n_val), heads=heads, teacher=teacher, config=config
     )
 
 
@@ -273,7 +279,6 @@ def encode_array(a: np.ndarray) -> dict:
 
 def problem_to_json(problem: SyntheticProblem) -> str:
     """Serialize the problem as versioned JSON, each array as base64 float64."""
-    val = problem.val_dataset
     doc = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "config": config_to_doc(problem.config),
@@ -281,8 +286,8 @@ def problem_to_json(problem: SyntheticProblem) -> str:
         "targets": [encode_array(y) for y in problem.dataset.targets],
         "heads": [encode_array(h) for h in problem.heads],
         "teacher": encode_array(problem.teacher),
-        "val_inputs": encode_array(val.inputs) if val is not None else None,
-        "val_targets": [encode_array(y) for y in val.targets] if val is not None else None,
+        "val_inputs": encode_array(problem.val_dataset.inputs),
+        "val_targets": [encode_array(y) for y in problem.val_dataset.targets],
     }
     return json.dumps(doc, sort_keys=True)
 

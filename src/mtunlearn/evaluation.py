@@ -175,8 +175,6 @@ def evaluate(
     Splits are by instance: retained instances, forgotten instances, and
     the held-out validation set.
     """
-    if val_ds is None:
-        raise ConfigError("evaluate: a validation dataset is required (n_val >= 1)")
     if ds.n_tasks != val_ds.n_tasks:
         raise DimensionError("train and validation task sets differ")
     unl_idx, ret_idx = part.forget_instances, part.retain_instances

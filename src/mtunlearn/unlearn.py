@@ -162,8 +162,6 @@ def run_unlearning(
     ``bases`` holds one r×s task-subspace basis per task, shape (K, r, s).
     """
     ds, val = problem.dataset, problem.val_dataset
-    if val is None:
-        raise ConfigError("a validation dataset is required for early stopping")
     if not part.forget.size:
         raise EmptySubsetError("forget set is empty")
     full = len(part.forget_tasks) == ds.n_tasks

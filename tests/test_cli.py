@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from benchdata import BENCH_A_ORIGINAL, report_from_cells
 from conftest import decode
-from mtunlearn import LowRankEdit, MultiTaskModel, cli, init_subspaces, surgery
+from mtunlearn import LowRankEdit, MultiTaskModel, cli, surgery
 from mtunlearn.errors import ConfigError
 
 
@@ -49,6 +49,9 @@ def write_config(path, **overrides):
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -99,18 +102,23 @@ def test_run_artifacts_and_rerun_digest_equality(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     assert cli.main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-    # Eval reports are CSV only; no JSON twin.
-    assert sorted(p.name for p in (out1 / "seed_0").iterdir()) == [
+    # Eval reports are CSV only; no JSON twin. No dataset copy: checkpoints record its digest.
+    expected = [
         "checkpoint_original.json",
         "checkpoint_retrain.json",
         "checkpoint_unlearned.json",
-        "dataset.json",
         "eval_original.csv",
         "eval_retrain.csv",
         "eval_unlearned.csv",
         "trace.json",
         "uis.json",
     ]
+    assert sorted(p.name for p in (out1 / "seed_0").iterdir()) == expected
+    # The README's list of a seed directory's files names exactly these.
+    sentence = re.search(
+        r"`run` writes one directory `seed_N/` per seed, holding\s(.*?)\.\s", README, re.S
+    )
+    assert sorted(re.findall(r"`([^`]+)`", sentence.group(1))) == expected
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["outputs"] == m2["outputs"]
@@ -120,13 +128,12 @@ def test_run_artifacts_and_rerun_digest_equality(tmp_path):
 
 
 def decoded_checkpoint(text):
-    """The four arguments that ``cli.checkpoint_to_json`` made ``text`` from."""
+    """The three arguments that ``cli.checkpoint_to_json`` made ``text`` from."""
     doc = json.loads(text)
     assert doc["schema_version"] == cli.CHECKPOINT_SCHEMA_VERSION
     edit = LowRankEdit(*(decode(doc[name]) for name in ("w_star", "a", "b")))
     model = MultiTaskModel(edit=edit, heads=tuple(decode(h) for h in doc["heads"]))
-    bases = np.stack([decode(q) for q in doc["subspace_bases"]])
-    return model, bases, doc["dataset_digest"], doc["config"]
+    return model, doc["dataset_digest"], doc["config"]
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -135,39 +142,7 @@ def test_checkpoint_round_trip(tmp_path):
     cli.main(["run", "--config", str(cfg), "--out", str(out)])
     for name in ("original", "retrain", "unlearned"):
         text = (out / "seed_0" / f"checkpoint_{name}.json").read_text()
-        decoded = decoded_checkpoint(text)
-        assert cli.checkpoint_to_json(*decoded) == text
-        for q in decoded[1]:
-            assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-8
-
-
-def random_checkpoint():
-    """Checkpoint text, model and random-mode (dense) subspace bases for 3 tasks, r = 4."""
-    doc = base_config()
-    doc["data"].update(n_tasks=3, task_dims=[2, 2, 2])  # input_dim 6, shared_dim 5
-    doc["train"]["rank"] = 4
-    doc["subspace"] = {"dim": 2, "mode": "random"}
-    echo = cli.RunConfig.from_doc(doc).to_doc()
-    rng = np.random.default_rng(0)
-    edit = LowRankEdit(
-        w_star=rng.standard_normal((6, 5)),
-        a=rng.standard_normal((5, 4)),
-        b=rng.standard_normal((6, 4)),
-    )
-    model = MultiTaskModel(edit=edit, heads=tuple(rng.standard_normal((2, 5)) for _ in range(3)))
-    bases = init_subspaces(3, rank=4, dim=2, mode="random", seed=0)
-    return cli.checkpoint_to_json(model, bases, "digest", echo), model, bases
-
-
-def test_checkpoint_round_trip_keeps_random_bases():
-    text, model, bases = random_checkpoint()
-    loaded, loaded_bases, digest_, echo = decoded_checkpoint(text)
-    for name in ("w_star", "a", "b"):
-        assert np.array_equal(getattr(loaded.edit, name), getattr(model.edit, name))
-    assert all(np.array_equal(h, g) for h, g in zip(loaded.heads, model.heads, strict=True))
-    assert loaded_bases.shape == (3, 4, 2) and np.array_equal(loaded_bases, bases)
-    assert digest_ == "digest" and echo == json.loads(text)["config"]
-    assert cli.checkpoint_to_json(loaded, loaded_bases, digest_, echo) == text
+        assert cli.checkpoint_to_json(*decoded_checkpoint(text)) == text
 
 
 def test_run_multi_seed_summary(tmp_path):
@@ -194,8 +169,8 @@ def test_full_task_run_writes_strict_json(tmp_path):
     out = tmp_path / "full"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     artifacts = sorted(out.rglob("*.json"))
-    # manifest and summary, then per seed: 3 checkpoints, dataset, trace and uis
-    assert len(artifacts) == 2 + 2 * 6
+    # manifest and summary, then per seed: 3 checkpoints, trace and uis
+    assert len(artifacts) == 2 + 2 * 5
     for path in artifacts:
         json.loads(path.read_text(), parse_constant=_reject_constant)
     assert json.loads((out / "seed_1" / "uis.json").read_text())["clean_loss"] is None
@@ -469,6 +444,7 @@ BAD_CONFIGS = [
     (("unlearn", "eta_1"), 0.3, r"unlearn\.eta_1: unknown field"),
     (("unlearn", "reg_weight"), 1.0, r"unlearn\.reg_weight: unknown field"),
     (("data", "task_dims"), [0, 2], r"data: task_dims must all be >= 1"),
+    (("data", "n_val"), 0, r"data: n_val must be >= 1"),
     (("unlearn", "eps"), "1e-8", r"unlearn\.eps: unknown field"),
     (("unlearn", "reg_step_size"), 0.001, r"unlearn\.reg_step_size: unknown field"),
     (("subspace", "mode"), "bogus", r"subspace: unknown mode 'bogus'"),
@@ -522,15 +498,21 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, path, value, mess
 
 
 def test_generate_and_run_write_the_same_dataset_without_n_val(tmp_path):
-    doc = base_config()
-    del doc["data"]["n_val"]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
-    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
-    generated = tmp_path / "g" / "dataset.json"
-    assert digest(generated) == digest(tmp_path / "r" / "seed_0" / "dataset.json")
-    assert json.loads(generated.read_text())["config"]["n_val"] == 50
+    # With and without n_val, every checkpoint records the digest of generate's dataset.json.
+    for n_val in (20, None):
+        doc = base_config()
+        if n_val is None:
+            del doc["data"]["n_val"]
+        cfg = tmp_path / f"cfg_{n_val}.json"
+        cfg.write_text(json.dumps(doc))
+        gen, run = tmp_path / f"g_{n_val}", tmp_path / f"r_{n_val}"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(gen)]) == 0
+        assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 0
+        generated = gen / "dataset.json"
+        assert json.loads(generated.read_text())["config"]["n_val"] == (n_val or 50)
+        for name in ("original", "retrain", "unlearned"):
+            checkpoint = json.loads((run / "seed_0" / f"checkpoint_{name}.json").read_text())
+            assert checkpoint["dataset_digest"] == digest(generated)
 
 
 def test_run_from_manifest_config_reproduces_digests(tmp_path):
@@ -561,18 +543,20 @@ def test_seed_checkpoint_echoes_its_own_seed_and_reproduces(tmp_path):
 
 
 def test_echoed_setting_must_match_forget_tasks():
-    doc = cli.RunConfig.from_doc(base_config()).to_doc()
-    assert doc["unlearn"]["setting"] == "partial"
-    doc["unlearn"]["setting"] = "full"
-    with pytest.raises(ConfigError, match=r"unlearn\.setting: .*forget_tasks select 'partial'"):
-        cli.RunConfig.from_doc(doc)
+    # The setting follows from partition.forget_tasks, so the echo leaves it out.
+    cfg = cli.RunConfig.from_doc(base_config())
+    doc = cfg.to_doc()
+    assert "setting" not in doc["unlearn"] and cfg.unlearn.setting == "partial"
+    for setting in ("partial", "full"):
+        doc["unlearn"]["setting"] = setting
+        with pytest.raises(ConfigError, match=r"^unlearn\.setting: unknown field$"):
+            cli.RunConfig.from_doc(doc)
 
 
 def readme_config_fields() -> list[str]:
     """The names in the first column of the README's "Every field" table; a
     bare name inherits the section prefix of the name before it in its cell."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = text.split("Every field:", 1)[1].strip().splitlines()
+    lines = README.split("Every field:", 1)[1].strip().splitlines()
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
     fields = []
     for row in list(rows)[2:]:  # after the header and the separator

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -76,6 +77,16 @@ def test_config_validation():
         make_config(noise_std=-0.5)
     with pytest.raises(ConfigError):
         make_config(teacher_rank=99)
+
+
+def test_gen_config_requires_a_validation_set():
+    assert make_config(n_val=None).n_val == 50  # max(50, n_instances // 2)
+    assert make_config(n_instances=300, n_val=None).n_val == 150
+    with pytest.raises(ConfigError, match=r"^n_val must be >= 1"):
+        make_config(n_val=0)
+    p = generate_synthetic(make_config())
+    with pytest.raises(ConfigError, match=r"^val_dataset is required"):
+        dataclasses.replace(p, val_dataset=None)
 
 
 def test_partition_covers_grid_exactly_once():

@@ -170,21 +170,6 @@ def test_subspaces_regularized_only_when_projecting(pipeline, monkeypatch, strat
     assert len(calls) == expected_calls
 
 
-def test_validation_set_is_required(pipeline):
-    problem, part, _, original, retrain, _, subs = pipeline
-    stripped = type(problem)(
-        dataset=problem.dataset,
-        val_dataset=None,
-        heads=problem.heads,
-        teacher=problem.teacher,
-        config=problem.config,
-    )
-    with pytest.raises(ConfigError):
-        run_unlearning(
-            original, stripped, part, subs, UnlearnConfig(setting="partial"), retrain
-        )
-
-
 @pytest.mark.parametrize("strategy", ["ours", "neggrad_plus", "wo_projection"])
 def test_basis_count_must_match_the_task_count(pipeline, monkeypatch, strategy):
     problem, part, _, original, retrain, _, subs = pipeline
