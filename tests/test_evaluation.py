@@ -115,6 +115,13 @@ def test_evaluate_fills_every_cell(small_problem):
         assert 0.0 <= rep.mia_ret[t] <= 1.0
 
 
+def test_evaluate_without_a_validation_set_raises_config_error(small_problem):
+    # evaluate takes the validation set as given: a config without one is
+    # refused before any problem can be generated from it.
+    with pytest.raises(ConfigError, match=r"^n_val must be >= 1"):
+        dataclasses.replace(small_problem.config, n_val=0)
+
+
 @pytest.mark.parametrize("forget_tasks", [[0], [0, 1, 2]], ids=["partial", "full"])
 def test_evaluate_equals_a_per_cell_reference(small_problem, forget_tasks):
     ds, val = small_problem.dataset, small_problem.val_dataset

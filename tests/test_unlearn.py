@@ -170,6 +170,20 @@ def test_subspaces_regularized_only_when_projecting(pipeline, monkeypatch, strat
     assert len(calls) == expected_calls
 
 
+def test_validation_set_is_required(pipeline):
+    # run_unlearning reads the validation set unchecked: a problem without
+    # one is refused when it is built.
+    problem = pipeline[0]
+    with pytest.raises(ConfigError, match=r"^val_dataset is required"):
+        type(problem)(
+            dataset=problem.dataset,
+            val_dataset=None,
+            heads=problem.heads,
+            teacher=problem.teacher,
+            config=problem.config,
+        )
+
+
 @pytest.mark.parametrize("strategy", ["ours", "neggrad_plus", "wo_projection"])
 def test_basis_count_must_match_the_task_count(pipeline, monkeypatch, strategy):
     problem, part, _, original, retrain, _, subs = pipeline
