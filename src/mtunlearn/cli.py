@@ -1,9 +1,10 @@
 """Command-line pipeline: generate, run, verify, uis, sweep.
 
 Every command materializes its full configuration, writes versioned JSON
-or CSV artifacts, and records a manifest with content digests so reruns
-can be checked for byte-identical numeric output. Exit codes: 0 success,
-2 configuration or schema error, 3 numeric or verification failure.
+or CSV artifacts, and records a manifest with the digest of each file it
+wrote, so reruns can be checked for byte-identical numeric output. Exit
+codes: 0 success, 2 configuration or schema error, 3 numeric or
+verification failure.
 """
 
 from __future__ import annotations
@@ -56,17 +57,12 @@ MANIFEST_SCHEMA_VERSION = 1
 CHECKPOINT_SCHEMA_VERSION = 3
 TRACE_SCHEMA_VERSION = 1
 
-# Bytes read per chunk when hashing a file, so hashing never holds a whole
-# output in memory.
-HASH_CHUNK_BYTES = 1 << 20
 
-
-def sha256_of_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(HASH_CHUNK_BYTES):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _write(path: Path, text: str, outputs: dict):
+    """Write ``text`` to ``path`` as UTF-8; record the sha256 of its bytes in ``outputs``."""
+    data = text.encode()
+    path.write_bytes(data)
+    outputs[path] = hashlib.sha256(data).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -76,13 +72,23 @@ class _NonFinite:
     literal: str
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; :func:`load_config` rejects a key given twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} is given twice")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text, parse_constant=_NonFinite)
+        return json.loads(text, parse_constant=_NonFinite, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also an integer too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
@@ -191,15 +197,14 @@ def trace_to_json(trace: UnlearnTrace) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, seed, outputs, started):
+def write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: dict, started):
+    """Write ``manifest.json``; ``outputs`` maps each written path to its digest."""
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "command": command,
         "config": config,
         "seed": seed,
-        "outputs": {
-            str(Path(p).relative_to(out_dir)): sha256_of_file(p) for p in outputs
-        },
+        "outputs": {str(p.relative_to(out_dir)): d for p, d in outputs.items()},
         "elapsed_seconds": time.time() - started,
     }
     path = out_dir / "manifest.json"
@@ -221,14 +226,14 @@ def cmd_generate(args) -> int:
     cfg = RunConfig.from_doc(load_config(args.config), args.seed)
     out = _out_dir(args)
     problem = generate_synthetic(cfg.data)
-    ds_path = out / "dataset.json"
-    ds_path.write_text(problem_to_json(problem))
-    write_manifest(out, "generate", cfg.to_doc(), cfg.seed, [ds_path], started)
+    ds_path, outputs = out / "dataset.json", {}
+    _write(ds_path, problem_to_json(problem), outputs)
+    write_manifest(out, "generate", cfg.to_doc(), cfg.seed, outputs, started)
     print(f"wrote {ds_path}")
     return EXIT_OK
 
 
-def _single_run(cfg: RunConfig, out: Path) -> dict:
+def _single_run(cfg: RunConfig, out: Path, outputs: dict) -> dict:
     """Full pipeline for ``cfg``'s one seed; writes artifacts and returns summary row."""
     seed = cfg.seed
     out.mkdir(parents=True, exist_ok=True)
@@ -250,11 +255,9 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
     reports = {}
     for name, model in (("original", original), ("retrain", retrain), ("unlearned", unlearned)):
         reports[name] = evaluate(model, ds, part, problem.val_dataset)
-        (out / f"eval_{name}.csv").write_text(reports[name].to_csv())
-        (out / f"checkpoint_{name}.json").write_text(
-            checkpoint_to_json(model, ds_digest, echo)
-        )
-    (out / "trace.json").write_text(trace_to_json(trace))
+        _write(out / f"eval_{name}.csv", reports[name].to_csv(), outputs)
+        _write(out / f"checkpoint_{name}.json", checkpoint_to_json(model, ds_digest, echo), outputs)
+    _write(out / "trace.json", trace_to_json(trace), outputs)
 
     score = uis(
         UISInput(
@@ -278,7 +281,7 @@ def _single_run(cfg: RunConfig, out: Path) -> dict:
         "reference_auc": trace.reference_auc,
         "uis": score,
     }
-    (out / "uis.json").write_text(json.dumps(row, sort_keys=True))
+    _write(out / "uis.json", json.dumps(row, sort_keys=True), outputs)
     return row
 
 
@@ -301,16 +304,15 @@ def _csv_field(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_seed_table(out: Path, rows) -> tuple[dict, list[Path]]:
-    """Write ``seeds.csv`` and ``summary.json``; return the summary and both paths.
+def _write_seed_table(out: Path, rows, outputs: dict) -> dict:
+    """Write ``seeds.csv`` and ``summary.json``; return the summary.
 
     A field that some seed lacks (None) has a null mean and stddev.
     """
     lines = [",".join(_ROW_FIELDS)]
     for row in rows:
         lines.append(",".join(_csv_field(row[f]) for f in _ROW_FIELDS))
-    seeds_path = out / "seeds.csv"
-    seeds_path.write_text("\n".join(lines) + "\n")
+    _write(out / "seeds.csv", "\n".join(lines) + "\n", outputs)
     summary = {}
     for f in _ROW_FIELDS[1:]:
         vals = [row[f] for row in rows]
@@ -319,27 +321,24 @@ def _write_seed_table(out: Path, rows) -> tuple[dict, list[Path]]:
         else:
             arr = np.array(vals, dtype=float)
             summary[f] = {"mean": float(arr.mean()), "stddev": float(arr.std(ddof=0))}
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return summary, [seeds_path, summary_path]
+    _write(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n", outputs)
+    return summary
 
 
-def _run_seeds(cfg: RunConfig, out: Path) -> tuple[list[dict], dict, list[Path]]:
-    """Run each seed of ``cfg`` as its own one-seed config; return rows, summary and files."""
-    rows, outputs, doc = [], [], cfg.to_doc()
+def _run_seeds(cfg: RunConfig, out: Path, outputs: dict) -> tuple[list[dict], dict]:
+    """Run each seed of ``cfg`` as its own one-seed config; return rows and summary."""
+    rows, doc = [], cfg.to_doc()
     for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
-        seed_dir = out / f"seed_{seed}"
-        rows.append(_single_run(RunConfig.from_doc(dict(doc, seed=seed, n_seeds=1)), seed_dir))
-        outputs.extend(sorted(seed_dir.iterdir()))
-    summary, written = _write_seed_table(out, rows)
-    return rows, summary, outputs + written
+        sub = RunConfig.from_doc(dict(doc, seed=seed, n_seeds=1))
+        rows.append(_single_run(sub, out / f"seed_{seed}", outputs))
+    return rows, _write_seed_table(out, rows, outputs)
 
 
 def cmd_run(args) -> int:
     started = time.time()
     cfg = RunConfig.from_doc(load_config(args.config), args.seed, args.strategy)
-    out = _out_dir(args)
-    rows, _, outputs = _run_seeds(cfg, out)
+    out, outputs = _out_dir(args), {}
+    rows, _ = _run_seeds(cfg, out, outputs)
     write_manifest(out, "run", cfg.to_doc(), cfg.seed, outputs, started)
     for row in rows:
         print(
@@ -356,9 +355,9 @@ def cmd_verify(args) -> int:
     out = _out_dir(args) if args.out else None
     report = theory.run_all_checks(seed=args.seed)
     if out:
-        path = out / "verification.json"
-        path.write_text(theory.report_to_json(report))
-        write_manifest(out, "verify", {"seed": args.seed}, args.seed, [path], started)
+        outputs = {}
+        _write(out / "verification.json", theory.report_to_json(report), outputs)
+        write_manifest(out, "verify", {"seed": args.seed}, args.seed, outputs, started)
     failed = [s for s in report["suites"] if not s["passed"]]
     for suite in report["suites"]:
         print(f"{suite['suite']}: {'pass' if suite['passed'] else 'FAIL'}")
@@ -426,16 +425,13 @@ def cmd_sweep(args) -> int:
             partition = dict(doc["partition"], forget_fraction=r)
             subs[r] = RunConfig.from_doc(dict(doc, partition=partition))
 
-    out = _out_dir(args)
-    outputs = []
+    out, outputs = _out_dir(args), {}
     lines = ["ratio," + ",".join(f"mean_{f}" for f in _ROW_FIELDS[1:])]
     for ratio, sub in subs.items():
-        _, summary, written = _run_seeds(sub, out / f"ratio_{ratio}")
-        outputs.extend(written)
+        _, summary = _run_seeds(sub, out / f"ratio_{ratio}", outputs)
         lines.append(f"{ratio}," + ",".join(_csv_field(summary[f]["mean"]) for f in _ROW_FIELDS[1:]))
     sweep_path = out / "sweep.csv"
-    sweep_path.write_text("\n".join(lines) + "\n")
-    outputs.append(sweep_path)
+    _write(sweep_path, "\n".join(lines) + "\n", outputs)
     write_manifest(out, "sweep", cfg.to_doc(), cfg.seed, outputs, started)
     print(f"wrote {sweep_path}")
     return EXIT_OK

@@ -100,19 +100,14 @@ def sequential_orthogonalize(
 
 def apply_update(
     edit: LowRankEdit,
-    retain: GradientPair | None,
-    forget_perp: GradientPair | None,
+    retain: GradientPair,
+    forget_perp: GradientPair,
     eta1: float,
     eta2: float,
 ) -> LowRankEdit:
     """Retain descent plus orthogonalized forget ascent on both factors."""
     if eta1 < 0 or eta2 < 0:
         raise ValueError("step sizes must be >= 0")
-    a, b = edit.a.copy(), edit.b.copy()
-    if retain is not None:
-        a -= eta1 * retain.a
-        b -= eta1 * retain.b
-    if forget_perp is not None:
-        a += eta2 * forget_perp.a
-        b += eta2 * forget_perp.b
+    a = edit.a - eta1 * retain.a + eta2 * forget_perp.a
+    b = edit.b - eta1 * retain.b + eta2 * forget_perp.b
     return LowRankEdit(w_star=edit.w_star, a=a, b=b)

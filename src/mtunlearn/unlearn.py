@@ -164,6 +164,8 @@ def run_unlearning(
     ds, val = problem.dataset, problem.val_dataset
     if not part.forget.size:
         raise EmptySubsetError("forget set is empty")
+    if not part.retain.size:
+        raise EmptySubsetError("retain set is empty")
     full = len(part.forget_tasks) == ds.n_tasks
     if cfg.setting == "full" and not full:
         raise ConfigError("setting=full requires all tasks forgotten")
@@ -241,13 +243,13 @@ def run_unlearning(
             if subsets
         }
         _check_forget_gradient(grads["forget"], epoch)
-        descent = None
-        for name, weight in weights.items():
-            g = grads[name]
-            weighted = GradientPair(g.a * weight, g.b * weight)
-            descent = weighted if descent is None else descent + weighted
-        if descent is not None:
-            _check_retain_gradients(grads, descent, epoch)
+        # The retain set is nonempty, so at least one source is weighted.
+        weighted = [
+            GradientPair(grads[name].a * weight, grads[name].b * weight)
+            for name, weight in weights.items()
+        ]
+        descent = sum(weighted[1:], weighted[0])
+        _check_retain_gradients(grads, descent, epoch)
         forget_dir = sequential_orthogonalize(
             grads["forget"], [grads[name] for name in stages if name in weights]
         )

@@ -6,7 +6,6 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +52,19 @@ def digest(path):
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
+# What `run` writes into each seed_N/. Eval reports are CSV only; no JSON twin.
+# No dataset copy: checkpoints record its digest.
+SEED_FILES = [
+    "checkpoint_original.json",
+    "checkpoint_retrain.json",
+    "checkpoint_unlearned.json",
+    "eval_original.csv",
+    "eval_retrain.csv",
+    "eval_unlearned.csv",
+    "trace.json",
+    "uis.json",
+]
+
 
 def test_generate_is_deterministic(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
@@ -97,34 +109,73 @@ def test_integer_too_long_to_parse_is_a_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("eta2", '"unlearn": {"eta2": 0.05, "eta2": 5.0}'),
+        ("seed", '"seed": 0, "seed": 4'),
+    ],
+    ids=["unlearn.eta2", "seed"],
+)
+def test_repeated_key_exits_2_naming_it(tmp_path, capsys, key, text):
+    doc = json.dumps(base_config())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc[:-1] + ", " + text + "}")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"key '{key}' is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_artifacts_and_rerun_digest_equality(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     assert cli.main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-    # Eval reports are CSV only; no JSON twin. No dataset copy: checkpoints record its digest.
-    expected = [
-        "checkpoint_original.json",
-        "checkpoint_retrain.json",
-        "checkpoint_unlearned.json",
-        "eval_original.csv",
-        "eval_retrain.csv",
-        "eval_unlearned.csv",
-        "trace.json",
-        "uis.json",
-    ]
-    assert sorted(p.name for p in (out1 / "seed_0").iterdir()) == expected
+    assert sorted(p.name for p in (out1 / "seed_0").iterdir()) == SEED_FILES
     # The README's list of a seed directory's files names exactly these.
     sentence = re.search(
         r"`run` writes one directory `seed_N/` per seed, holding\s(.*?)\.\s", README, re.S
     )
-    assert sorted(re.findall(r"`([^`]+)`", sentence.group(1))) == expected
+    assert sorted(re.findall(r"`([^`]+)`", sentence.group(1))) == SEED_FILES
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["outputs"] == m2["outputs"]
     # manifest digests verify against the files on disk
     for rel, expected in m1["outputs"].items():
         assert digest(out1 / rel) == expected
+
+
+def test_run_into_a_reused_out_lists_only_what_it_wrote(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "r"
+    (out / "seed_0").mkdir(parents=True)
+    stale = {"seed_0/dataset.json": b'{"schema_version": 2}', "seed_0/notes.txt": b"mine\n"}
+    for rel, data in stale.items():
+        (out / rel).write_bytes(data)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == [f"seed_0/{name}" for name in SEED_FILES] + ["seeds.csv", "summary.json"]
+    for rel, data in stale.items():
+        assert (out / rel).read_bytes() == data
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "sweep", "verify"])
+def test_manifest_lists_every_file_a_command_wrote(tmp_path, command):
+    cfg = write_config(tmp_path / "cfg.json", n_seeds=2)
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--config", str(cfg)],
+        "run": ["run", "--config", str(cfg)],
+        "sweep": ["sweep", "--config", str(cfg), "--ratios", "0.1,0.2"],
+        "verify": ["verify", "--seed", "0"],
+    }[command]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert set(outputs) == written - {"manifest.json"}
+    for rel, expected in outputs.items():
+        assert digest(out / rel) == expected
 
 
 def decoded_checkpoint(text):
@@ -423,13 +474,6 @@ def test_verify_detects_a_skipped_projection(capsys, monkeypatch):
     code = cli.main(["verify", "--seed", "0"])
     assert code == cli.EXIT_NUMERIC
     assert "projection_bound" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("n_bytes", [0, 5 * cli.HASH_CHUNK_BYTES // 2])
-def test_sha256_of_file_hashes_in_chunks_to_the_whole_file_digest(tmp_path, n_bytes):
-    path = tmp_path / "blob"
-    path.write_bytes(np.random.default_rng(n_bytes).bytes(n_bytes))
-    assert cli.sha256_of_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 DELETE = object()

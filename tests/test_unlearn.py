@@ -80,6 +80,18 @@ def test_empty_forget_rejected(pipeline):
         )
 
 
+def test_empty_retain_rejected(pipeline):
+    problem, *_ , subs = pipeline
+    original, retrain = pipeline[3], pipeline[5]
+    ds = problem.dataset
+    everything = partition(ds, range(ds.n_instances), range(ds.n_tasks))
+    with pytest.raises(EmptySubsetError, match="retain set is empty"):
+        run_unlearning(
+            original, problem, everything, subs,
+            UnlearnConfig(setting="full"), retrain,
+        )
+
+
 def test_partial_run_structure_and_determinism(pipeline):
     problem, part, _, original, retrain, _, subs = pipeline
     cfg = UnlearnConfig(setting="partial", eta1=0.3, eta2=0.05, max_epochs=8, seed=2)
