@@ -54,14 +54,19 @@ EXIT_NUMERIC = 3
 
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 TRACE_SCHEMA_VERSION = 1
 
 
 def _write(path: Path, text: str, outputs: dict):
-    """Write ``text`` to ``path`` as UTF-8; record the sha256 of its bytes in ``outputs``."""
+    """Write ``text`` to ``path`` as UTF-8, making its directory; record the sha256 of
+    its bytes in ``outputs``. A write that fails is a config error naming ``path``."""
     data = text.encode()
-    path.write_bytes(data)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     outputs[path] = hashlib.sha256(data).hexdigest()
 
 
@@ -89,7 +94,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         return json.loads(text, parse_constant=_NonFinite, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # also an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # also a too long integer or too deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -173,7 +178,7 @@ class RunConfig:
         return dict(doc, schema_version=CONFIG_SCHEMA_VERSION, seed=self.seed, n_seeds=self.n_seeds)
 
 
-def checkpoint_to_json(model: MultiTaskModel, dataset_digest: str, config_echo: dict) -> str:
+def checkpoint_to_json(model: MultiTaskModel, config_echo: dict) -> str:
     """A model as versioned JSON; every array is base64 float64."""
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -181,7 +186,6 @@ def checkpoint_to_json(model: MultiTaskModel, dataset_digest: str, config_echo: 
         "a": encode_array(model.edit.a),
         "b": encode_array(model.edit.b),
         "heads": [encode_array(h) for h in model.heads],
-        "dataset_digest": dataset_digest,
         "config": config_echo,
     }
     return json.dumps(doc, sort_keys=True)
@@ -198,7 +202,7 @@ def trace_to_json(trace: UnlearnTrace) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: dict, started):
-    """Write ``manifest.json``; ``outputs`` maps each written path to its digest."""
+    """Write ``manifest.json``, which lists ``outputs`` (each written path and its digest)."""
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "command": command,
@@ -207,9 +211,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: dic
         "outputs": {str(p.relative_to(out_dir)): d for p, d in outputs.items()},
         "elapsed_seconds": time.time() - started,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    _write(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n", {})
 
 
 def _out_dir(args) -> Path:
@@ -236,11 +238,8 @@ def cmd_generate(args) -> int:
 def _single_run(cfg: RunConfig, out: Path, outputs: dict) -> dict:
     """Full pipeline for ``cfg``'s one seed; writes artifacts and returns summary row."""
     seed = cfg.seed
-    out.mkdir(parents=True, exist_ok=True)
     problem = generate_synthetic(cfg.data)
     ds = problem.dataset
-    # The sha256 of the dataset.json that `generate` writes for this config and seed.
-    ds_digest = hashlib.sha256(problem_to_json(problem).encode()).hexdigest()
 
     pc = cfg.partition
     part = default_forget_split(ds, pc.forget_fraction, pc.forget_tasks, seed)
@@ -256,7 +255,7 @@ def _single_run(cfg: RunConfig, out: Path, outputs: dict) -> dict:
     for name, model in (("original", original), ("retrain", retrain), ("unlearned", unlearned)):
         reports[name] = evaluate(model, ds, part, problem.val_dataset)
         _write(out / f"eval_{name}.csv", reports[name].to_csv(), outputs)
-        _write(out / f"checkpoint_{name}.json", checkpoint_to_json(model, ds_digest, echo), outputs)
+        _write(out / f"checkpoint_{name}.json", checkpoint_to_json(model, echo), outputs)
     _write(out / "trace.json", trace_to_json(trace), outputs)
 
     score = uis(

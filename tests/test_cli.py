@@ -53,7 +53,7 @@ def digest(path):
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 # What `run` writes into each seed_N/. Eval reports are CSV only; no JSON twin.
-# No dataset copy: checkpoints record its digest.
+# No dataset copy: each checkpoint's config echo regenerates it.
 SEED_FILES = [
     "checkpoint_original.json",
     "checkpoint_retrain.json",
@@ -109,6 +109,22 @@ def test_integer_too_long_to_parse_is_a_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "run"])
+@pytest.mark.parametrize("nested", ["document", "field"])
+def test_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys, command, nested):
+    depth = 200_000
+    deep = "[" * depth + "]" * depth
+    cfg = tmp_path / "cfg.json"
+    if nested == "document":
+        cfg.write_text(deep)
+    else:
+        cfg.write_text(json.dumps(base_config()).replace('"noise_std": 0.2', f'"noise_std": {deep}'))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"config {cfg} is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, text",
     [
@@ -160,6 +176,40 @@ def test_run_into_a_reused_out_lists_only_what_it_wrote(tmp_path):
         assert (out / rel).read_bytes() == data
 
 
+@pytest.mark.parametrize(
+    "taken, is_dir",
+    [("seed_0", False), ("seed_0/uis.json", True), ("manifest.json", True)],
+    ids=["seed_dir_is_a_file", "uis_json_is_a_dir", "manifest_is_a_dir"],
+)
+def test_write_under_a_reused_out_that_fails_exits_2_naming_the_path(
+    tmp_path, capsys, taken, is_dir
+):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "r"
+    path = out / taken
+    if is_dir:
+        path.mkdir(parents=True)
+    else:
+        out.mkdir()
+        path.write_text("kept")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert re.search(rf"cannot write {re.escape(str(path))}\b", captured.err)
+    assert captured.out == ""
+    assert path.is_dir() if is_dir else path.read_text() == "kept"
+
+
+def test_run_never_encodes_the_dataset(tmp_path, monkeypatch):
+    def refuse(problem):
+        raise AssertionError("run encoded the dataset")
+
+    monkeypatch.setattr(cli, "problem_to_json", refuse)
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "seed_0").iterdir()) == SEED_FILES
+
+
 @pytest.mark.parametrize("command", ["generate", "run", "sweep", "verify"])
 def test_manifest_lists_every_file_a_command_wrote(tmp_path, command):
     cfg = write_config(tmp_path / "cfg.json", n_seeds=2)
@@ -179,12 +229,12 @@ def test_manifest_lists_every_file_a_command_wrote(tmp_path, command):
 
 
 def decoded_checkpoint(text):
-    """The three arguments that ``cli.checkpoint_to_json`` made ``text`` from."""
+    """The two arguments that ``cli.checkpoint_to_json`` made ``text`` from."""
     doc = json.loads(text)
     assert doc["schema_version"] == cli.CHECKPOINT_SCHEMA_VERSION
     edit = LowRankEdit(*(decode(doc[name]) for name in ("w_star", "a", "b")))
     model = MultiTaskModel(edit=edit, heads=tuple(decode(h) for h in doc["heads"]))
-    return model, doc["dataset_digest"], doc["config"]
+    return model, doc["config"]
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -542,7 +592,8 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, path, value, mess
 
 
 def test_generate_and_run_write_the_same_dataset_without_n_val(tmp_path):
-    # With and without n_val, every checkpoint records the digest of generate's dataset.json.
+    # With and without n_val, generate on every checkpoint's config echo writes
+    # the dataset.json that generate writes from the config itself.
     for n_val in (20, None):
         doc = base_config()
         if n_val is None:
@@ -552,11 +603,15 @@ def test_generate_and_run_write_the_same_dataset_without_n_val(tmp_path):
         gen, run = tmp_path / f"g_{n_val}", tmp_path / f"r_{n_val}"
         assert cli.main(["generate", "--config", str(cfg), "--out", str(gen)]) == 0
         assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 0
-        generated = gen / "dataset.json"
-        assert json.loads(generated.read_text())["config"]["n_val"] == (n_val or 50)
+        generated = (gen / "dataset.json").read_bytes()
+        assert json.loads(generated)["config"]["n_val"] == (n_val or 50)
         for name in ("original", "retrain", "unlearned"):
             checkpoint = json.loads((run / "seed_0" / f"checkpoint_{name}.json").read_text())
-            assert checkpoint["dataset_digest"] == digest(generated)
+            assert "dataset_digest" not in checkpoint
+            echo, again = tmp_path / f"echo_{n_val}_{name}.json", tmp_path / f"g_{n_val}_{name}"
+            echo.write_text(json.dumps(checkpoint["config"]))
+            assert cli.main(["generate", "--config", str(echo), "--out", str(again)]) == 0
+            assert (again / "dataset.json").read_bytes() == generated
 
 
 def test_run_from_manifest_config_reproduces_digests(tmp_path):
