@@ -12,13 +12,14 @@ import base64
 import dataclasses
 import json
 import math
+import reprlib
 import sys
 import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NonFiniteError
 
 DATASET_SCHEMA_VERSION = 3
 
@@ -56,6 +57,11 @@ class GenConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+def _brief(value) -> str:
+    """``value``'s repr, long containers and strings cut short, and its type."""
+    return f"{reprlib.repr(value)} ({type(value).__name__})"
+
+
 def _typed(value, tp, where: str):
     """``value`` checked against the annotation ``tp``; ints become floats."""
     args = typing.get_args(tp)
@@ -63,12 +69,12 @@ def _typed(value, tp, where: str):
         return None if value is None else _typed(value, args[0], where)
     if typing.get_origin(tp) is tuple:  # tuple[X, ...], read from a JSON list
         if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
+            raise ConfigError(f"{where}: expected a list, got {_brief(value)}")
         return tuple(_typed(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
     if tp is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)
     if not isinstance(value, tp) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {_brief(value)}")
     return value
 
 
@@ -79,7 +85,7 @@ def config_from_doc(cls, node, path: str, **fixed):
     type: an int is stored as a float, a list as a tuple, and a bool is not a number.
     """
     if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {node!r}")
+        raise ConfigError(f"{path}: expected a JSON object, got {_brief(node)}")
     hints = typing.get_type_hints(cls)
     settable = [f for f in dataclasses.fields(cls) if f.name not in fixed]
     unknown = sorted(node.keys() - {f.name for f in settable})
@@ -209,7 +215,8 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
     """Draw a dataset from a shared low-rank teacher with per-task heads.
 
     Inputs are standard normal; targets are the teacher's predictions plus
-    independent Gaussian noise. Deterministic in the seed.
+    independent Gaussian noise. Deterministic in the seed. Targets that
+    overflow (a huge ``noise_std``) raise NonFiniteError naming the field.
     """
     rng = np.random.default_rng(config.seed)
     d, k = config.input_dim, config.shared_dim
@@ -229,10 +236,16 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
         ]
         return MultiTaskDataset(inputs=x, targets=targets)
 
-    train = draw(config.n_instances)
-    return SyntheticProblem(
-        dataset=train, val_dataset=draw(config.n_val), heads=heads, teacher=teacher, config=config
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        train, val = draw(config.n_instances), draw(config.n_val)
+        targets = [*train.targets, *val.targets]
+        # One sum tests them all; the entrywise test runs only if it is not finite.
+        total = sum(np.add.reduce(y, axis=None) for y in targets)
+    if not math.isfinite(total) and not all(np.isfinite(y).all() for y in targets):
+        raise NonFiniteError(
+            f"generate_synthetic: data.noise_std={config.noise_std!r} overflows the targets"
+        )
+    return SyntheticProblem(dataset=train, val_dataset=val, heads=heads, teacher=teacher, config=config)
 
 
 def partition(ds: MultiTaskDataset, forget_instances, forget_tasks) -> PartitionSpec:

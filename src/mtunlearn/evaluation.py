@@ -203,7 +203,8 @@ def forget_task_auc(ds: MultiTaskDataset, part: PartitionSpec, val_ds: MultiTask
 
     def auc(model: MultiTaskModel) -> float:
         unl, val_losses = per_instance_losses(model, *forget), per_instance_losses(model, *val)
-        return float(np.mean([mia_auc(unl[t], val_losses[t]) for t in part.forget_tasks]))
+        aucs = [mia_auc(unl[t], val_losses[t]) for t in part.forget_tasks]
+        return sum(aucs) / len(aucs)
 
     return auc
 

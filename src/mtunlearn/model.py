@@ -8,7 +8,7 @@ and the flattened Hessian exactly computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,11 +30,13 @@ GRAD_TOL = 1e-7
 
 @dataclass(frozen=True)
 class LowRankEdit:
-    """Frozen base weight plus trainable rank-r factors (d x k layer)."""
+    """Frozen base weight plus trainable rank-r factors (d x k layer), never modified in place."""
 
     w_star: np.ndarray  # d x k, never modified
     a: np.ndarray  # k x r
     b: np.ndarray  # d x r
+    # w_star + b a^T, read-only, computed on construction: every edit built is read.
+    effective_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d, k = self.w_star.shape
@@ -42,23 +44,21 @@ class LowRankEdit:
             raise DimensionError("factor shapes inconsistent with w_star")
         if self.a.shape[1] != self.b.shape[1]:
             raise DimensionError("a and b must share the same rank")
+        w = self.w_star + self.b @ self.a.T
+        w.flags.writeable = False
+        object.__setattr__(self, "effective_weight", w)
 
     @property
     def rank(self) -> int:
         return self.a.shape[1]
-
-    @cached_property
-    def effective_weight(self) -> np.ndarray:
-        """``w_star + b a^T``, computed once per edit and read-only."""
-        w = self.w_star + self.b @ self.a.T
-        w.flags.writeable = False
-        return w
 
 
 @dataclass(frozen=True)
 class MultiTaskModel:
     edit: LowRankEdit
     heads: tuple[np.ndarray, ...]  # fixed per-task maps, m_t x k
+    # Root block stack -> [heads, residuals, W-gradients or None]; see _statistics.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def stacked_heads(self) -> np.ndarray:
@@ -104,6 +104,7 @@ class Subset:
     Y_t outside the column space of X_t. Since ``X_t^T X_t = r^T r`` and
     ``X_t^T Y_t = r^T z``, these give the loss, the gradient and the
     Hessian at a cost that does not grow with N. ``len()`` is the pair count.
+    A view holds blocks ``start:`` of the root stack ``root``, slicing its arrays.
     """
 
     dataset: MultiTaskDataset
@@ -112,6 +113,11 @@ class Subset:
     r: np.ndarray  # (n_b, d, d), upper triangular (trapezoidal if n_t < d)
     z: np.ndarray  # (n_b, d, m_max), zero columns beyond m_t
     rho: np.ndarray  # (n_b,), |(I - Q_1 Q_1^T) Y_t|^2
+    root: "Subset | None" = field(default=None, repr=False)  # None: a root stack
+    start: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_n_pairs", sum(self.counts))
 
     @classmethod
     def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
@@ -144,16 +150,26 @@ class Subset:
             rho[i] = np.vdot(f[d:, d:], f[d:, d:])
         return cls(ds, tasks, tuple(counts.tolist()), rz[..., :d], rz[..., d:], rho)
 
+    @classmethod
+    def stacked(cls, ds: MultiTaskDataset, pair_arrays) -> list["Subset"]:
+        """A :meth:`from_pairs` subset per pair array, each a view of one root stack."""
+        parts = [cls.from_pairs(ds, pairs) for pairs in pair_arrays]
+        cat = [np.concatenate([getattr(p, n) for p in parts]) for n in ("tasks", "r", "z", "rho")]
+        root = cls(ds, cat[0], sum((p.counts for p in parts), ()), *cat[1:])
+        ends = np.cumsum([p.tasks.size for p in parts]).tolist()
+        return [root._view(end - p.tasks.size, end) for p, end in zip(parts, ends)]
+
+    def _view(self, start: int, stop: int) -> "Subset":
+        b, arrays = slice(start, stop), (self.tasks, self.counts, self.r, self.z, self.rho)
+        return Subset(self.dataset, *(x[b] for x in arrays), self, start)
+
     def __len__(self) -> int:
-        return sum(self.counts)
+        return self._n_pairs
 
     def by_task(self) -> list["Subset"]:
-        """One single-task subset per block, viewing this subset's arrays."""
-        cut = [slice(i, i + 1) for i in range(self.tasks.size)]
-        return [
-            Subset(self.dataset, self.tasks[b], self.counts[b], self.r[b], self.z[b], self.rho[b])
-            for b in cut
-        ]
+        """One single-block view of the root stack per block."""
+        root = self.root or self  # a root with no pairs has no blocks to view
+        return [root._view(i, i + 1) for i in range(self.start, self.start + self.tasks.size)]
 
 
 def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:
@@ -165,20 +181,32 @@ def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:
     return subset
 
 
-def _residual(model: MultiTaskModel, subset: Subset, heads: np.ndarray) -> np.ndarray:
-    """Every block's ``E_t = R_t W M_t^T - Z_t``, (n_b, d, m_max), in one
-    batched product from the blocks' heads; the loss, gradient and Hessian
-    read it."""
+def _residual_stack(model: MultiTaskModel, stack: Subset, heads: np.ndarray) -> np.ndarray:
+    """Every block's ``E_t = R_t W M_t^T - Z_t``, (n_b, d, m_max), in one batched product."""
     w_m = np.matmul(model.edit.effective_weight, heads.transpose(0, 2, 1))  # W M_t^T
-    return np.matmul(subset.r, w_m) - subset.z
+    return np.matmul(stack.r, w_m) - stack.z
 
 
-def _w_gradients(model: MultiTaskModel, subset: Subset) -> np.ndarray:
+def _w_gradient_stack(stack: Subset, heads: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Every block's ``X_t^T (X_t W M_t^T - Y_t) M_t = R_t^T E_t M_t``, (n_b, d, k)."""
-    # ndarray.take gathers the blocks' heads about 3x faster than heads[tasks].
-    heads = model.stacked_heads.take(subset.tasks, axis=0)
     # R^T as a view: gemm then takes its transposed path, as for r.T.
-    return np.matmul(subset.r.transpose(0, 2, 1), np.matmul(_residual(model, subset, heads), heads))
+    return np.matmul(stack.r.transpose(0, 2, 1), np.matmul(e, heads))
+
+
+def _statistics(model: MultiTaskModel, subset: Subset, gradients: bool):
+    """The subset's slices of its root stack's residuals and, if ``gradients``,
+    W-gradients (else None). The model memoizes each once per root stack, which
+    holds only because an edit is never modified in place."""
+    stack = subset.root or subset  # a nonempty view has a nonempty root
+    memo = model._memo.get(stack)
+    if memo is None:
+        # ndarray.take gathers the blocks' heads about 3x faster than heads[tasks].
+        heads = model.stacked_heads.take(stack.tasks, axis=0)
+        memo = model._memo[stack] = [heads, _residual_stack(model, stack, heads), None]
+    if gradients and memo[2] is None:
+        memo[2] = _w_gradient_stack(stack, *memo[:2])
+    b = slice(subset.start, subset.start + subset.tasks.size)
+    return memo[1][b], memo[2][b] if gradients else None
 
 
 def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs):
@@ -190,8 +218,7 @@ def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs):
     quadratic does near zero loss; a call costs O(K d^2 m).
     """
     subset = _as_subset(ds, pairs, "subset_loss")
-    heads = model.stacked_heads.take(subset.tasks, axis=0)
-    e = _residual(model, subset, heads).reshape(subset.tasks.size, -1)
+    e = _statistics(model, subset, False)[0].reshape(subset.tasks.size, -1)
     total = 0.0
     for sq, rho in zip(np.vecdot(e, e).tolist(), subset.rho.tolist()):
         total += 0.5 * (sq + rho)
@@ -205,7 +232,7 @@ def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs):
     costs O(K d^2 (k + m)) and reads the same residual as the loss.
     """
     subset = _as_subset(ds, pairs, "subset_gradient")
-    grad_w = np.add.reduce(_w_gradients(model, subset), axis=0)
+    grad_w = np.add.reduce(_statistics(model, subset, True)[1], axis=0)
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
@@ -243,7 +270,7 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
     ab = np.einsum("nip,njl->nijlp", c, s)
     # a-b block, residual curvature part: delta_{jp} * (X^T E M)[l, i],
     # with X^T E M = R^T E_t M (index l, i) for residuals E = X W M^T - Y
-    ab += np.einsum("nli,jp->nijlp", _w_gradients(model, subset), np.eye(r))
+    ab += np.einsum("nli,jp->nijlp", _statistics(model, subset, True)[1], np.eye(r))
     ab = np.add.reduce(ab, axis=0).reshape(p_a, p_b)
     h = np.block([[aa, ab], [ab.T, bb]]) / len(subset)
     return 0.5 * (h + h.T)

@@ -182,24 +182,23 @@ def run_unlearning(
     edit = zero_init_edit(original.edit.effective_weight, rank, cfg.seed)
     model = MultiTaskModel(edit=edit, heads=original.heads)
 
-    # Every subset is grouped by task once per run: the loss subsets, and
-    # the per-task gradient sources (the anchor stands in for clean).
-    losses = {
-        name: Subset.from_pairs(ds, getattr(part, name))
-        for name in ("forget", "retain_clean", "retain_inst", "retain_task")
-    }
-    # The anchor subsamples the clean pairs once; keeping all, it is the clean subset.
+    # Every subset is grouped by task once per run, as views of one block
+    # stack, so an epoch's loss and gradient calls share one residual. The
+    # anchor subsamples the clean pairs once; keeping all, it is the clean subset.
+    names = ("forget", "retain_inst", "retain_task", "retain_clean")
+    pairs = [getattr(part, name) for name in names]
     clean = part.retain_clean
-    anchor = losses["retain_clean"]
     n_anchor = max(1, int(round(cfg.anchor_fraction * len(clean))))
     if n_anchor < len(clean):
         chosen = np.random.default_rng(cfg.seed).choice(len(clean), size=n_anchor, replace=False)
-        anchor = Subset.from_pairs(ds, clean[np.sort(chosen)])
+        pairs.append(clean[np.sort(chosen)])
+    views = Subset.stacked(ds, pairs)
+    losses = dict(zip(names, views))
     sources = {
-        "forget": losses["forget"].by_task(),
-        "clean": anchor.by_task(),
-        "inst": losses["retain_inst"].by_task(),
-        "task": losses["retain_task"].by_task(),
+        "forget": views[0].by_task(),
+        "clean": views[-1].by_task(),  # the anchor
+        "inst": views[1].by_task(),
+        "task": views[2].by_task(),
     }
 
     # Weight each source by its share of the retain pairs so the descent

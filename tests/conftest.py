@@ -79,6 +79,22 @@ def fd_hessian_from_gradient(model, ds, pairs, h=1e-5):
     return hess
 
 
+def count_stacks(monkeypatch):
+    """Count the residual and W-gradient stacks the model layer computes,
+    rather than reads from a model's memo."""
+    from mtunlearn import model
+
+    calls = {"residual": 0, "gradient": 0}
+    for key, name in (("residual", "_residual_stack"), ("gradient", "_w_gradient_stack")):
+
+        def counted(*args, _real=getattr(model, name), _key=key):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
 def orthonormalize_reference(m):
     """Per-matrix reference for ``linalg.orthonormalize``: one 2-D matrix,
     LAPACK ``dgeqrf``/``dorgqr`` called directly, columns checked one by one,

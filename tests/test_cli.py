@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -589,6 +590,34 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, path, value, mess
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_config_error_names_the_field_and_type_not_the_whole_value(tmp_path, capsys):
+    doc = base_config()
+    doc["data"]["noise_std"] = [0.3] * 200_000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1000
+    assert re.search(r"data\.noise_std: expected float, got \[0\.3, .*\] \(list\)$", err)
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_overflowing_generator_exits_3_naming_the_field(tmp_path, capsys, command):
+    # Finite, so the config takes it, but the targets' noise overflows. Any
+    # numpy warning would be raised here rather than printed.
+    doc = base_config()
+    doc["data"]["noise_std"] = 1e308
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: generate_synthetic: data.noise_std=1e+308 overflows the targets\n"
+    )
 
 
 def test_generate_and_run_write_the_same_dataset_without_n_val(tmp_path):

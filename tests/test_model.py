@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, fd_hessian_from_gradient
+from conftest import count_stacks, fd_gradient, fd_hessian_from_gradient
 from mtunlearn import (
     GenConfig,
     LowRankEdit,
@@ -13,7 +13,9 @@ from mtunlearn import (
     Subset,
     TrainConfig,
     flattened_hessian,
+    default_forget_split,
     generate_synthetic,
+    partition,
     subset_gradient,
     subset_loss,
     train_reference,
@@ -440,3 +442,59 @@ def test_train_reference_divergence_raises(small_problem):
     tc = TrainConfig(epochs=500, step_size=500.0, seed=0)
     with pytest.raises(StepSizeError, match=r"^train_reference epoch 2: loss=1\.1441186\d*e\+24$"):
         train_reference(small_problem, small_problem.dataset.all_pairs(), tc)
+
+
+LOSS_SUBSETS = ("forget", "retain_inst", "retain_task", "retain_clean")
+
+
+@pytest.mark.parametrize("forget_tasks", [[1], [0, 1, 2]], ids=["partial", "full"])
+def test_views_of_one_stack_give_the_bits_of_fresh_subsets(forget_tasks):
+    # Each loss subset and each of its by_task() views slices the one memoized
+    # stack, and gives the loss and gradient bits of a fresh subset of its pairs
+    # on a fresh model; a second call reads the same unmodified memo.
+    problem = large_problem()
+    ds = problem.dataset
+    part = partition(ds, range(0, 2000, 9), forget_tasks)
+    pairs = [getattr(part, name) for name in LOSS_SUBSETS]
+    model = make_model(problem, rank=3, seed=1)
+    checked = 0
+    for view, p in zip(Subset.stacked(ds, pairs), pairs):
+        fresh = Subset.from_pairs(ds, p)
+        assert len(view) == len(fresh) == len(p)
+        for got, want in zip((view, *view.by_task()), (fresh, *fresh.by_task())):
+            assert got.tasks.tolist() == want.tasks.tolist() and got.counts == want.counts
+            if not want:
+                continue
+            alone = model.with_edit(model.edit)
+            want_loss, want_grads = subset_loss(alone, ds, want), subset_gradient(alone, ds, want)
+            for _ in range(2):
+                assert repr(subset_loss(model, ds, got)) == repr(want_loss)
+                for g, w in zip(subset_gradient(model, ds, got), want_grads):
+                    assert g.tobytes() == w.tobytes()
+            checked += 1
+    assert checked == (10 if len(forget_tasks) == 1 else 8)
+    (stack,) = model._memo  # one root stack behind every view
+
+
+def test_train_reference_epoch_computes_one_residual(small_problem, monkeypatch):
+    # The divergence check's loss on the stepped model computes the residual
+    # that the next epoch's gradient reads.
+    calls = count_stacks(monkeypatch)
+    tc = TrainConfig(epochs=30, step_size=0.1, seed=0)
+    train_reference(small_problem, small_problem.dataset.all_pairs(), tc)
+    assert calls == {"residual": 31, "gradient": 30}
+
+
+def test_memo_shapes_do_not_grow_with_n():
+    shapes = []
+    for n in (200, 2000):
+        problem = generate_synthetic(dataclasses.replace(large_problem().config, n_instances=n))
+        ds = problem.dataset
+        part = default_forget_split(ds, 0.1, [0], seed=0)
+        model = make_model(problem)
+        for view in Subset.stacked(ds, [getattr(part, name) for name in LOSS_SUBSETS]):
+            subset_loss(model, ds, view)
+            subset_gradient(model, ds, view)
+        (memo,) = model._memo.values()
+        shapes.append([a.shape for a in memo])
+    assert shapes[0] == shapes[1] == [(6, 3, 6), (6, 8, 3), (6, 8, 6)]

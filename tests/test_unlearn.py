@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import count_stacks
 from mtunlearn import (
     GenConfig,
     TrainConfig,
@@ -285,3 +286,19 @@ def test_non_finite_retain_gradient_names_epoch_and_source(pipeline, monkeypatch
         StepSizeError, match=r"^run_unlearning epoch 2: inst gradient non-finite \(18 of 42 entries\)$"
     ):
         run_unlearning(original, problem, part, subs, cfg, retrain)
+
+
+@pytest.mark.parametrize("anchor_fraction", [1.0, 0.5])
+def test_each_epoch_computes_one_residual_and_one_gradient_stack(
+    pipeline, monkeypatch, anchor_fraction
+):
+    # Every model's four losses share one residual, which the next epoch's
+    # per-task gradients reuse; the last model takes no gradient. A subsampled
+    # anchor is one more view of the same stack.
+    problem, part, _, original, retrain, _, subs = pipeline
+    calls = count_stacks(monkeypatch)
+    cfg = UnlearnConfig(
+        setting="partial", eta1=0.3, eta2=0.05, max_epochs=5, anchor_fraction=anchor_fraction
+    )
+    run_unlearning(original, problem, part, subs, cfg, retrain)
+    assert calls == {"residual": 6, "gradient": 5}
