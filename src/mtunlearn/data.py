@@ -245,7 +245,9 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
         raise NonFiniteError(
             f"generate_synthetic: data.noise_std={config.noise_std!r} overflows the targets"
         )
-    return SyntheticProblem(dataset=train, val_dataset=val, heads=heads, teacher=teacher, config=config)
+    return SyntheticProblem(
+        dataset=train, val_dataset=val, heads=heads, teacher=teacher, config=config
+    )
 
 
 def partition(ds: MultiTaskDataset, forget_instances, forget_tasks) -> PartitionSpec:

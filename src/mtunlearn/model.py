@@ -323,4 +323,5 @@ def train_reference(
         loss = subset_loss(model, ds, subset)
         if not np.isfinite(loss) or loss > 1e12:
             raise StepSizeError(f"train_reference epoch {epoch}: loss={float(loss)!r}")
-    return model
+    # A fresh memo: the model outlives training, the only reader of this one.
+    return model.with_edit(edit)
