@@ -160,6 +160,7 @@ class Subset:
         return [root._view(end - p.tasks.size, end) for p, end in zip(parts, ends)]
 
     def _view(self, start: int, stop: int) -> "Subset":
+        """Blocks ``start:stop`` of this root stack, as a view."""
         b, arrays = slice(start, stop), (self.tasks, self.counts, self.r, self.z, self.rho)
         return Subset(self.dataset, *(x[b] for x in arrays), self, start)
 
