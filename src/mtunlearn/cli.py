@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -37,6 +38,7 @@ from .evaluation import EvalReport, UISInput, evaluate, uis
 from .model import (
     MultiTaskModel,
     TrainConfig,
+    loss_subsets,
     subset_loss,
     train_reference,
 )
@@ -123,6 +125,34 @@ class _ConfigFile:
             raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
 
 
+# The most bytes a config's float64 arrays may take, checked before any is
+# allocated; see _check_array_budget. A run holds a few times this at its peak.
+MAX_ARRAY_BYTES = 2**30
+
+
+def _check_array_budget(data: GenConfig, rank: int):
+    """Raise a ConfigError naming the largest size field if the arrays that ``data``
+    and ``rank`` imply pass ``MAX_ARRAY_BYTES``: the train and validation inputs
+    and targets, (N + n_val)(d + Σm); the teacher, base weight and heads, k (d + Σm);
+    the (a, b) edit, r (d + k); and a subset's per-task R factors, K d (d + max m)."""
+    n, d, k, m = data.n_instances + data.n_val, data.input_dim, data.shared_dim, data.task_dims
+    n_bytes = 8 * ((n + k) * (d + sum(m)) + rank * (d + k) + len(m) * d * (d + max(m)))
+    if n_bytes > MAX_ARRAY_BYTES:
+        sizes = {
+            "data.n_instances": data.n_instances,
+            "data.n_val": data.n_val,
+            "data.input_dim": d,
+            "data.shared_dim": k,
+            "data.task_dims": max(m),
+            "train.rank": rank,
+        }
+        name = max(sizes, key=sizes.get)
+        raise ConfigError(
+            f"{name}: {reprlib.repr(sizes[name])} is too large: the arrays would pass the "
+            f"budget of {MAX_ARRAY_BYTES} bytes (cli.MAX_ARRAY_BYTES)"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A config file with every default filled in; ``from_doc(to_doc())`` gives it back.
@@ -155,9 +185,10 @@ class RunConfig:
         tasks = tuple(sorted(set(partition.forget_tasks)))
         if not 0 <= tasks[0] <= tasks[-1] < data.n_tasks:
             raise ConfigError(f"partition.forget_tasks: {list(tasks)} not in [0, {data.n_tasks})")
-        forget_count(data.n_instances, partition.forget_fraction)
         train = config_from_doc(TrainConfig, top.train, "train", seed=seed)
         train = replace(train, rank=train.rank_for(data))
+        _check_array_budget(data, train.rank)
+        forget_count(data.n_instances, partition.forget_fraction)
         dim = default_subspace_dim(train.rank, data.n_tasks)
         sub = config_from_doc(SubspaceConfig, {"dim": dim, **top.subspace}, "subspace")
         try:
@@ -273,7 +304,7 @@ def _single_run(cfg: RunConfig, out: Path, outputs: dict) -> dict:
         "forget_loss_start": trace.records[0].forget_loss,
         "forget_loss": trace.records[trace.selected_epoch].forget_loss,
         # None (JSON null) when every task is forgotten and no clean pair is left.
-        "clean_loss": subset_loss(unlearned, ds, part.retain_clean)
+        "clean_loss": subset_loss(unlearned, ds, loss_subsets(ds, part)["retain_clean"])
         if part.retain_clean.size
         else None,
         "mia_auc": trace.records[trace.selected_epoch].mia_auc,

@@ -15,7 +15,7 @@ import math
 import reprlib
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,6 +172,8 @@ class PartitionSpec:
     retain_task: np.ndarray
     retain_inst: np.ndarray
     retain_clean: np.ndarray
+    # Grouped from the arrays above on first use: see model.loss_subsets.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def retain(self) -> np.ndarray:
@@ -251,7 +253,11 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
 
 
 def partition(ds: MultiTaskDataset, forget_instances, forget_tasks) -> PartitionSpec:
-    """Assign every (instance, task) pair to exactly one of the four subsets."""
+    """Assign every (instance, task) pair to exactly one of the four subsets.
+
+    The spec's arrays are read-only, so the loss subsets that
+    ``model.loss_subsets`` memoizes on the spec cannot go stale.
+    """
     xf = np.unique(np.asarray(forget_instances, dtype=np.intp))
     tf = tuple(sorted({int(t) for t in forget_tasks}))
     if xf.size and (xf[0] < 0 or xf[-1] >= ds.n_instances):
@@ -260,7 +266,10 @@ def partition(ds: MultiTaskDataset, forget_instances, forget_tasks) -> Partition
         raise DimensionError("forget task out of range")
     xr = np.setdiff1d(np.arange(ds.n_instances, dtype=np.intp), xf, assume_unique=True)
     tr = tuple(t for t in range(ds.n_tasks) if t not in tf)
-    return PartitionSpec(xf, xr, tf, tr, grid(xf, tf), grid(xf, tr), grid(xr, tf), grid(xr, tr))
+    blocks = (grid(xf, tf), grid(xf, tr), grid(xr, tf), grid(xr, tr))
+    for a in (xf, xr, *blocks):
+        a.flags.writeable = False
+    return PartitionSpec(xf, xr, tf, tr, *blocks)
 
 
 def forget_count(n: int, fraction: float) -> int:

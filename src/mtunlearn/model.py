@@ -8,12 +8,13 @@ and the flattened Hessian exactly computable.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .data import GenConfig, MultiTaskDataset, SyntheticProblem
+from .data import GenConfig, MultiTaskDataset, PartitionSpec, SyntheticProblem
 from .errors import (
     ConfigError,
     DimensionError,
@@ -26,6 +27,9 @@ HESSIAN_PARAM_GUARD = 400
 
 # Reference training stops early once the gradient norm drops below this.
 GRAD_TOL = 1e-7
+
+# The most epochs a training or unlearning run may take, so that every run ends.
+MAX_EPOCHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,24 @@ class Subset:
         return [root._view(i, i + 1) for i in range(self.start, self.start + self.tasks.size)]
 
 
+LOSS_SUBSETS = ("forget", "retain_inst", "retain_task", "retain_clean")
+
+
+def loss_subsets(ds: MultiTaskDataset, part: PartitionSpec) -> dict[str, Subset]:
+    """The partition blocks ``LOSS_SUBSETS`` of ``part`` on ``ds``, by name, as
+    views of one root stack (see :meth:`Subset.stacked`).
+
+    Grouped on first use and memoized on ``part``, whose arrays are read-only;
+    a call with another dataset object groups them again, on that dataset.
+    """
+    views = part._memo.get("loss_subsets")
+    if views is None or views[0].dataset is not ds:
+        views = part._memo["loss_subsets"] = Subset.stacked(
+            ds, [getattr(part, name) for name in LOSS_SUBSETS]
+        )
+    return dict(zip(LOSS_SUBSETS, views))
+
+
 def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:
     subset = pairs if isinstance(pairs, Subset) else Subset.from_pairs(ds, pairs)
     if subset.dataset is not ds:
@@ -287,6 +309,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.epochs > MAX_EPOCHS:
+            raise ConfigError(f"epochs must be <= {MAX_EPOCHS}, got {reprlib.repr(self.epochs)}")
         if not 0 < self.step_size < math.inf:
             raise ConfigError(f"step_size must be finite and > 0, got {self.step_size!r}")
         if self.rank is not None and self.rank < 1:
@@ -304,25 +328,34 @@ def train_reference(
 
     Trains (a, b) from a small seeded init over a zero base weight; stops at
     the epoch budget or when the gradient norm drops below ``GRAD_TOL``.
+    A non-finite gradient norm, or a loss that is non-finite or above 1e12,
+    raises StepSizeError naming the epoch.
     """
     ds = problem.dataset
     subset = _as_subset(ds, pairs, "train_reference")
     d, k = problem.config.input_dim, problem.shared_dim
     edit = balanced_init_edit(np.zeros((d, k)), config.rank_for(problem.config), config.seed)
     model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
-    for epoch in range(1, config.epochs + 1):
-        ga, gb = subset_gradient(model, ds, subset)
-        gnorm = math.sqrt(np.add.reduce(ga * ga, axis=None) + np.add.reduce(gb * gb, axis=None))
-        if gnorm < GRAD_TOL:
-            break
-        edit = LowRankEdit(
-            w_star=edit.w_star,
-            a=edit.a - config.step_size * ga,
-            b=edit.b - config.step_size * gb,
-        )
-        model = model.with_edit(edit)
-        loss = subset_loss(model, ds, subset)
-        if not np.isfinite(loss) or loss > 1e12:
-            raise StepSizeError(f"train_reference epoch {epoch}: loss={float(loss)!r}")
+    # Overflow is caught by the checks below, which name the epoch; one
+    # context for the loop, since entering one costs about 1 µs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            ga, gb = subset_gradient(model, ds, subset)
+            gnorm = math.sqrt(
+                np.add.reduce(ga * ga, axis=None) + np.add.reduce(gb * gb, axis=None)
+            )
+            if not math.isfinite(gnorm):
+                raise StepSizeError(f"train_reference epoch {epoch}: gradient norm {gnorm!r}")
+            if gnorm < GRAD_TOL:
+                break
+            edit = LowRankEdit(
+                w_star=edit.w_star,
+                a=edit.a - config.step_size * ga,
+                b=edit.b - config.step_size * gb,
+            )
+            model = model.with_edit(edit)
+            loss = subset_loss(model, ds, subset)
+            if not np.isfinite(loss) or loss > 1e12:
+                raise StepSizeError(f"train_reference epoch {epoch}: loss={float(loss)!r}")
     # A fresh memo: the model outlives training, the only reader of this one.
     return model.with_edit(edit)

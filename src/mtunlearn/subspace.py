@@ -9,6 +9,7 @@ driven down with a penalized descent step.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,16 +80,41 @@ def alignment(
     return frob_sq, spectral
 
 
+# regularize_step's results by content, least recently used first. Every
+# projecting run from the same bases replays one schedule, one step per epoch,
+# so the memo holds a whole run of up to this many epochs (a run of more gets
+# no hits); an entry holds its key's bytes and its result, 2·K·r·s·8 bytes.
+REGULARIZE_MEMO_SIZE = 32
+_regularized: OrderedDict = OrderedDict()
+
+
 def regularize_step(bases: np.ndarray, step_size: float) -> np.ndarray:
     """One descent step on the pairwise alignment penalty, then re-orthonormalize.
 
     Gradient w.r.t. each basis U_t is 2 * sum_{t' != t} P_{t'} U_t. A zero
-    step size returns ``bases`` itself.
+    step size returns ``bases`` itself. Otherwise the result is read-only and
+    memoized on the bytes, dtype and shape of ``bases`` and on ``step_size``,
+    the only things it depends on (see ``REGULARIZE_MEMO_SIZE``).
     """
     if not 0 <= step_size < np.inf:
         raise ValueError(f"step_size must be finite and >= 0, got {step_size}")
     if step_size == 0:
         return bases
+    key = (bases.dtype.str, bases.shape, bases.tobytes(), step_size)
+    out = _regularized.get(key)
+    if out is not None:
+        _regularized.move_to_end(key)
+        return out
+    out = _regularize_step(bases, step_size)
+    out.flags.writeable = False
+    _regularized[key] = out
+    if len(_regularized) > REGULARIZE_MEMO_SIZE:
+        _regularized.popitem(last=False)
+    return out
+
+
+def _regularize_step(bases: np.ndarray, step_size: float) -> np.ndarray:
+    """:func:`regularize_step` for a positive ``step_size``, computed."""
     # prods[i, j] = 2 P_j U_i: all K^2 products in one stacked matmul.
     # Each grads[i] adds the products with j != i in order of j.
     n = len(bases)

@@ -13,6 +13,7 @@ membership-inference AUC lands closest to the retrained reference's.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,11 @@ from .data import PartitionSpec, SyntheticProblem
 from .errors import ConfigError, DimensionError, EmptySubsetError, StepSizeError
 from .evaluation import forget_task_auc
 from .model import (
+    LOSS_SUBSETS,
+    MAX_EPOCHS,
     MultiTaskModel,
     Subset,
+    loss_subsets,
     subset_gradient,
     subset_loss,
     zero_init_edit,
@@ -72,6 +76,10 @@ class UnlearnConfig:
             raise ConfigError("anchor_fraction must be in (0, 1]")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
+        if self.max_epochs > MAX_EPOCHS:
+            raise ConfigError(
+                f"max_epochs must be <= {MAX_EPOCHS}, got {reprlib.repr(self.max_epochs)}"
+            )
 
 
 @dataclass
@@ -180,25 +188,25 @@ def run_unlearning(
 
     rank = bases.shape[1]
     edit = zero_init_edit(original.edit.effective_weight, rank, cfg.seed)
-    model = MultiTaskModel(edit=edit, heads=original.heads)
+    model = original.with_edit(edit)
 
-    # Every subset is grouped by task once per run, as views of one block
-    # stack, so an epoch's loss and gradient calls share one residual. The
-    # anchor subsamples the clean pairs once; keeping all, it is the clean subset.
-    names = ("forget", "retain_inst", "retain_task", "retain_clean")
-    pairs = [getattr(part, name) for name in names]
-    clean = part.retain_clean
+    # The loss subsets are views of one block stack, so an epoch's loss and
+    # gradient calls share one residual; the partition groups them once for
+    # every run over it. The anchor subsamples the clean pairs once; keeping
+    # all, it is the clean subset, else the run groups its own stack with it.
+    losses = loss_subsets(ds, part)
+    anchor, clean = losses["retain_clean"], part.retain_clean
     n_anchor = max(1, int(round(cfg.anchor_fraction * len(clean))))
     if n_anchor < len(clean):
         chosen = np.random.default_rng(cfg.seed).choice(len(clean), size=n_anchor, replace=False)
-        pairs.append(clean[np.sort(chosen)])
-    views = Subset.stacked(ds, pairs)
-    losses = dict(zip(names, views))
+        pairs = [getattr(part, name) for name in LOSS_SUBSETS]
+        *views, anchor = Subset.stacked(ds, [*pairs, clean[np.sort(chosen)]])
+        losses = dict(zip(LOSS_SUBSETS, views))
     sources = {
-        "forget": views[0].by_task(),
-        "clean": views[-1].by_task(),  # the anchor
-        "inst": views[1].by_task(),
-        "task": views[2].by_task(),
+        "forget": losses["forget"].by_task(),
+        "clean": anchor.by_task(),
+        "inst": losses["retain_inst"].by_task(),
+        "task": losses["retain_task"].by_task(),
     }
 
     # Weight each source by its share of the retain pairs so the descent
