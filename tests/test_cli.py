@@ -620,6 +620,63 @@ def test_overflowing_generator_exits_3_naming_the_field(tmp_path, capsys, comman
     )
 
 
+def test_diverging_gradient_exits_3_naming_the_epoch(tmp_path, capsys):
+    # Finite targets, so generate takes them, but the first training gradient
+    # overflows; any numpy warning would be raised here rather than printed.
+    doc = base_config()
+    doc["data"]["noise_std"] = 1e200
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: train_reference epoch 1: gradient norm inf\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("data", "n_instances"),
+        ("data", "input_dim"),
+        ("data", "shared_dim"),
+        ("data", "n_val"),
+        ("train", "rank"),
+        ("train", "epochs"),
+        ("unlearn", "max_epochs"),
+    ],
+    ids=".".join,
+)
+def test_huge_size_or_epoch_count_exits_2_naming_the_field(tmp_path, capsys, path):
+    # Checked before anything is allocated or any output directory is made.
+    doc = base_config()
+    set_path(doc, path, 10**30)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    section, name = path
+    assert re.match(rf"config error: {section}(\.|: ){name}\b", err), err
+    assert len(err.encode()) < 1000 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_array_budget_holds_a_config_at_its_edge():
+    # The most training instances the budget leaves room for pass; one more does not.
+    doc = base_config()
+    data, rank = doc["data"], 2  # rank: the teacher rank
+    d, k, m = data["input_dim"], data["shared_dim"], data["task_dims"]
+    fixed = 8 * (k * (d + sum(m)) + rank * (d + k) + len(m) * d * (d + max(m)))
+    data["n_instances"] = (cli.MAX_ARRAY_BYTES - fixed) // (8 * (d + sum(m))) - data["n_val"]
+    cli.RunConfig.from_doc(doc)
+    data["n_instances"] += 1
+    with pytest.raises(ConfigError, match=r"^data\.n_instances: \d+ is too large"):
+        cli.RunConfig.from_doc(doc)
+
+
 def test_generate_and_run_write_the_same_dataset_without_n_val(tmp_path):
     # With and without n_val, generate on every checkpoint's config echo writes
     # the dataset.json that generate writes from the config itself.

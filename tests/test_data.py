@@ -103,6 +103,18 @@ def test_partition_covers_grid_exactly_once():
     assert all(i not in (0, 3) and t == 0 for i, t in part.retain_clean.tolist())
 
 
+def test_partition_arrays_are_read_only():
+    # The model layer memoizes subsets grouped from them on the spec.
+    ds = generate_synthetic(make_config()).dataset
+    part = partition(ds, forget_instances=[0, 3], forget_tasks=[1])
+    names = ("forget_instances", "retain_instances", "forget", "retain_task", "retain_inst")
+    for name in (*names, "retain_clean"):
+        array = getattr(part, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
 def test_full_task_partition_has_no_cross_subsets():
     ds = generate_synthetic(make_config()).dataset
     part = partition(ds, forget_instances=[1], forget_tasks=[0, 1])

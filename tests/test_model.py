@@ -27,7 +27,7 @@ from mtunlearn.errors import (
     SizeGuardError,
     StepSizeError,
 )
-from mtunlearn.model import zero_init_edit
+from mtunlearn.model import LOSS_SUBSETS, loss_subsets, zero_init_edit
 
 
 def make_model(problem, rank=3, seed=0):
@@ -444,9 +444,6 @@ def test_train_reference_divergence_raises(small_problem):
         train_reference(small_problem, small_problem.dataset.all_pairs(), tc)
 
 
-LOSS_SUBSETS = ("forget", "retain_inst", "retain_task", "retain_clean")
-
-
 @pytest.mark.parametrize("forget_tasks", [[1], [0, 1, 2]], ids=["partial", "full"])
 def test_views_of_one_stack_give_the_bits_of_fresh_subsets(forget_tasks):
     # Each loss subset and each of its by_task() views slices the one memoized
@@ -498,3 +495,22 @@ def test_memo_shapes_do_not_grow_with_n():
         (memo,) = model._memo.values()
         shapes.append([a.shape for a in memo])
     assert shapes[0] == shapes[1] == [(6, 3, 6), (6, 8, 3), (6, 8, 6)]
+
+
+def test_loss_subsets_are_grouped_once_per_partition_and_dataset(small_problem):
+    # The views are memoized on the partition; another dataset object of the
+    # same shape gets views built on it, which then are memoized in turn.
+    ds = small_problem.dataset
+    part = partition(ds, [0, 5, 7], [1])
+    views = loss_subsets(ds, part)
+    assert list(views) == list(LOSS_SUBSETS)
+    assert all(a is b for a, b in zip(loss_subsets(ds, part).values(), views.values()))
+    (root,) = {v.root for v in views.values()}
+    other = type(ds)(inputs=ds.inputs + 1.0, targets=[y - 1.0 for y in ds.targets])
+    rebuilt = loss_subsets(other, part)
+    assert all(v.dataset is other and v.root is not root for v in rebuilt.values())
+    assert loss_subsets(other, part)["forget"] is rebuilt["forget"]
+    model = make_model(small_problem)
+    for name, view in rebuilt.items():
+        fresh = Subset.from_pairs(other, getattr(part, name))
+        assert repr(subset_loss(model, other, view)) == repr(subset_loss(model, other, fresh))

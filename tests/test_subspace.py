@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import orthonormalize_reference
-from mtunlearn import alignment, init_subspaces, regularize_step
+from mtunlearn import alignment, init_subspaces, regularize_step, subspace
 from mtunlearn.errors import CapacityError, DegenerateBasisError, DimensionError
 from mtunlearn.subspace import default_subspace_dim
 
@@ -145,6 +145,49 @@ def test_regularize_step_names_the_task_whose_basis_collapses():
         regularize_step(bases, step_size=0.5)
     assert info.value.index == 1
     assert str(info.value.__cause__) == "matrix 1: column 0 is zero"
+
+
+def test_regularize_step_raises_on_every_call_for_a_collapsing_basis():
+    e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    bases = np.stack([e1, e2, e2])
+    for _ in range(2):  # a failure is not memoized
+        with pytest.raises(DegenerateBasisError, match="^task 1 basis collapsed"):
+            regularize_step(bases, step_size=0.5)
+
+
+def test_regularize_step_is_memoized_by_content():
+    # A read-only result with the bits of the computation; an equal copy of
+    # the input reads the memo, and a one-ulp change computes afresh.
+    subspace._regularized.clear()
+    bases = init_subspaces(3, rank=6, dim=2, mode="random", seed=5)
+    out = regularize_step(bases, 1e-3)
+    assert not out.flags.writeable
+    assert out.tobytes() == subspace._regularize_step(bases, 1e-3).tobytes()
+    assert regularize_step(bases.copy(), 1e-3) is out
+    nudged = bases.copy()
+    nudged[1, 2, 0] = np.nextafter(nudged[1, 2, 0], np.inf)
+    fresh = regularize_step(nudged, 1e-3)
+    assert fresh is not out
+    assert fresh.tobytes() == subspace._regularize_step(nudged, 1e-3).tobytes()
+    assert regularize_step(bases, 2e-3) is not out
+
+
+def test_regularize_step_memo_holds_a_whole_run():
+    # A run's schedule of 20 steps replayed from the same bases hits on every
+    # step; the memo never holds more than REGULARIZE_MEMO_SIZE results.
+    subspace._regularized.clear()
+    bases = init_subspaces(3, rank=6, dim=2, mode="random", seed=6)
+    runs = []
+    for _ in range(2):
+        out, schedule = bases, []
+        for _ in range(20):
+            out = regularize_step(out, 1e-3)
+            schedule.append(out)
+        runs.append(schedule)
+    assert all(a is b for a, b in zip(*runs))
+    for _ in range(2 * subspace.REGULARIZE_MEMO_SIZE):
+        out = regularize_step(out, 1e-3)
+    assert len(subspace._regularized) == subspace.REGULARIZE_MEMO_SIZE
 
 
 def test_regularize_step_rejects_negative_weight():

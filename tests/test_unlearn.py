@@ -14,7 +14,7 @@ from mtunlearn import (
     train_reference,
 )
 from mtunlearn.errors import ConfigError, DimensionError, EmptySubsetError, StepSizeError
-from mtunlearn import mia_auc, unlearn
+from mtunlearn import mia_auc, model, unlearn
 from mtunlearn.unlearn import STRATEGIES
 
 
@@ -302,3 +302,30 @@ def test_each_epoch_computes_one_residual_and_one_gradient_stack(
     )
     run_unlearning(original, problem, part, subs, cfg, retrain)
     assert calls == {"residual": 6, "gradient": 5}
+
+
+def test_a_second_run_over_a_partition_groups_no_subset(pipeline, monkeypatch):
+    # The first run over a partition groups its loss subsets; every later run
+    # reads them, and runs as a run over a fresh partition of the same arrays.
+    problem, part, _, original, retrain, _, subs = pipeline
+    grouped = []
+    from_pairs = model.Subset.from_pairs.__func__
+
+    def counted(cls, ds, pairs):
+        grouped.append(len(pairs))
+        return from_pairs(cls, ds, pairs)
+
+    monkeypatch.setattr(model.Subset, "from_pairs", classmethod(counted))
+    cfg = UnlearnConfig(setting="partial", eta1=0.3, eta2=0.05, max_epochs=4, anchor_fraction=1.0)
+    first = partition(problem.dataset, part.forget_instances, part.forget_tasks)
+    run_unlearning(original, problem, first, subs, cfg, retrain)
+    assert len(grouped) == 4
+    again = run_unlearning(original, problem, first, subs, cfg, retrain)
+    assert len(grouped) == 4
+    fresh = partition(problem.dataset, part.forget_instances, part.forget_tasks)
+    want = run_unlearning(original, problem, fresh, subs, cfg, retrain)
+    assert len(grouped) == 8
+    assert again[0].stacked_heads is original.stacked_heads  # handed over, not rebuilt
+    assert repr(again[1]) == repr(want[1])
+    for got, expected in zip((again[0].edit.a, again[0].edit.b), (want[0].edit.a, want[0].edit.b)):
+        assert got.tobytes() == expected.tobytes()
