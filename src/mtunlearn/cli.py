@@ -105,6 +105,10 @@ def gen_config_from_doc(doc: dict, seed: int) -> GenConfig:
     return config_from_doc(GenConfig, doc.get("data"), "data", seed=seed)
 
 
+# The most seeds one config may run, so that every run ends.
+MAX_SEEDS = 1000
+
+
 @dataclass(frozen=True)
 class _ConfigFile:
     """The top level of a config file; :meth:`RunConfig.from_doc` reads each section."""
@@ -123,6 +127,8 @@ class _ConfigFile:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        if self.n_seeds > MAX_SEEDS:
+            raise ConfigError(f"n_seeds must be <= {MAX_SEEDS}, got {reprlib.repr(self.n_seeds)}")
 
 
 # The most bytes a config's float64 arrays may take, checked before any is

@@ -3,6 +3,8 @@
 Matrices are plain 2-D float64 numpy arrays, and a stack of matrices
 puts its batch axes first. Every public operation validates shapes and
 rejects non-finite values, so downstream code can assume clean inputs.
+Only ``solve_spd`` needs scipy, and it imports ``scipy.linalg`` at its first
+call: of the commands, only ``verify`` solves a system and pays that import.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CurvatureError, DegenerateBasisError, DimensionError
 
@@ -82,15 +83,14 @@ def frob_norm(a) -> float | np.ndarray:
 def orthonormalize(m) -> np.ndarray:
     """Orthonormal basis with the same column span as ``m``.
 
-    LAPACK Householder QR (``geqrf`` then ``orgqr``); column signs are
-    flipped so that R has a nonnegative diagonal, which makes Q unique for
-    full-rank ``m``. LAPACK is called directly because ``np.linalg.qr``'s
-    wrapper costs twice the factorization at the small bases used here.
+    Householder QR by ``np.linalg.qr`` (LAPACK ``geqrf`` then ``orgqr``);
+    column signs are flipped so that R has a nonnegative diagonal, which
+    makes Q unique for full-rank ``m``.
 
-    Leading axes are batch axes: each matrix of a stack is factored by the
-    same two LAPACK calls as a lone matrix, so its basis is the same to the
-    bit. A degenerate matrix raises ``DegenerateBasisError`` naming its
-    column and, in a stack, its flat index, which the error's ``index`` holds.
+    Leading axes are batch axes, factored in one call: each matrix gets the
+    same LAPACK calls as a lone matrix, so its basis is the same to the bit.
+    A degenerate matrix raises ``DegenerateBasisError`` naming its column
+    and, in a stack, its flat index, which the error's ``index`` holds.
     """
     m = as_stack(m, "m")
     rows, cols = m.shape[-2:]
@@ -98,32 +98,30 @@ def orthonormalize(m) -> np.ndarray:
         raise DimensionError(f"need cols <= rows, got {m.shape[-2:]}")
     if not rows:  # LAPACK rejects a leading dimension of 0
         return np.empty_like(m)
-    flat = m.reshape(-1, rows, cols)
-    q = np.empty_like(flat)
-    diag = np.empty((len(flat), cols))
-    for i, a in enumerate(flat):
-        qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a)
-        diag[i] = qr.diagonal()
-        q[i] = scipy.linalg.lapack.dorgqr(qr, tau)[0]
-    norms = np.sqrt(np.add.reduce(flat * flat, axis=-2))  # np.linalg.norm's sum
+    q, r = np.linalg.qr(m)
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    norms = np.sqrt(np.add.reduce(m * m, axis=-2))  # np.linalg.norm's sum
     zero = norms == 0.0
     bad = zero | (np.abs(diag) < DEPENDENT_COLUMN_RTOL * norms)
     if bad.any():
-        i, j = divmod(int(bad.argmax()), cols)
-        what = "is zero" if zero[i, j] else "is linearly dependent on earlier columns"
+        k = int(bad.argmax())  # flat over the stack's columns
+        i, j = divmod(k, cols)
+        what = "is zero" if zero.flat[k] else "is linearly dependent on earlier columns"
         where = "" if m.ndim == 2 else f"matrix {i}: "
         raise DegenerateBasisError(f"{where}column {j} {what}", index=i)
-    q *= np.copysign(1.0, diag)[:, None, :]
-    return q.reshape(m.shape)
+    q *= np.copysign(1.0, diag)[..., None, :]
+    return q
 
 
 def solve_spd(h, b) -> np.ndarray:
     """Solve h @ x = b for symmetric positive definite ``h`` via Cholesky.
 
-    LAPACK ``potrf``/``potrs`` are called directly, as in ``orthonormalize``:
-    they are what ``scipy.linalg.cho_factor``/``cho_solve`` wrap, so the
-    result is the same to the bit, without the wrappers' per-call cost.
+    LAPACK ``potrf``/``potrs`` are called directly: they are what
+    ``scipy.linalg.cho_factor``/``cho_solve`` wrap, so the result is the
+    same to the bit, without the wrappers' per-call cost.
     """
+    from scipy.linalg import lapack
+
     h = as_matrix(h, "h")
     b_arr = np.asarray(b, dtype=float)
     squeeze = b_arr.ndim == 1
@@ -141,14 +139,14 @@ def solve_spd(h, b) -> np.ndarray:
     tol = SYMMETRY_ATOL * max(1.0, np.abs(h).max())
     if asym > tol:
         raise CurvatureError(f"solve_spd: not symmetric: max |h - h^T| = {asym:.3g} > {tol:.3g}")
-    factor, info = scipy.linalg.lapack.dpotrf(h, lower=1, clean=0)
+    factor, info = lapack.dpotrf(h, lower=1, clean=0)
     if info > 0:
         lam = np.linalg.eigvalsh(h)[0]
         raise CurvatureError(f"solve_spd: not positive definite: smallest eigenvalue {lam:.3g}")
-    x, _ = scipy.linalg.lapack.dpotrs(factor, b_arr, lower=1)
+    x, _ = lapack.dpotrs(factor, b_arr, lower=1)
     # One step of iterative refinement keeps the residual near 1e-9 * |b|.
     r = b_arr - h @ x
-    x = x + scipy.linalg.lapack.dpotrs(factor, r, lower=1)[0]
+    x = x + lapack.dpotrs(factor, r, lower=1)[0]
     if not np.isfinite(x).all():
         raise CurvatureError("solve_spd: solution overflowed: h is singular to working precision")
     return x[:, 0] if squeeze else x

@@ -63,6 +63,7 @@ class QuadraticProblem:
         b_f = _pair_sum(f_f, self.forget_targets[..., None])[:, 0] / n_f
         self.theta_r = solve_spd(self.h_r, b_r)
         self.theta_star = solve_spd(self.h_r + self.rho * self.h_f, b_r + self.rho * b_f)
+        self.g_f = self.grad_forget(self.theta_r)  # the forget gradient at the retain optimum
 
     def grad_forget(self, theta: np.ndarray) -> np.ndarray:
         e = self.forget_features @ theta - self.forget_targets
@@ -122,7 +123,7 @@ def predict_interference(prob: QuadraticProblem, index: int) -> float:
     """First-order loss change rho * g_i^T H_r^{-1} grad_Lf of retained pair
     ``index`` at the retain optimum."""
     _check_pair_indices(prob, index)
-    shift = solve_spd(prob.h_r, prob.grad_forget(prob.theta_r))
+    shift = solve_spd(prob.h_r, prob.g_f)
     f = prob.retain_features[index]
     g = f.T @ (f @ prob.theta_r - prob.retain_targets[index])
     return prob.rho * float(g @ shift)
@@ -142,7 +143,7 @@ def aggregate_interference(prob: QuadraticProblem, indices) -> float:
     if not len(indices):
         raise EmptySubsetError("aggregate over empty subset")
     _check_pair_indices(prob, indices)
-    shift = solve_spd(prob.h_r, prob.grad_forget(prob.theta_r))
+    shift = solve_spd(prob.h_r, prob.g_f)
     f = prob.retain_features[indices]
     e = f @ prob.theta_r - prob.retain_targets[indices]
     return prob.rho * float(_pair_sum(f, e[..., None])[:, 0] @ shift)

@@ -181,6 +181,14 @@ def test_bench_orthonormalize_stack(benchmark):
     assert np.allclose(q.mT @ q, np.eye(8), atol=1e-10)
 
 
+def test_bench_orthonormalize_verify_block(benchmark):
+    # The layer baseline: one projection-bound block as `mtunlearn verify`
+    # passes it, 32 draws of [u, v], each a rank-16 basis of dim 8.
+    m = np.random.default_rng(0).standard_normal((32, 2, 16, 8))
+    q = benchmark(orthonormalize, m)
+    assert np.allclose(q.mT @ q, np.eye(8), atol=1e-10)
+
+
 def test_bench_solve_spd(benchmark):
     # p=30, within the p = 10-40 the first-order interference suite solves.
     rng = np.random.default_rng(0)

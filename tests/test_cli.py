@@ -3,7 +3,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -675,6 +678,64 @@ def test_array_budget_holds_a_config_at_its_edge():
     data["n_instances"] += 1
     with pytest.raises(ConfigError, match=r"^data\.n_instances: \d+ is too large"):
         cli.RunConfig.from_doc(doc)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_huge_seed_count_exits_2_naming_n_seeds(tmp_path, capsys, command):
+    # Checked before the first seed runs: no seed_N/ or any other output.
+    cfg = write_config(tmp_path / "cfg.json", n_seeds=10**30)
+    out = tmp_path / "out"
+    extra = ["--ratios", "0.1"] if command == "sweep" else []
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *extra]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: config: n_seeds must be <= {cli.MAX_SEEDS}, got {10**30}\n"
+    assert len(err.encode()) < 1000 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_seed_bound_holds_a_config_at_its_edge():
+    cli.RunConfig.from_doc(dict(base_config(), n_seeds=cli.MAX_SEEDS))
+    with pytest.raises(ConfigError, match=r"^config: n_seeds must be <= \d+, got \d+$"):
+        cli.RunConfig.from_doc(dict(base_config(), n_seeds=cli.MAX_SEEDS + 1))
+
+
+# Runs ``cli.main`` on its arguments (none: the import alone) in a fresh
+# interpreter, then prints the exit code and whether scipy.linalg was loaded.
+SCIPY_PROBE = (
+    "import sys\n"
+    "from mtunlearn import cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, 'scipy.linalg' in sys.modules)\n"
+)
+
+
+def test_only_verify_imports_scipy(tmp_path):
+    # One fresh interpreter per case: this process has scipy loaded already.
+    cfg = write_config(tmp_path / "cfg.json")
+    seed_dir = tmp_path / "run" / "seed_0"
+    csvs = {f"--{name}": str(seed_dir / f"eval_{name}.csv") for name in ("original", "retrain")}
+    cases = [
+        ([], "0 False"),
+        (["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")], "0 False"),
+        (["run", "--config", str(cfg), "--out", str(tmp_path / "run")], "0 False"),
+        (
+            ["uis", "--evaluated", str(seed_dir / "eval_unlearned.csv")]
+            + [arg for pair in csvs.items() for arg in pair]
+            + ["--setting", "partial", "--forget-tasks", "0"],
+            "0 False",
+        ),
+        (["verify", "--seed", "0"], "0 True"),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, expected in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.stdout.splitlines()[-1] == expected, (argv, proc.stderr)
 
 
 def test_generate_and_run_write_the_same_dataset_without_n_val(tmp_path):

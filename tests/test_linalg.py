@@ -169,6 +169,27 @@ def test_orthonormalize_equals_the_per_matrix_reference_to_the_bit(shape):
     assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
+# Every (rows, cols) with 1 <= cols <= rows <= 20 under 0, 1 or 2 batch axes of
+# drawn sizes: a numpy QR that rounds apart from LAPACK's shows up here.
+@pytest.mark.parametrize("seed", range(30))
+def test_orthonormalize_sweep_equals_the_per_matrix_reference_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+    for rows in range(1, 21):
+        for cols in range(1, rows + 1):
+            batch = tuple(rng.integers(1, 4, size=seed % 3).tolist())
+            m = rng.standard_normal((*batch, rows, cols))
+            want = [orthonormalize_reference(a) for a in m.reshape(-1, rows, cols)]
+            got = orthonormalize(m)
+            assert got.shape == m.shape
+            assert got.tobytes() == np.stack(want).tobytes(), (batch, rows, cols)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (5, 0), (2, 5, 0)])
+def test_orthonormalize_returns_an_empty_stack_as_it_is(shape):
+    q = orthonormalize(np.empty(shape))
+    assert q.shape == shape and q.dtype == np.float64
+
+
 def test_orthonormalize_names_the_degenerate_matrix_of_a_stack():
     stack = np.random.default_rng(0).standard_normal((4, 3, 2))
     dependent = stack.copy()
