@@ -712,18 +712,14 @@ SCIPY_PROBE = (
 def test_only_verify_imports_scipy(tmp_path):
     # One fresh interpreter per case: this process has scipy loaded already.
     cfg = write_config(tmp_path / "cfg.json")
-    seed_dir = tmp_path / "run" / "seed_0"
-    csvs = {f"--{name}": str(seed_dir / f"eval_{name}.csv") for name in ("original", "retrain")}
+    seed_dir = tmp_path / "run" / "seed_0"  # the run case's output, which the uis case reads
+    reports = (("evaluated", "unlearned"), ("original", "original"), ("retrain", "retrain"))
+    uis = [f"--{flag}={seed_dir / f'eval_{name}.csv'}" for flag, name in reports]
     cases = [
         ([], "0 False"),
         (["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")], "0 False"),
         (["run", "--config", str(cfg), "--out", str(tmp_path / "run")], "0 False"),
-        (
-            ["uis", "--evaluated", str(seed_dir / "eval_unlearned.csv")]
-            + [arg for pair in csvs.items() for arg in pair]
-            + ["--setting", "partial", "--forget-tasks", "0"],
-            "0 False",
-        ),
+        (["uis", *uis, "--setting", "partial", "--forget-tasks", "0"], "0 False"),
         (["verify", "--seed", "0"], "0 True"),
     ]
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -170,7 +170,8 @@ def test_orthonormalize_equals_the_per_matrix_reference_to_the_bit(shape):
 
 
 # Every (rows, cols) with 1 <= cols <= rows <= 20 under 0, 1 or 2 batch axes of
-# drawn sizes: a numpy QR that rounds apart from LAPACK's shows up here.
+# drawn sizes, against scipy's LAPACK: a numpy OpenBLAS build that rounds apart
+# from scipy's shows up here.
 @pytest.mark.parametrize("seed", range(30))
 def test_orthonormalize_sweep_equals_the_per_matrix_reference_to_the_bit(seed):
     rng = np.random.default_rng(seed)
