@@ -10,14 +10,16 @@ orthogonalization residual identity.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import surgery
 from .errors import CurvatureError, DimensionError, EmptySubsetError
-from .linalg import frob_inner, frob_norm, orthonormalize, solve_spd
+from .linalg import frob_inner, frob_norm, orthonormalize, solve_spd, spd_factor
 from .subspace import alignment
 
 THEORY_SCHEMA_VERSION = 1
@@ -33,6 +35,13 @@ def _pair_sum(features: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (features.mT @ right).sum(axis=0)
 
 
+def _require_count(name: str, value: int) -> None:
+    """Raise unless ``value`` is at least 1: a suite that measures nothing
+    would pass vacuously."""
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass
 class QuadraticProblem:
     """Retain/forget quadratic losses with closed-form minimizers.
@@ -41,7 +50,9 @@ class QuadraticProblem:
     (m x p), targets y_i (m) and loss 0.5 |F_i theta - y_i|^2. The retain
     loss is the mean pair loss plus a small ridge term, so its Hessian is
     positive definite; ``rho`` weights the forget loss in the combined
-    objective that defines the pre-unlearning optimum.
+    objective that defines the pre-unlearning optimum. ``h_r`` is validated
+    and Cholesky-factored once, into ``h_r_factor``, which every solve
+    against it reuses.
     """
 
     retain_features: np.ndarray  # n_r x m x p
@@ -59,11 +70,26 @@ class QuadraticProblem:
         f_r, f_f = self.retain_features, self.forget_features
         self.h_r = _pair_sum(f_r, f_r) / n_r + self.ridge * np.eye(f_r.shape[2])
         self.h_f = _pair_sum(f_f, f_f) / n_f
-        b_r = _pair_sum(f_r, self.retain_targets[..., None])[:, 0] / n_r
-        b_f = _pair_sum(f_f, self.forget_targets[..., None])[:, 0] / n_f
-        self.theta_r = solve_spd(self.h_r, b_r)
-        self.theta_star = solve_spd(self.h_r + self.rho * self.h_f, b_r + self.rho * b_f)
-        self.g_f = self.grad_forget(self.theta_r)  # the forget gradient at the retain optimum
+        self.b_r = _pair_sum(f_r, self.retain_targets[..., None])[:, 0] / n_r
+        self.b_f = _pair_sum(f_f, self.forget_targets[..., None])[:, 0] / n_f
+        self.h_r_factor = spd_factor(self.h_r)
+        self._solve()
+
+    def _solve(self) -> None:
+        """The optima and the forget gradient at the retain optimum, from the
+        pair sums and ``rho``."""
+        self.theta_r = solve_spd(self.h_r_factor, self.b_r)
+        self.theta_star = solve_spd(self.h_r + self.rho * self.h_f, self.b_r + self.rho * self.b_f)
+        self.g_f = self.grad_forget(self.theta_r)
+
+    def with_rho(self, rho: float) -> QuadraticProblem:
+        """This problem with the forget loss weighted by ``rho``: the same data,
+        pair sums and ``h_r`` factor, so only the two solves are redone. Equal
+        to the bit to ``dataclasses.replace(self, rho=rho)``."""
+        variant = copy.copy(self)
+        variant.rho = rho
+        variant._solve()
+        return variant
 
     def grad_forget(self, theta: np.ndarray) -> np.ndarray:
         e = self.forget_features @ theta - self.forget_targets
@@ -111,19 +137,21 @@ def random_quadratic_problem(
     )
 
 
-def _check_pair_indices(prob: QuadraticProblem, indices) -> None:
-    """Raise unless every retained-pair index is in [0, n_r)."""
+def _check_pair_index(prob: QuadraticProblem, index) -> None:
+    """Raise unless ``index`` is an integer (a numpy one too, not a bool) in
+    [0, n_r)."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise DimensionError(f"retained-pair index {index} is not an integer")
     n_r = len(prob.retain_features)
-    for i in np.ravel(indices).tolist():
-        if not 0 <= i < n_r:
-            raise DimensionError(f"retained-pair index {i} not in [0, n_r = {n_r})")
+    if not 0 <= index < n_r:
+        raise DimensionError(f"retained-pair index {index} not in [0, n_r = {n_r})")
 
 
 def predict_interference(prob: QuadraticProblem, index: int) -> float:
     """First-order loss change rho * g_i^T H_r^{-1} grad_Lf of retained pair
     ``index`` at the retain optimum."""
-    _check_pair_indices(prob, index)
-    shift = solve_spd(prob.h_r, prob.g_f)
+    _check_pair_index(prob, index)
+    shift = solve_spd(prob.h_r_factor, prob.g_f)
     f = prob.retain_features[index]
     g = f.T @ (f @ prob.theta_r - prob.retain_targets[index])
     return prob.rho * float(g @ shift)
@@ -140,10 +168,13 @@ def actual_interference(prob: QuadraticProblem) -> np.ndarray:
 def aggregate_interference(prob: QuadraticProblem, indices) -> float:
     """Summed first-order interference of the retained pairs ``indices``;
     linear in the pair gradients."""
+    if np.ndim(indices) != 1:
+        raise DimensionError(f"retained-pair indices must be 1-D, got {indices}")
     if not len(indices):
         raise EmptySubsetError("aggregate over empty subset")
-    _check_pair_indices(prob, indices)
-    shift = solve_spd(prob.h_r, prob.g_f)
+    for index in indices:
+        _check_pair_index(prob, index)
+    shift = solve_spd(prob.h_r_factor, prob.g_f)
     f = prob.retain_features[indices]
     e = f @ prob.theta_r - prob.retain_targets[indices]
     return prob.rho * float(_pair_sum(f, e[..., None])[:, 0] @ shift)
@@ -158,15 +189,18 @@ def _actual_and_predicted(prob: QuadraticProblem):
 def residual_order_fit(prob: QuadraticProblem, rho_list) -> dict:
     """Residual |actual - predicted| per rho, with a log-log slope fit.
 
-    ``prob`` is rebuilt for each rho (same data, reweighted), and the
-    residual is averaged over retained pairs.
+    ``prob`` is re-solved for each rho (same data, reweighted, see
+    ``QuadraticProblem.with_rho``), and the residual is averaged over
+    retained pairs. The fit needs at least two distinct finite rho > 0.
     """
     rho_arr = np.asarray(sorted(rho_list), dtype=float)
-    if np.any(rho_arr <= 0):
-        raise ValueError("rho values must be positive")
+    if not (np.isfinite(rho_arr).all() and np.all(rho_arr > 0)):
+        raise ValueError(f"rho_list must hold finite values > 0, got {rho_arr.tolist()}")
+    if np.unique(rho_arr).size < 2:
+        raise ValueError(f"rho_list needs at least two distinct values, got {rho_arr.tolist()}")
     residuals = []
     for rho in rho_arr:
-        actual, predicted = _actual_and_predicted(replace(prob, rho=rho))
+        actual, predicted = _actual_and_predicted(prob.with_rho(rho))
         residuals.append(float(np.mean(np.abs(actual - predicted))))
     slope = float(np.polyfit(np.log(rho_arr), np.log(residuals), 1)[0])
     return {
@@ -208,6 +242,9 @@ def constraint_plane_samples(g_f, delta_star, n_samples, seed, radius=1.0) -> np
     is the i-th of n draws of size p. ``np.vecdot`` takes one dot product
     per row, so each row is the same to the bit as a draw-at-a-time loop.
     """
+    _require_count("n_samples", n_samples)
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     g = np.asarray(g_f, dtype=float).ravel()
     if not np.isfinite(g).all():
         raise DimensionError("g_f contains non-finite entries")
@@ -236,6 +273,7 @@ def check_first_order_interference(
     changes, which stays meaningful when an individual pair's change
     happens to cancel to near zero.
     """
+    _require_count("n_instances_checked", n_instances_checked)
     worst_rel = 0.0
     slope_min = np.inf
     ratios = []
@@ -266,6 +304,7 @@ def check_first_order_interference(
 
 def check_aggregation_linearity(seed: int = 0, n_instances_checked: int = 10) -> dict:
     """Subset aggregation equals the pairwise sum to machine precision."""
+    _require_count("n_instances_checked", n_instances_checked)
     worst = 0.0
     for trial in range(n_instances_checked):
         prob = random_quadratic_problem(
@@ -294,6 +333,7 @@ def check_optimal_direction(
 ) -> dict:
     """delta_star beats random feasible updates; raw gradient is strictly worse
     except in constructed eigenvector cases."""
+    _require_count("n_instances_checked", n_instances_checked)
     rng = np.random.default_rng(seed)
     violations = 0
     eigen_gap_max = 0.0
@@ -340,6 +380,7 @@ def check_projection_bound(n_draws: int = 1000, seed: int = 0) -> dict:
     whole block's bases in one call and measures it with one stacked
     ``alignment`` and one stacked ``project_task``.
     """
+    _require_count("n_draws", n_draws)
     rng = np.random.default_rng(seed)
     worst_excess = -np.inf
     count = 0
@@ -403,6 +444,7 @@ def check_orthogonalization_identity(n_draws: int = 1000, seed: int = 0) -> dict
     would, and held per shape; each shape's draws are measured as one
     stack when ``DRAW_BLOCK`` of them are held, and the rest at the end.
     """
+    _require_count("n_draws", n_draws)
     rng = np.random.default_rng(seed)
     deviations = [(0.0, 0.0)]
     held = {}

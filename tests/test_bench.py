@@ -30,7 +30,7 @@ from mtunlearn import (
     train_reference,
 )
 from mtunlearn.data import problem_to_json
-from mtunlearn.linalg import orthonormalize, solve_spd
+from mtunlearn.linalg import orthonormalize, solve_spd, spd_factor
 from mtunlearn.model import MultiTaskModel, balanced_init_edit
 from mtunlearn.theory import (
     check_first_order_interference,
@@ -197,6 +197,17 @@ def test_bench_solve_spd(benchmark):
     b = rng.standard_normal(30)
     x = benchmark(solve_spd, h, b)
     assert np.linalg.norm(h @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_bench_solve_spd_factored(benchmark):
+    # The O(p²) path: the same system against its factor, built outside the
+    # timed call, as each `predict_interference` call solves it.
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((30, 30))
+    h = m @ m.T / 30 + 1e-2 * np.eye(30)
+    b = rng.standard_normal(30)
+    x = benchmark(solve_spd, spd_factor(h), b)
+    assert x.tobytes() == solve_spd(h, b).tobytes()
 
 
 def test_bench_check_optimal_direction(benchmark):

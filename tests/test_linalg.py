@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from mtunlearn.linalg import (
     frob_norm,
     orthonormalize,
     solve_spd,
+    spd_factor,
 )
 
 
@@ -281,3 +284,67 @@ def test_solve_spd_equals_the_scipy_cholesky_wrappers(n, n_rhs, seed):
 def test_solve_spd_rejects_a_solution_that_overflows():
     with pytest.raises(CurvatureError, match="solution overflowed"):
         solve_spd(np.diag([1e-300, 1.0]), np.array([1e10, 1.0]))
+
+
+# The same grid as the scipy-wrapper test above.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), n_rhs=st.integers(0, 4), seed=st.integers(0, 10_000))
+def test_a_factored_solve_equals_the_matrix_solve_to_the_bit(n, n_rhs, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    h = m @ m.T / n + 1e-2 * np.eye(n)
+    factor = spd_factor(h)
+    for _ in range(3):  # one factor serves every right-hand side
+        b = rng.standard_normal((n, n_rhs) if n_rhs else n)
+        x = solve_spd(factor, b)
+        assert x.shape == b.shape
+        assert x.tobytes() == solve_spd(h, b).tobytes()
+
+
+def test_a_factor_holds_read_only_arrays_that_the_caller_cannot_stale():
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((6, 6))
+    h = m @ m.T / 6 + 1e-2 * np.eye(6)
+    factor = spd_factor(h)
+    assert factor.h.tobytes() == h.tobytes() and factor.h is not h
+    for a in (factor.h, factor.lower):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        factor.h = h
+    b = rng.standard_normal(6)
+    x = solve_spd(factor, b)
+    h[0, 0] += 1.0  # a write to the caller's matrix leaves the factor as it was
+    assert solve_spd(factor, b).tobytes() == x.tobytes()
+    assert h.flags.writeable
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in reduce")
+@pytest.mark.parametrize(
+    "h, error, message",
+    [
+        ([[1.0, 2.0], [0.0, 1.0]], CurvatureError, r"not symmetric: max \|h - h\^T\| = 2 > 2e-08"),
+        (np.diag([1.0, -3.0, 2.0]), CurvatureError, "not positive definite: smallest eigenvalue -3"),
+        (np.zeros((0, 0)), DimensionError, "h is 0x0: there is no system to solve"),
+        (np.ones((2, 3)), DimensionError, r"h must be square, got \(2, 3\)"),
+        ([[np.nan, 0.0], [0.0, 1.0]], DimensionError, "h contains non-finite entries"),
+        (np.ones(3), DimensionError, "h must be 2-D, got ndim=1"),
+    ],
+    ids=["asymmetric", "indefinite", "empty", "non-square", "nan", "1-D"],
+)
+def test_a_bad_matrix_fails_alike_through_either_entry(h, error, message):
+    prefix = "solve_spd: " if error is CurvatureError else ""
+    pattern = f"^{prefix}{message}$"
+    with pytest.raises(error, match=pattern):
+        spd_factor(h)
+    with pytest.raises(error, match=pattern):
+        solve_spd(h, np.ones(np.shape(h)[0]))
+
+
+def test_a_factored_solve_checks_its_right_hand_side():
+    factor = spd_factor(np.eye(3))
+    with pytest.raises(DimensionError, match="^b has 2 rows, expected 3$"):
+        solve_spd(factor, np.ones(2))
+    with pytest.raises(DimensionError, match="^b contains non-finite entries$"):
+        solve_spd(factor, [1.0, np.inf, 0.0])

@@ -1,7 +1,9 @@
+import dataclasses
+import re
+import warnings
+
 import numpy as np
 import pytest
-
-import dataclasses
 
 from mtunlearn import surgery, theory
 from mtunlearn.errors import CurvatureError, DimensionError, EmptySubsetError
@@ -10,6 +12,9 @@ from mtunlearn.subspace import alignment, init_subspaces
 from mtunlearn.theory import (
     actual_interference,
     aggregate_interference,
+    check_aggregation_linearity,
+    check_first_order_interference,
+    check_optimal_direction,
     check_orthogonalization_identity,
     check_projection_bound,
     constraint_plane_samples,
@@ -144,6 +149,49 @@ def test_pair_indices_out_of_range_are_named(indices, monkeypatch):
     if len(indices) == 1:
         with pytest.raises(DimensionError, match=message):
             predict_interference(prob, indices[0])
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (3.0, "retained-pair index 3.0 is not an integer"),
+        (True, "retained-pair index True is not an integer"),
+        (np.array([1, 2]), r"retained-pair index \[1 2\] is not an integer"),
+        (np.int64(8), r"retained-pair index 8 not in \[0, n_r = 8\)"),
+    ],
+    ids=["float", "bool", "array", "numpy-int-out-of-range"],
+)
+def test_a_bad_pair_index_is_named(index, message, monkeypatch):
+    prob = random_quadratic_problem(10, 6, 2, 2, 2, 0.01, 0)
+    monkeypatch.setattr(theory, "solve_spd", lambda *a: pytest.fail("solved before the check"))
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        predict_interference(prob, index)
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([True, False], "retained-pair index True is not an integer"),
+        ([0, 3.0], "retained-pair index 3.0 is not an integer"),
+        (np.array([0.0, 1.0]), "retained-pair index 0.0 is not an integer"),
+        (3.0, "retained-pair indices must be 1-D, got 3.0"),
+        ([[0, 1]], r"retained-pair indices must be 1-D, got \[\[0, 1\]\]"),
+    ],
+    ids=["bools", "one-float", "float-array", "scalar", "2-D"],
+)
+def test_bad_aggregate_indices_are_named(indices, message, monkeypatch):
+    prob = random_quadratic_problem(10, 6, 2, 2, 2, 0.01, 0)
+    monkeypatch.setattr(theory, "solve_spd", lambda *a: pytest.fail("solved before the check"))
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        aggregate_interference(prob, indices)
+
+
+def test_numpy_integer_pair_indices_are_accepted():
+    prob = random_quadratic_problem(10, 6, 2, 2, 2, 0.01, 0)
+    assert predict_interference(prob, np.int32(3)) == predict_interference(prob, 3)
+    assert aggregate_interference(prob, np.array([1, 4], dtype=np.uint8)) == (
+        aggregate_interference(prob, [1, 4])
+    )
 
 
 def projection_bound_reference(n_draws, seed):
@@ -406,3 +454,86 @@ def test_report_json_is_loadable():
         "projection_bound",
         "orthogonalization_identity",
     }
+
+
+def problem_arrays(prob):
+    return {
+        name: getattr(prob, name)
+        for name in ("h_r", "h_f", "b_r", "b_f", "theta_r", "theta_star", "g_f")
+    } | {"actual": actual_interference(prob), "predicted": predicted_interference(prob)}
+
+
+@pytest.mark.parametrize("seed", [0, 5, 1017])
+def test_a_rho_variant_equals_the_rebuilt_problem_to_the_bit(seed):
+    prob = random_quadratic_problem(20, 8, 3, 2, 2, 0.01, seed)
+    base = problem_arrays(prob)
+    for rho in (0.01, 0.02, np.float64(0.04), 0.5):
+        variant = prob.with_rho(rho)
+        assert variant.rho == rho and variant.h_r_factor is prob.h_r_factor
+        rebuilt = problem_arrays(dataclasses.replace(prob, rho=rho))
+        for name, value in problem_arrays(variant).items():
+            assert value.tobytes() == rebuilt[name].tobytes(), (rho, name)
+    # The base problem is left as it was.
+    assert prob.rho == 0.01
+    for name, value in problem_arrays(prob).items():
+        assert value.tobytes() == base[name].tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reports_equal_a_run_that_refactors_for_every_solve(seed, monkeypatch):
+    factored = theory.report_to_json(run_all_checks(seed=seed))
+    # With the factor left a matrix, every solve against h_r validates and
+    # factors it again.
+    monkeypatch.setattr(theory, "spd_factor", lambda h: h)
+    prob = small_quadratic()
+    assert prob.h_r_factor is prob.h_r
+    assert theory.report_to_json(run_all_checks(seed=seed)) == factored
+
+
+@pytest.mark.parametrize(
+    "rho_list, message",
+    [
+        ([0.01], "needs at least two distinct values, got [0.01]"),
+        ([0.01, 0.01], "needs at least two distinct values, got [0.01, 0.01]"),
+        ([], "needs at least two distinct values, got []"),
+        ([np.nan, 0.01], "must hold finite values > 0"),
+        ([0.01, np.inf], "must hold finite values > 0, got [0.01, inf]"),
+        ([-0.01, 0.01], "must hold finite values > 0, got [-0.01, 0.01]"),
+    ],
+    ids=["one", "repeated", "empty", "nan", "inf", "negative"],
+)
+def test_residual_order_fit_needs_two_distinct_finite_positive_rho(rho_list, message):
+    prob = small_quadratic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # polyfit's RankWarning would escape pytest.raises
+        with pytest.raises(ValueError, match="^rho_list " + re.escape(message)):
+            residual_order_fit(prob, rho_list)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_first_order_interference(n_instances_checked=0), "n_instances_checked"),
+        (lambda: check_aggregation_linearity(n_instances_checked=0), "n_instances_checked"),
+        (lambda: check_optimal_direction(n_instances_checked=0), "n_instances_checked"),
+        (lambda: check_optimal_direction(n_instances_checked=1, n_samples=0), "n_samples"),
+        (lambda: check_projection_bound(n_draws=0), "n_draws"),
+        (lambda: check_orthogonalization_identity(n_draws=-1), "n_draws"),
+        (lambda: constraint_plane_samples(np.ones(2), np.ones(2), 0, 0), "n_samples"),
+    ],
+    ids=["first-order", "aggregation", "optimal-trials", "optimal-samples", "projection",
+         "orthogonalization", "samples"],
+)
+def test_a_suite_that_would_measure_nothing_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message} must be at least 1, got -?[01]$"):
+        call()
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -0.5])
+def test_constraint_plane_samples_refuse_a_bad_radius(radius):
+    with pytest.raises(ValueError, match=f"^radius must be finite and >= 0, got {radius}$"):
+        constraint_plane_samples(np.ones(2), np.ones(2), 5, 0, radius=radius)
+    # A zero radius is the constrained point itself.
+    assert np.array_equal(
+        constraint_plane_samples(np.ones(2), np.ones(2), 3, 0, radius=0.0), np.ones((3, 2))
+    )
