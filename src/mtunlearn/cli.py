@@ -38,7 +38,7 @@ from .evaluation import EvalReport, UISInput, evaluate, uis
 from .model import (
     MultiTaskModel,
     TrainConfig,
-    loss_subsets,
+    partition_subsets,
     subset_loss,
     train_reference,
 )
@@ -280,8 +280,9 @@ def _single_run(cfg: RunConfig, out: Path, outputs: dict) -> dict:
 
     pc = cfg.partition
     part = default_forget_split(ds, pc.forget_fraction, pc.forget_tasks, seed)
-    original = train_reference(problem, ds.all_pairs(), cfg.train)
-    retrain = train_reference(problem, part.retain, cfg.train)
+    subsets = partition_subsets(ds, part)
+    original = train_reference(problem, subsets["all_pairs"], cfg.train)
+    retrain = train_reference(problem, subsets["retain"], cfg.train)
     bases = init_subspaces(
         cfg.data.n_tasks, cfg.train.rank, cfg.subspace.dim, cfg.subspace.mode, seed
     )
@@ -310,7 +311,7 @@ def _single_run(cfg: RunConfig, out: Path, outputs: dict) -> dict:
         "forget_loss_start": trace.records[0].forget_loss,
         "forget_loss": trace.records[trace.selected_epoch].forget_loss,
         # None (JSON null) when every task is forgotten and no clean pair is left.
-        "clean_loss": subset_loss(unlearned, ds, loss_subsets(ds, part)["retain_clean"])
+        "clean_loss": subset_loss(unlearned, ds, subsets["retain_clean"])
         if part.retain_clean.size
         else None,
         "mia_auc": trace.records[trace.selected_epoch].mia_auc,

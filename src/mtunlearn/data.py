@@ -172,7 +172,7 @@ class PartitionSpec:
     retain_task: np.ndarray
     retain_inst: np.ndarray
     retain_clean: np.ndarray
-    # Grouped from the arrays above on first use: see model.loss_subsets.
+    # Grouped from the arrays above on first use: see model.partition_subsets.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -255,8 +255,8 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
 def partition(ds: MultiTaskDataset, forget_instances, forget_tasks) -> PartitionSpec:
     """Assign every (instance, task) pair to exactly one of the four subsets.
 
-    The spec's arrays are read-only, so the loss subsets that
-    ``model.loss_subsets`` memoizes on the spec cannot go stale.
+    The spec's arrays are read-only, so the subsets that
+    ``model.partition_subsets`` memoizes on the spec cannot go stale.
     """
     xf = np.unique(np.asarray(forget_instances, dtype=np.intp))
     tf = tuple(sorted({int(t) for t in forget_tasks}))

@@ -97,6 +97,24 @@ def balanced_init_edit(w_star: np.ndarray, rank: int, seed: int):
     return LowRankEdit(w_star=w_star, a=a, b=b)
 
 
+def cell_factors(ds: MultiTaskDataset, instances: np.ndarray, tasks) -> list[np.ndarray]:
+    """Per task t of ``tasks``, the R factor of the rows ``[X, Y_t]`` of
+    ``instances``, in their order, from one tall QR: upper trapezoidal,
+    min(n, d + m_t) x (d + m_t). ``instances`` must be valid row ids."""
+    d = ds.inputs.shape[1]
+    # The rows are gathered once per call, column-major, which LAPACK factors
+    # about twice as fast as numpy's row-major copies; the X columns are shared.
+    cols = np.empty((d + max(ds.task_dims[t] for t in tasks), instances.size))
+    # np.take gathers whole rows several times faster than a[idx].
+    cols[:d] = np.take(ds.inputs, instances, axis=0).T
+    factors = []
+    for t in tasks:
+        m = ds.targets[t].shape[1]
+        cols[d : d + m] = np.take(ds.targets[t], instances, axis=0).T
+        factors.append(np.linalg.qr(cols[: d + m].T, mode="r"))
+    return factors
+
+
 @dataclass(frozen=True, eq=False)
 class Subset:
     """(instance, task) pairs of one dataset, grouped by task once.
@@ -126,6 +144,17 @@ class Subset:
     @classmethod
     def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
         """Group ``pairs`` by task (ascending), keeping pair order within a task."""
+        return cls._from_blocks(ds, cls._blocks(ds, pairs))
+
+    @classmethod
+    def stacked(cls, ds: MultiTaskDataset, pair_arrays) -> list["Subset"]:
+        """A :meth:`from_pairs` subset per pair array, each a view of one root stack."""
+        groups = [cls._blocks(ds, pairs) for pairs in pair_arrays]
+        return cls._from_blocks(ds, [b for g in groups for b in g])._split(map(len, groups))
+
+    @staticmethod
+    def _blocks(ds: MultiTaskDataset, pairs) -> list[tuple[int, int, np.ndarray]]:
+        """``(task, pair count, cell_factor)`` per task of ``pairs``, ascending."""
         arr = np.asarray(pairs)
         if arr.shape == (0,):
             arr = arr.reshape(0, 2)
@@ -141,27 +170,32 @@ class Subset:
             raise DimensionError("subset instance id out of range")
         if np.any((task < 0) | (task >= ds.n_tasks)):
             raise DimensionError("subset task id out of range")
-        d = ds.inputs.shape[1]
         tasks, counts = np.unique(task, return_counts=True)
-        rz = np.zeros((tasks.size, d, d + max(ds.task_dims)))  # [r, z] per block
-        rho = np.zeros(tasks.size)
-        for i, t in enumerate(tasks.tolist()):
-            idx = inst[task == t]
-            # np.take gathers whole rows several times faster than a[idx].
-            x, y = np.take(ds.inputs, idx, axis=0), np.take(ds.targets[t], idx, axis=0)
-            f = np.linalg.qr(np.hstack([x, y]), mode="r")  # min(n_t, d + m_t) x (d + m_t)
-            rz[i, : min(idx.size, d), : f.shape[1]] = f[:d]
-            rho[i] = np.vdot(f[d:, d:], f[d:, d:])
-        return cls(ds, tasks, tuple(counts.tolist()), rz[..., :d], rz[..., d:], rho)
+        return [
+            (t, n, *cell_factors(ds, inst[task == t], [t]))
+            for t, n in zip(tasks.tolist(), counts.tolist())
+        ]
 
     @classmethod
-    def stacked(cls, ds: MultiTaskDataset, pair_arrays) -> list["Subset"]:
-        """A :meth:`from_pairs` subset per pair array, each a view of one root stack."""
-        parts = [cls.from_pairs(ds, pairs) for pairs in pair_arrays]
-        cat = [np.concatenate([getattr(p, n) for p in parts]) for n in ("tasks", "r", "z", "rho")]
-        root = cls(ds, cat[0], sum((p.counts for p in parts), ()), *cat[1:])
-        ends = np.cumsum([p.tasks.size for p in parts]).tolist()
-        return [root._view(end - p.tasks.size, end) for p, end in zip(parts, ends)]
+    def _from_blocks(cls, ds: MultiTaskDataset, blocks) -> "Subset":
+        """The root stack whose block i is ``blocks[i] = (task, pair count, R)``,
+        with R an R factor of the block's rows ``[X, Y_task]`` (see :func:`cell_factors`)."""
+        d = ds.inputs.shape[1]
+        rz = np.zeros((len(blocks), d, d + max(ds.task_dims)))  # [r, z] per block
+        rho = np.zeros(len(blocks))
+        for i, (_, _, f) in enumerate(blocks):
+            rz[i, : min(f.shape[0], d), : f.shape[1]] = f[:d]
+            rho[i] = np.vdot(f[d:, d:], f[d:, d:])
+        tasks = np.array([t for t, _, _ in blocks], dtype=np.intp)
+        return cls(ds, tasks, tuple(n for _, n, _ in blocks), rz[..., :d], rz[..., d:], rho)
+
+    def _split(self, sizes) -> list["Subset"]:
+        """Views of consecutive runs of ``sizes`` blocks of this root stack."""
+        views, start = [], 0
+        for size in sizes:
+            views.append(self._view(start, start + size))
+            start += size
+        return views
 
     def _view(self, start: int, stop: int) -> "Subset":
         """Blocks ``start:stop`` of this root stack, as a view."""
@@ -180,19 +214,62 @@ class Subset:
 LOSS_SUBSETS = ("forget", "retain_inst", "retain_task", "retain_clean")
 
 
-def loss_subsets(ds: MultiTaskDataset, part: PartitionSpec) -> dict[str, Subset]:
-    """The partition blocks ``LOSS_SUBSETS`` of ``part`` on ``ds``, by name, as
-    views of one root stack (see :meth:`Subset.stacked`).
+def partition_subsets(ds: MultiTaskDataset, part: PartitionSpec) -> dict[str, Subset]:
+    """The subsets a run reads off ``part`` on ``ds``, by name: ``all_pairs``
+    (Original's training set), ``retain`` (Retrain's) and the ``LOSS_SUBSETS``,
+    the last four as views of one root stack (see :meth:`Subset.stacked`).
 
-    Grouped on first use and memoized on ``part``, whose arrays are read-only;
-    a call with another dataset object groups them again, on that dataset.
+    Each is a union of the 2K cells {forgotten, retained instances} x {task t},
+    and each cell's rows are factored once (:func:`cell_factors`). A loss-subset
+    block is one cell, with the bits of :meth:`Subset.from_pairs`. A block that
+    spans both instance groups is the R factor of its two cells' stacked R
+    factors (TSQR), at a cost that does not grow with N.
+
+    Built on first use and memoized on ``part``, whose arrays are read-only;
+    a call with another dataset object builds them again, on that dataset.
     """
-    views = part._memo.get("loss_subsets")
-    if views is None or views[0].dataset is not ds:
-        views = part._memo["loss_subsets"] = Subset.stacked(
-            ds, [getattr(part, name) for name in LOSS_SUBSETS]
-        )
-    return dict(zip(LOSS_SUBSETS, views))
+    subsets = part._memo.get("subsets")
+    if subsets is not None and subsets["all_pairs"].dataset is ds:
+        return dict(subsets)
+    groups = (part.forget_instances, part.retain_instances)
+    if sum(g.size for g in groups) != ds.n_instances or (
+        len(part.forget_tasks) + len(part.retain_tasks) != ds.n_tasks
+    ):
+        raise DimensionError("partition does not cover the dataset's instances and tasks")
+    tasks = range(ds.n_tasks)
+    cells = {
+        (g, t): (idx.size, factor)
+        for g, idx in enumerate(groups)
+        if idx.size
+        for t, factor in zip(tasks, cell_factors(ds, idx, tasks))
+    }
+
+    def block(t: int, group_ids) -> list[tuple]:
+        """Task t's block over the cells of ``group_ids`` (0 forgotten, 1
+        retained), as a list of none or one."""
+        parts = [cells[g, t] for g in group_ids if (g, t) in cells]
+        if len(parts) == 2:
+            merged = np.linalg.qr(np.vstack([f for _, f in parts]), mode="r")
+            parts = [(parts[0][0] + parts[1][0], merged)]
+        return [(t, *p) for p in parts]
+
+    forgotten, retained, both = (0,), (1,), (0, 1)
+    layout = {
+        "forget": [(t, forgotten) for t in part.forget_tasks],
+        "retain_inst": [(t, retained) for t in part.forget_tasks],
+        "retain_task": [(t, forgotten) for t in part.retain_tasks],
+        "retain_clean": [(t, retained) for t in part.retain_tasks],
+        "all_pairs": [(t, both) for t in tasks],
+        "retain": [(t, retained if t in part.forget_tasks else both) for t in tasks],
+    }
+    blocks = {name: [b for t, gs in spec for b in block(t, gs)] for name, spec in layout.items()}
+    loss = [blocks[name] for name in LOSS_SUBSETS]
+    root = Subset._from_blocks(ds, [b for bs in loss for b in bs])
+    subsets = dict(zip(LOSS_SUBSETS, root._split(map(len, loss))))
+    for name in ("all_pairs", "retain"):
+        subsets[name] = Subset._from_blocks(ds, blocks[name])
+    part._memo["subsets"] = subsets
+    return dict(subsets)
 
 
 def _as_subset(ds: MultiTaskDataset, pairs, op: str) -> Subset:

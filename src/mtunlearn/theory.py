@@ -219,6 +219,10 @@ def optimal_direction(h_r, g_f, gamma: float) -> np.ndarray:
     g_f = np.asarray(g_f, dtype=float).ravel()
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+    shape = np.shape(h_r)
+    # A malformed h_r is left to solve_spd, which names it.
+    if len(shape) == 2 and g_f.size != shape[0]:
+        raise DimensionError(f"g_f has {g_f.size} entries, but h_r is {shape[0]} x {shape[1]}")
     if not np.any(g_f):
         raise DimensionError("g_f must be nonzero")
     hinv_g = solve_spd(h_r, g_f)
@@ -250,12 +254,19 @@ def constraint_plane_samples(g_f, delta_star, n_samples, seed, radius=1.0) -> np
         raise DimensionError("g_f contains non-finite entries")
     if not np.any(g):
         raise DimensionError("g_f must be nonzero")
+    delta = np.asarray(delta_star, dtype=float)
+    if delta.ndim == 0 or delta.size != g.size:
+        raise DimensionError(
+            f"delta_star has shape {delta.shape}, need the {g.size} entries of g_f"
+        )
+    if not np.isfinite(delta).all():
+        raise DimensionError("delta_star contains non-finite entries")
     g_unit = g / np.linalg.norm(g)
     # In place: fewer (n_samples, p) temporaries keep the heap from growing.
     w = np.random.default_rng(seed).standard_normal((n_samples, g.size))
     w -= np.vecdot(w, g_unit)[:, None] * g_unit
     w *= radius
-    w += delta_star
+    w += delta.ravel()
     return w
 
 

@@ -26,7 +26,7 @@ from .model import (
     MAX_EPOCHS,
     MultiTaskModel,
     Subset,
-    loss_subsets,
+    partition_subsets,
     subset_gradient,
     subset_loss,
     zero_init_edit,
@@ -194,7 +194,7 @@ def run_unlearning(
     # gradient calls share one residual; the partition groups them once for
     # every run over it. The anchor subsamples the clean pairs once; keeping
     # all, it is the clean subset, else the run groups its own stack with it.
-    losses = loss_subsets(ds, part)
+    losses = partition_subsets(ds, part)
     anchor, clean = losses["retain_clean"], part.retain_clean
     n_anchor = max(1, int(round(cfg.anchor_fraction * len(clean))))
     if n_anchor < len(clean):

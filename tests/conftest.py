@@ -95,6 +95,21 @@ def count_stacks(monkeypatch):
     return calls
 
 
+def count_cell_factors(monkeypatch) -> list:
+    """Record each (instance group, task) cell the model layer factors, as
+    (row count, task), rather than reads from a partition's memo."""
+    from mtunlearn import model
+
+    cells, real = [], model.cell_factors
+
+    def counted(ds, instances, tasks):
+        cells.extend((instances.size, t) for t in tasks)
+        return real(ds, instances, tasks)
+
+    monkeypatch.setattr(model, "cell_factors", counted)
+    return cells
+
+
 def orthonormalize_reference(m):
     """Per-matrix reference for ``linalg.orthonormalize``: one 2-D matrix,
     LAPACK ``dgeqrf``/``dorgqr`` called directly, columns checked one by one,

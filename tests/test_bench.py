@@ -31,7 +31,7 @@ from mtunlearn import (
 )
 from mtunlearn.data import problem_to_json
 from mtunlearn.linalg import orthonormalize, solve_spd, spd_factor
-from mtunlearn.model import MultiTaskModel, balanced_init_edit
+from mtunlearn.model import LOSS_SUBSETS, MultiTaskModel, balanced_init_edit, partition_subsets
 from mtunlearn.theory import (
     check_first_order_interference,
     check_optimal_direction,
@@ -110,6 +110,23 @@ def test_bench_partition(benchmark):
     part, subset = benchmark(split_and_group)
     assert part.forget_instances.size == 2000
     assert len(subset) == len(part.retain) == 3 * 20_000 - 2000
+
+
+def test_bench_partition_subsets(benchmark):
+    # The 2K cells of that split, factored once, and the six subsets built
+    # from them. The memo is cleared before each call, so the case times the
+    # computation.
+    ds = generate_synthetic(dataclasses.replace(SHAPES, n_instances=20_000)).dataset
+    part = default_forget_split(ds, 0.1, [0], seed=0)
+
+    def factor_and_merge():
+        part._memo.clear()
+        return partition_subsets(ds, part)
+
+    subsets = benchmark(factor_and_merge)
+    assert len(subsets["all_pairs"]) == 3 * 20_000
+    assert len(subsets["retain"]) == len(part.retain) == 3 * 20_000 - 2000
+    assert sum(len(subsets[name]) for name in LOSS_SUBSETS) == 3 * 20_000
 
 
 def test_bench_run_unlearning(benchmark):

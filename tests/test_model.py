@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import count_stacks, fd_gradient, fd_hessian_from_gradient
+from conftest import count_cell_factors, count_stacks, fd_gradient, fd_hessian_from_gradient
 from mtunlearn import (
     GenConfig,
     LowRankEdit,
@@ -27,7 +27,7 @@ from mtunlearn.errors import (
     SizeGuardError,
     StepSizeError,
 )
-from mtunlearn.model import LOSS_SUBSETS, loss_subsets, zero_init_edit
+from mtunlearn.model import LOSS_SUBSETS, partition_subsets, zero_init_edit
 
 
 def make_model(problem, rank=3, seed=0):
@@ -497,20 +497,81 @@ def test_memo_shapes_do_not_grow_with_n():
     assert shapes[0] == shapes[1] == [(6, 3, 6), (6, 8, 3), (6, 8, 6)]
 
 
-def test_loss_subsets_are_grouped_once_per_partition_and_dataset(small_problem):
-    # The views are memoized on the partition; another dataset object of the
-    # same shape gets views built on it, which then are memoized in turn.
+def test_loss_subsets_are_grouped_once_per_partition_and_dataset(small_problem, monkeypatch):
+    # The subsets are memoized on the partition: a second call factors no
+    # cell. Another dataset object of the same shape gets subsets built on it,
+    # which then are memoized in turn.
     ds = small_problem.dataset
     part = partition(ds, [0, 5, 7], [1])
-    views = loss_subsets(ds, part)
-    assert list(views) == list(LOSS_SUBSETS)
-    assert all(a is b for a, b in zip(loss_subsets(ds, part).values(), views.values()))
-    (root,) = {v.root for v in views.values()}
+    cells = count_cell_factors(monkeypatch)
+    subsets = partition_subsets(ds, part)
+    assert list(subsets) == [*LOSS_SUBSETS, "all_pairs", "retain"]
+    assert sorted(cells) == [(rows, t) for rows in (3, 9) for t in range(3)]
+    assert all(a is b for a, b in zip(partition_subsets(ds, part).values(), subsets.values()))
+    assert len(cells) == 6
+    (root,) = {subsets[name].root for name in LOSS_SUBSETS}
     other = type(ds)(inputs=ds.inputs + 1.0, targets=[y - 1.0 for y in ds.targets])
-    rebuilt = loss_subsets(other, part)
-    assert all(v.dataset is other and v.root is not root for v in rebuilt.values())
-    assert loss_subsets(other, part)["forget"] is rebuilt["forget"]
+    rebuilt = partition_subsets(other, part)
+    assert len(cells) == 12
+    assert all(s.dataset is other and s.root is not root for s in rebuilt.values())
+    assert partition_subsets(other, part)["forget"] is rebuilt["forget"]
+    assert len(cells) == 12
     model = make_model(small_problem)
-    for name, view in rebuilt.items():
+    for name in LOSS_SUBSETS:
         fresh = Subset.from_pairs(other, getattr(part, name))
-        assert repr(subset_loss(model, other, view)) == repr(subset_loss(model, other, fresh))
+        assert repr(subset_loss(model, other, rebuilt[name])) == repr(subset_loss(model, other, fresh))
+
+
+def cell_problems(small_problem):
+    """Short cells (fewer rows than d + m, mixed m_t) and tall ones."""
+    return [(small_problem, [0, 5, 7]), (large_problem(), range(0, 2000, 9))]
+
+
+@pytest.mark.parametrize("forget_tasks", [[1], [0, 1, 2]], ids=["partial", "full"])
+def test_loss_subset_cells_have_the_bits_of_stacked(small_problem, forget_tasks):
+    for problem, forgotten in cell_problems(small_problem):
+        ds = problem.dataset
+        part = partition(ds, forgotten, forget_tasks)
+        subsets = partition_subsets(ds, part)
+        want = Subset.stacked(ds, [getattr(part, name) for name in LOSS_SUBSETS])
+        for got in (subsets[name] for name in LOSS_SUBSETS):
+            assert got.root is subsets["forget"].root
+        for got, w in [(subsets["forget"].root, want[0].root), *zip(subsets.values(), want)]:
+            assert got.tasks.tolist() == w.tasks.tolist() and got.counts == w.counts
+            assert got.start == w.start
+            for name in ("r", "z", "rho"):
+                assert getattr(got, name).tobytes() == getattr(w, name).tobytes(), name
+
+
+def gram_form(subset):
+    """Per block: X^T X, X^T Y and |Y|^2, from the block's r, z and rho."""
+    rt = subset.r.transpose(0, 2, 1)
+    return np.matmul(rt, subset.r), np.matmul(rt, subset.z), subset.rho + np.vecdot(
+        subset.z.reshape(len(subset.tasks), -1), subset.z.reshape(len(subset.tasks), -1)
+    )
+
+
+@pytest.mark.parametrize("forget_tasks", [[1], [0, 1, 2]], ids=["partial", "full"])
+def test_merged_subsets_match_grouped_pairs(small_problem, forget_tasks):
+    # all_pairs and retain merge two cells' R factors per task where a task
+    # spans both instance groups: the same Gram statistics as grouping the
+    # pairs, to rounding.
+    for problem, forgotten in cell_problems(small_problem):
+        ds = problem.dataset
+        part = partition(ds, forgotten, forget_tasks)
+        subsets = partition_subsets(ds, part)
+        for name, pairs in (("all_pairs", ds.all_pairs()), ("retain", part.retain)):
+            got, want = subsets[name], Subset.from_pairs(ds, pairs)
+            assert got.root is None and len(got) == len(pairs)
+            assert got.tasks.tolist() == want.tasks.tolist() and got.counts == want.counts
+            for g, w in zip(gram_form(got), gram_form(want)):
+                for gb, wb in zip(g, w):
+                    assert np.linalg.norm(gb - wb) <= 1e-12 * np.linalg.norm(wb), name
+
+
+def test_partition_subsets_need_the_partitioned_dataset(small_problem):
+    ds = small_problem.dataset
+    part = partition(ds, [0, 5, 7], [1])
+    short = type(ds)(inputs=ds.inputs[:-1], targets=[y[:-1] for y in ds.targets])
+    with pytest.raises(DimensionError, match="partition does not cover the dataset"):
+        partition_subsets(short, part)

@@ -7,22 +7,28 @@ when a rename in the package would break the benchmark.
 """
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import json
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 from mtunlearn import (
     EvalReport,
     GenConfig,
     TrainConfig,
     UnlearnConfig,
+    cli,
     default_forget_split,
     generate_synthetic,
     init_subspaces,
     linalg,
+    model,
     run_unlearning,
     theory,
     train_reference,
@@ -69,22 +75,83 @@ def test_pinned_call_counts_name_traced_functions():
     assert {name for counts in pinned_calls().values() for name in counts} <= spans
 
 
+def count_calls(monkeypatch, *functions) -> dict:
+    """Count the calls to each function under its ``layer.name``, through
+    every module binding, as the benchmark's tracer wraps them."""
+    calls = {}
+    for true_fn in functions:
+        name = f"{true_fn.__module__.removeprefix('mtunlearn.')}.{true_fn.__name__}"
+        calls[name] = 0
+
+        def counted(*args, _true_fn=true_fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _true_fn(*args, **kwargs)
+
+        for module in package_modules().values():
+            for attr, value in list(vars(module).items()):
+                if value is true_fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 def test_verify_suites_make_the_pinned_solve_spd_calls(monkeypatch):
-    # Every module binding is counted, as the benchmark's tracer wraps them.
-    true_solve = linalg.solve_spd
-    calls = 0
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return true_solve(*args, **kwargs)
-
-    for module in package_modules().values():
-        for attr, value in list(vars(module).items()):
-            if value is true_solve:
-                monkeypatch.setattr(module, attr, counted)
+    calls = count_calls(monkeypatch, linalg.solve_spd)
     theory.run_all_checks(seed=0)
-    assert calls == pinned_calls()["verify"]["linalg.solve_spd"]
+    assert calls == {"linalg.solve_spd": pinned_calls()["verify"]["linalg.solve_spd"]}
+
+
+def workload_literals() -> dict:
+    """The literal assignments of ``perfbench/workloads.py``, read from its
+    text: module constants by name, class attributes as ``Class.name``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    scopes = [("", tree.body)]
+    scopes += [(f"{node.name}.", node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+    found = {}
+    for prefix, body in scopes:
+        for node in body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                with contextlib.suppress(ValueError):
+                    found[prefix + node.targets[0].id] = ast.literal_eval(node.value)
+    return found
+
+
+def run_scale(tmp_path: Path, seed: int, n_instances: int) -> Path:
+    """``mtunlearn run`` on the run_scale workload's config at ``n_instances``
+    (n_val in the workload's proportion); returns the seed's output directory."""
+    w = workload_literals()
+    n_val = n_instances * w["RunScale.n_val"] // w["RunScale.n_instances"]
+    doc = {
+        "schema_version": 1,
+        "data": dict(w["DATA"], n_instances=n_instances, n_val=n_val),
+        # RunScale.setup forgets task 0.
+        "partition": {"forget_fraction": w["FORGET_FRACTION"], "forget_tasks": [0]},
+        "train": w["TRAIN"],
+        "subspace": w["SUBSPACE"],
+        "unlearn": w["UNLEARN"],
+        "seed": seed,
+        "n_seeds": 1,
+    }
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    (seed_dir,) = out.glob("seed_*")
+    return seed_dir
+
+
+def test_a_run_makes_the_pinned_model_calls(tmp_path, monkeypatch):
+    # The run_scale workload's `mtunlearn run` at N=200: the counts do not depend on N.
+    calls = count_calls(monkeypatch, model.subset_gradient, model.subset_loss)
+    run_scale(tmp_path, seed=0, n_instances=200)
+    assert calls == pinned_calls()["run_scale"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_run_reproduces_the_pinned_uis(tmp_path, seed):
+    w = workload_literals()
+    seed_dir = run_scale(tmp_path, seed, n_instances=w["RunScale.n_instances"])
+    got = 100.0 * json.loads((seed_dir / "uis.json").read_text())["uis"]
+    expected = w["EXPECTED_UIS_PCT"]["run_scale"][seed]
+    assert abs(got - expected) <= w["UIS_RTOL"] * expected, got
 
 
 def test_unlearning_epochs_make_the_pinned_model_calls(monkeypatch):

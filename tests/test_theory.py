@@ -537,3 +537,20 @@ def test_constraint_plane_samples_refuse_a_bad_radius(radius):
     assert np.array_equal(
         constraint_plane_samples(np.ones(2), np.ones(2), 3, 0, radius=0.0), np.ones((3, 2))
     )
+
+
+@pytest.mark.parametrize(
+    "delta_star",
+    [np.nan, 5.0, np.ones(3), np.ones((1, 3)), np.array([1.0, np.nan]), np.array([np.inf, 0.0])],
+    ids=["nan", "scalar", "too-long", "2-d", "nan-entry", "inf-entry"],
+)
+def test_constraint_plane_samples_refuse_a_bad_delta_star(delta_star):
+    with pytest.raises(DimensionError, match="^delta_star "):
+        constraint_plane_samples(np.ones(2), delta_star, 2, 0)
+
+
+def test_optimal_direction_checks_g_f_against_h_r():
+    with pytest.raises(DimensionError, match=r"^g_f has 2 entries, but h_r is 3 x 3$"):
+        optimal_direction(np.eye(3), np.ones(2), 1.0)
+    # A matching g_f of any shape is flattened, as before.
+    assert optimal_direction(np.eye(2), np.ones((2, 1)), 2.0).tolist() == [1.0, 1.0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_stacks
+from conftest import count_cell_factors, count_stacks
 from mtunlearn import (
     GenConfig,
     TrainConfig,
@@ -14,7 +14,7 @@ from mtunlearn import (
     train_reference,
 )
 from mtunlearn.errors import ConfigError, DimensionError, EmptySubsetError, StepSizeError
-from mtunlearn import mia_auc, model, unlearn
+from mtunlearn import mia_auc, unlearn
 from mtunlearn.unlearn import STRATEGIES
 
 
@@ -305,26 +305,21 @@ def test_each_epoch_computes_one_residual_and_one_gradient_stack(
 
 
 def test_a_second_run_over_a_partition_groups_no_subset(pipeline, monkeypatch):
-    # The first run over a partition groups its loss subsets; every later run
+    # The first run over a partition factors its 2K cells; every later run
     # reads them, and runs as a run over a fresh partition of the same arrays.
     problem, part, _, original, retrain, _, subs = pipeline
-    grouped = []
-    from_pairs = model.Subset.from_pairs.__func__
-
-    def counted(cls, ds, pairs):
-        grouped.append(len(pairs))
-        return from_pairs(cls, ds, pairs)
-
-    monkeypatch.setattr(model.Subset, "from_pairs", classmethod(counted))
+    grouped = count_cell_factors(monkeypatch)
     cfg = UnlearnConfig(setting="partial", eta1=0.3, eta2=0.05, max_epochs=4, anchor_fraction=1.0)
     first = partition(problem.dataset, part.forget_instances, part.forget_tasks)
     run_unlearning(original, problem, first, subs, cfg, retrain)
-    assert len(grouped) == 4
+    n_forget = len(part.forget_instances)
+    groups = (n_forget, problem.dataset.n_instances - n_forget)
+    assert sorted(grouped) == [(rows, t) for rows in sorted(groups) for t in range(3)]
     again = run_unlearning(original, problem, first, subs, cfg, retrain)
-    assert len(grouped) == 4
+    assert len(grouped) == 6
     fresh = partition(problem.dataset, part.forget_instances, part.forget_tasks)
     want = run_unlearning(original, problem, fresh, subs, cfg, retrain)
-    assert len(grouped) == 8
+    assert len(grouped) == 12
     assert again[0].stacked_heads is original.stacked_heads  # handed over, not rebuilt
     assert repr(again[1]) == repr(want[1])
     for got, expected in zip((again[0].edit.a, again[0].edit.b), (want[0].edit.a, want[0].edit.b)):
