@@ -312,7 +312,7 @@ def _single_run(cfg: RunConfig, out: Path, outputs: dict) -> dict:
         "forget_loss": trace.records[trace.selected_epoch].forget_loss,
         # None (JSON null) when every task is forgotten and no clean pair is left.
         "clean_loss": subset_loss(unlearned, ds, subsets["retain_clean"])
-        if part.retain_clean.size
+        if subsets["retain_clean"]
         else None,
         "mia_auc": trace.records[trace.selected_epoch].mia_auc,
         "reference_auc": trace.reference_auc,

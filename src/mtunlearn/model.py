@@ -31,6 +31,11 @@ GRAD_TOL = 1e-7
 # The most epochs a training or unlearning run may take, so that every run ends.
 MAX_EPOCHS = 100_000
 
+# A cell is factored in chunks of this many rows, merged by TSQR in a tree of
+# this fan-in: fixed, so its bits do not depend on the BLAS thread count.
+QR_CHUNK_ROWS = 4096
+TSQR_FAN_IN = 64
+
 
 @dataclass(frozen=True)
 class LowRankEdit:
@@ -61,7 +66,7 @@ class LowRankEdit:
 class MultiTaskModel:
     edit: LowRankEdit
     heads: tuple[np.ndarray, ...]  # fixed per-task maps, m_t x k
-    # Root block stack -> [heads, residuals, W-gradients or None]; see _statistics.
+    # Root block stack -> (residuals, W-gradients); see _statistics.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -97,23 +102,38 @@ def balanced_init_edit(w_star: np.ndarray, rank: int, seed: int):
     return LowRankEdit(w_star=w_star, a=a, b=b)
 
 
+def _tsqr(factors: list[np.ndarray]) -> np.ndarray:
+    """An R factor of the rows of ``factors`` stacked in order, by QRs of
+    stacked R factors in a fixed tree of fan-in ``TSQR_FAN_IN`` (Demmel,
+    Grigori, Hoemmen & Langou, arXiv:0808.2664); a lone factor as it is."""
+    while len(factors) > 1:
+        factors = [
+            np.linalg.qr(np.vstack(factors[i : i + TSQR_FAN_IN]), mode="r")
+            for i in range(0, len(factors), TSQR_FAN_IN)
+        ]
+    return factors[0]
+
+
 def cell_factors(ds: MultiTaskDataset, instances: np.ndarray, tasks) -> list[np.ndarray]:
-    """Per task t of ``tasks``, the R factor of the rows ``[X, Y_t]`` of
-    ``instances``, in their order, from one tall QR: upper trapezoidal,
-    min(n, d + m_t) x (d + m_t). ``instances`` must be valid row ids."""
+    """Per task t of ``tasks``, an R factor of the rows ``[X, Y_t]`` of
+    ``instances``: upper trapezoidal, min(n, d + m_t) x (d + m_t). One QR per
+    ``QR_CHUNK_ROWS`` rows, in their order, merged by :func:`_tsqr`, so a
+    cell of one chunk is one QR. ``instances`` must be valid, nonempty row ids."""
     d = ds.inputs.shape[1]
-    # Gathered column-major, once per call, with the X columns shared by the
+    # Gathered column-major, once per chunk, with the X columns shared by the
     # tasks: numpy's QR copies its input into LAPACK's column-major layout,
     # which from row-major rows took about half of each QR's time.
-    cols = np.empty((d + max(ds.task_dims[t] for t in tasks), instances.size))
-    # np.take gathers whole rows several times faster than a[idx].
-    cols[:d] = np.take(ds.inputs, instances, axis=0).T
-    factors = []
-    for t in tasks:
-        m = ds.targets[t].shape[1]
-        cols[d : d + m] = np.take(ds.targets[t], instances, axis=0).T
-        factors.append(np.linalg.qr(cols[: d + m].T, mode="r"))
-    return factors
+    cols = np.empty((d + max(ds.task_dims[t] for t in tasks), min(instances.size, QR_CHUNK_ROWS)))
+    chunks = [[] for _ in tasks]
+    for start in range(0, instances.size, QR_CHUNK_ROWS):
+        rows = instances[start : start + QR_CHUNK_ROWS]
+        # np.take gathers whole rows several times faster than a[idx].
+        cols[:d, : rows.size] = np.take(ds.inputs, rows, axis=0).T
+        for t, factors in zip(tasks, chunks):
+            m = ds.targets[t].shape[1]
+            cols[d : d + m, : rows.size] = np.take(ds.targets[t], rows, axis=0).T
+            factors.append(np.linalg.qr(cols[: d + m, : rows.size].T, mode="r"))
+    return [_tsqr(factors) for factors in chunks]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,17 +165,6 @@ class Subset:
     @classmethod
     def from_pairs(cls, ds: MultiTaskDataset, pairs) -> "Subset":
         """Group ``pairs`` by task (ascending), keeping pair order within a task."""
-        return cls._from_blocks(ds, cls._blocks(ds, pairs))
-
-    @classmethod
-    def stacked(cls, ds: MultiTaskDataset, pair_arrays) -> list["Subset"]:
-        """A :meth:`from_pairs` subset per pair array, each a view of one root stack."""
-        groups = [cls._blocks(ds, pairs) for pairs in pair_arrays]
-        return cls._from_blocks(ds, [b for g in groups for b in g])._split(map(len, groups))
-
-    @staticmethod
-    def _blocks(ds: MultiTaskDataset, pairs) -> list[tuple[int, int, np.ndarray]]:
-        """``(task, pair count, cell_factor)`` per task of ``pairs``, ascending."""
         arr = np.asarray(pairs)
         if arr.shape == (0,):
             arr = arr.reshape(0, 2)
@@ -172,10 +181,11 @@ class Subset:
         if np.any((task < 0) | (task >= ds.n_tasks)):
             raise DimensionError("subset task id out of range")
         tasks, counts = np.unique(task, return_counts=True)
-        return [
+        blocks = [
             (t, n, *cell_factors(ds, inst[task == t], [t]))
             for t, n in zip(tasks.tolist(), counts.tolist())
         ]
+        return cls._from_blocks(ds, blocks)
 
     @classmethod
     def _from_blocks(cls, ds: MultiTaskDataset, blocks) -> "Subset":
@@ -189,14 +199,6 @@ class Subset:
             rho[i] = np.vdot(f[d:, d:], f[d:, d:])
         tasks = np.array([t for t, _, _ in blocks], dtype=np.intp)
         return cls(ds, tasks, tuple(n for _, n, _ in blocks), rz[..., :d], rz[..., d:], rho)
-
-    def _split(self, sizes) -> list["Subset"]:
-        """Views of consecutive runs of ``sizes`` blocks of this root stack."""
-        views, start = [], 0
-        for size in sizes:
-            views.append(self._view(start, start + size))
-            start += size
-        return views
 
     def _view(self, start: int, stop: int) -> "Subset":
         """Blocks ``start:stop`` of this root stack, as a view."""
@@ -218,13 +220,13 @@ LOSS_SUBSETS = ("forget", "retain_inst", "retain_task", "retain_clean")
 def partition_subsets(ds: MultiTaskDataset, part: PartitionSpec) -> dict[str, Subset]:
     """The subsets a run reads off ``part`` on ``ds``, by name: ``all_pairs``
     (Original's training set), ``retain`` (Retrain's) and the ``LOSS_SUBSETS``,
-    the last four as views of one root stack (see :meth:`Subset.stacked`).
+    the last four as views of one root stack.
 
     Each is a union of the 2K cells {forgotten, retained instances} x {task t},
     and each cell's rows are factored once (:func:`cell_factors`). A loss-subset
     block is one cell, with the bits of :meth:`Subset.from_pairs`. A block that
-    spans both instance groups is the R factor of its two cells' stacked R
-    factors (TSQR), at a cost that does not grow with N.
+    spans both instance groups merges its two cells' R factors by
+    :func:`_tsqr`, at a cost that does not grow with N.
 
     Built on first use and memoized on ``part``, whose arrays are read-only;
     a call with another dataset object builds them again, on that dataset.
@@ -249,10 +251,7 @@ def partition_subsets(ds: MultiTaskDataset, part: PartitionSpec) -> dict[str, Su
         """Task t's block over the cells of ``group_ids`` (0 forgotten, 1
         retained), as a list of none or one."""
         parts = [cells[g, t] for g in group_ids if (g, t) in cells]
-        if len(parts) == 2:
-            merged = np.linalg.qr(np.vstack([f for _, f in parts]), mode="r")
-            parts = [(parts[0][0] + parts[1][0], merged)]
-        return [(t, *p) for p in parts]
+        return [(t, sum(n for n, _ in parts), _tsqr([f for _, f in parts]))] if parts else []
 
     forgotten, retained, both = (0,), (1,), (0, 1)
     layout = {
@@ -264,9 +263,9 @@ def partition_subsets(ds: MultiTaskDataset, part: PartitionSpec) -> dict[str, Su
         "retain": [(t, retained if t in part.forget_tasks else both) for t in tasks],
     }
     blocks = {name: [b for t, gs in spec for b in block(t, gs)] for name, spec in layout.items()}
-    loss = [blocks[name] for name in LOSS_SUBSETS]
-    root = Subset._from_blocks(ds, [b for bs in loss for b in bs])
-    subsets = dict(zip(LOSS_SUBSETS, root._split(map(len, loss))))
+    root = Subset._from_blocks(ds, [b for name in LOSS_SUBSETS for b in blocks[name]])
+    bounds = np.cumsum([0, *(len(blocks[name]) for name in LOSS_SUBSETS)]).tolist()
+    subsets = {name: root._view(*bounds[i : i + 2]) for i, name in enumerate(LOSS_SUBSETS)}
     for name in ("all_pairs", "retain"):
         subsets[name] = Subset._from_blocks(ds, blocks[name])
     part._memo["subsets"] = subsets
@@ -294,20 +293,19 @@ def _w_gradient_stack(stack: Subset, heads: np.ndarray, e: np.ndarray) -> np.nda
     return np.matmul(stack.r.transpose(0, 2, 1), np.matmul(e, heads))
 
 
-def _statistics(model: MultiTaskModel, subset: Subset, gradients: bool):
-    """The subset's slices of its root stack's residuals and, if ``gradients``,
-    W-gradients (else None). The model memoizes each once per root stack, which
+def _statistics(model: MultiTaskModel, subset: Subset):
+    """The subset's slices of its root stack's residuals and W-gradients. The
+    model computes both together and memoizes them once per root stack, which
     holds only because an edit is never modified in place."""
     stack = subset.root or subset  # a nonempty view has a nonempty root
     memo = model._memo.get(stack)
     if memo is None:
         # ndarray.take gathers the blocks' heads about 3x faster than heads[tasks].
         heads = model.stacked_heads.take(stack.tasks, axis=0)
-        memo = model._memo[stack] = [heads, _residual_stack(model, stack, heads), None]
-    if gradients and memo[2] is None:
-        memo[2] = _w_gradient_stack(stack, *memo[:2])
+        e = _residual_stack(model, stack, heads)
+        memo = model._memo[stack] = (e, _w_gradient_stack(stack, heads, e))
     b = slice(subset.start, subset.start + subset.tasks.size)
-    return memo[1][b], memo[2][b] if gradients else None
+    return memo[0][b], memo[1][b]
 
 
 def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs):
@@ -319,7 +317,7 @@ def subset_loss(model: MultiTaskModel, ds: MultiTaskDataset, pairs):
     quadratic does near zero loss; a call costs O(K d^2 m).
     """
     subset = _as_subset(ds, pairs, "subset_loss")
-    e = _statistics(model, subset, False)[0].reshape(subset.tasks.size, -1)
+    e = _statistics(model, subset)[0].reshape(subset.tasks.size, -1)
     total = 0.0
     for sq, rho in zip(np.vecdot(e, e).tolist(), subset.rho.tolist()):
         total += 0.5 * (sq + rho)
@@ -333,7 +331,7 @@ def subset_gradient(model: MultiTaskModel, ds: MultiTaskDataset, pairs):
     costs O(K d^2 (k + m)) and reads the same residual as the loss.
     """
     subset = _as_subset(ds, pairs, "subset_gradient")
-    grad_w = np.add.reduce(_statistics(model, subset, True)[1], axis=0)
+    grad_w = np.add.reduce(_statistics(model, subset)[1], axis=0)
     grad_w /= len(subset)
     return grad_w.T @ model.edit.b, grad_w @ model.edit.a
 
@@ -371,7 +369,7 @@ def flattened_hessian(model: MultiTaskModel, ds: MultiTaskDataset, pairs) -> np.
     ab = np.einsum("nip,njl->nijlp", c, s)
     # a-b block, residual curvature part: delta_{jp} * (X^T E M)[l, i],
     # with X^T E M = R^T E_t M (index l, i) for residuals E = X W M^T - Y
-    ab += np.einsum("nli,jp->nijlp", _statistics(model, subset, True)[1], np.eye(r))
+    ab += np.einsum("nli,jp->nijlp", _statistics(model, subset)[1], np.eye(r))
     ab = np.add.reduce(ab, axis=0).reshape(p_a, p_b)
     h = np.block([[aa, ab], [ab.T, bb]]) / len(subset)
     return 0.5 * (h + h.T)

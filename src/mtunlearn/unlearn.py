@@ -22,7 +22,6 @@ from .data import PartitionSpec, SyntheticProblem
 from .errors import ConfigError, DimensionError, EmptySubsetError, StepSizeError
 from .evaluation import forget_task_auc
 from .model import (
-    LOSS_SUBSETS,
     MAX_EPOCHS,
     MultiTaskModel,
     Subset,
@@ -170,10 +169,6 @@ def run_unlearning(
     ``bases`` holds one r×s task-subspace basis per task, shape (K, r, s).
     """
     ds, val = problem.dataset, problem.val_dataset
-    if not part.forget.size:
-        raise EmptySubsetError("forget set is empty")
-    if not part.retain.size:
-        raise EmptySubsetError("retain set is empty")
     full = len(part.forget_tasks) == ds.n_tasks
     if cfg.setting == "full" and not full:
         raise ConfigError("setting=full requires all tasks forgotten")
@@ -186,22 +181,27 @@ def run_unlearning(
             f"bases of shape {bases.shape}"
         )
 
+    # The loss subsets are views of one block stack, so an epoch's loss and
+    # gradient calls share one residual; the partition builds them once for
+    # every run over it.
+    losses = partition_subsets(ds, part)
+    counts = {name: len(losses[f"retain_{name}"]) for name in ("clean", "inst", "task")}
+    if not losses["forget"]:
+        raise EmptySubsetError("forget set is empty")
+    if not any(counts.values()):
+        raise EmptySubsetError("retain set is empty")
+
     rank = bases.shape[1]
     edit = zero_init_edit(original.edit.effective_weight, rank, cfg.seed)
     model = original.with_edit(edit)
 
-    # The loss subsets are views of one block stack, so an epoch's loss and
-    # gradient calls share one residual; the partition groups them once for
-    # every run over it. The anchor subsamples the clean pairs once; keeping
-    # all, it is the clean subset, else the run groups its own stack with it.
-    losses = partition_subsets(ds, part)
-    anchor, clean = losses["retain_clean"], part.retain_clean
-    n_anchor = max(1, int(round(cfg.anchor_fraction * len(clean))))
-    if n_anchor < len(clean):
-        chosen = np.random.default_rng(cfg.seed).choice(len(clean), size=n_anchor, replace=False)
-        pairs = [getattr(part, name) for name in LOSS_SUBSETS]
-        *views, anchor = Subset.stacked(ds, [*pairs, clean[np.sort(chosen)]])
-        losses = dict(zip(LOSS_SUBSETS, views))
+    # The anchor subsamples the clean pairs once, as a stack of its own;
+    # keeping all, it is the clean subset.
+    anchor = losses["retain_clean"]
+    n_anchor = max(1, int(round(cfg.anchor_fraction * len(anchor))))
+    if n_anchor < len(anchor):
+        chosen = np.random.default_rng(cfg.seed).choice(len(anchor), size=n_anchor, replace=False)
+        anchor = Subset.from_pairs(ds, part.retain_clean[np.sort(chosen)])
     sources = {
         "forget": losses["forget"].by_task(),
         "clean": anchor.by_task(),
@@ -209,11 +209,10 @@ def run_unlearning(
         "task": losses["retain_task"].by_task(),
     }
 
-    # Weight each source by its share of the retain pairs so the descent
-    # direction tracks the gradient of the overall retain-mean loss; the
-    # anchor stands in for the whole clean subset. A source has a gradient
+    # Weight each source by its share of the retain pairs, the anchor standing
+    # in for the whole clean subset. A source sums its per-task subset means,
+    # so the descent is not the retain-mean gradient. A source has a gradient
     # exactly when it has pairs, so the weights are fixed for the run.
-    counts = {"clean": len(clean), "inst": len(part.retain_inst), "task": len(part.retain_task)}
     total = sum(counts.values())
     weights = {name: count / total for name, count in counts.items() if count}
     project, stages = STRATEGIES[cfg.strategy]

@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from conftest import count_cell_factors, count_stacks, fd_gradient, fd_hessian_f
 from mtunlearn import (
     GenConfig,
     LowRankEdit,
+    MultiTaskDataset,
     MultiTaskModel,
     Subset,
     TrainConfig,
@@ -27,7 +32,7 @@ from mtunlearn.errors import (
     SizeGuardError,
     StepSizeError,
 )
-from mtunlearn.model import LOSS_SUBSETS, partition_subsets, zero_init_edit
+from mtunlearn.model import LOSS_SUBSETS, cell_factors, partition_subsets, zero_init_edit
 
 
 def make_model(problem, rank=3, seed=0):
@@ -446,16 +451,18 @@ def test_train_reference_divergence_raises(small_problem):
 
 @pytest.mark.parametrize("forget_tasks", [[1], [0, 1, 2]], ids=["partial", "full"])
 def test_views_of_one_stack_give_the_bits_of_fresh_subsets(forget_tasks):
-    # Each loss subset and each of its by_task() views slices the one memoized
-    # stack, and gives the loss and gradient bits of a fresh subset of its pairs
-    # on a fresh model; a second call reads the same unmodified memo.
+    # Each loss subset of the partition and each of its by_task() views slices
+    # the one memoized stack, and gives the loss and gradient bits of a fresh
+    # subset of its pairs on a fresh model; a second call reads the same
+    # unmodified memo.
     problem = large_problem()
     ds = problem.dataset
     part = partition(ds, range(0, 2000, 9), forget_tasks)
-    pairs = [getattr(part, name) for name in LOSS_SUBSETS]
+    subsets = partition_subsets(ds, part)
     model = make_model(problem, rank=3, seed=1)
     checked = 0
-    for view, p in zip(Subset.stacked(ds, pairs), pairs):
+    for name in LOSS_SUBSETS:
+        view, p = subsets[name], getattr(part, name)
         fresh = Subset.from_pairs(ds, p)
         assert len(view) == len(fresh) == len(p)
         for got, want in zip((view, *view.by_task()), (fresh, *fresh.by_task())):
@@ -479,7 +486,7 @@ def test_train_reference_epoch_computes_one_residual(small_problem, monkeypatch)
     calls = count_stacks(monkeypatch)
     tc = TrainConfig(epochs=30, step_size=0.1, seed=0)
     train_reference(small_problem, small_problem.dataset.all_pairs(), tc)
-    assert calls == {"residual": 31, "gradient": 30}
+    assert calls == {"residual": 31, "gradient": 31}
 
 
 def test_memo_shapes_do_not_grow_with_n():
@@ -489,12 +496,13 @@ def test_memo_shapes_do_not_grow_with_n():
         ds = problem.dataset
         part = default_forget_split(ds, 0.1, [0], seed=0)
         model = make_model(problem)
-        for view in Subset.stacked(ds, [getattr(part, name) for name in LOSS_SUBSETS]):
-            subset_loss(model, ds, view)
-            subset_gradient(model, ds, view)
+        subsets = partition_subsets(ds, part)
+        for name in LOSS_SUBSETS:
+            subset_loss(model, ds, subsets[name])
+            subset_gradient(model, ds, subsets[name])
         (memo,) = model._memo.values()
         shapes.append([a.shape for a in memo])
-    assert shapes[0] == shapes[1] == [(6, 3, 6), (6, 8, 3), (6, 8, 6)]
+    assert shapes[0] == shapes[1] == [(6, 8, 3), (6, 8, 6)]
 
 
 def test_loss_subsets_are_grouped_once_per_partition_and_dataset(small_problem, monkeypatch):
@@ -529,19 +537,20 @@ def cell_problems(small_problem):
 
 
 @pytest.mark.parametrize("forget_tasks", [[1], [0, 1, 2]], ids=["partial", "full"])
-def test_loss_subset_cells_have_the_bits_of_stacked(small_problem, forget_tasks):
+def test_loss_subset_cells_have_the_bits_of_from_pairs(small_problem, forget_tasks):
     for problem, forgotten in cell_problems(small_problem):
         ds = problem.dataset
         part = partition(ds, forgotten, forget_tasks)
         subsets = partition_subsets(ds, part)
-        want = Subset.stacked(ds, [getattr(part, name) for name in LOSS_SUBSETS])
         views = [subsets[name] for name in LOSS_SUBSETS]
         assert len({id(view.root) for view in views}) == 1
-        for got, w in [(views[0].root, want[0].root), *zip(views, want)]:
-            assert got.tasks.tolist() == w.tasks.tolist() and got.counts == w.counts
-            assert got.start == w.start
-            for name in ("r", "z", "rho"):
-                assert getattr(got, name).tobytes() == getattr(w, name).tobytes(), name
+        sizes = [view.tasks.size for view in views]
+        assert [view.start for view in views] == np.cumsum([0, *sizes])[:-1].tolist()
+        for got, name in zip(views, LOSS_SUBSETS):
+            want = Subset.from_pairs(ds, getattr(part, name))
+            assert got.tasks.tolist() == want.tasks.tolist() and got.counts == want.counts
+            for array in ("r", "z", "rho"):
+                assert getattr(got, array).tobytes() == getattr(want, array).tobytes(), array
 
 
 def gram_form(subset):
@@ -574,3 +583,57 @@ def test_partition_subsets_need_the_partitioned_dataset(small_problem):
     short = type(ds)(inputs=ds.inputs[:-1], targets=[y[:-1] for y in ds.targets])
     with pytest.raises(DimensionError, match="partition does not cover the dataset"):
         partition_subsets(short, part)
+
+
+# Factors a 180000-row cell (d=16, m=2) from seeded normal rows and prints a
+# digest of its bytes; run in a process of its own per BLAS thread count.
+CELL_DIGEST = """
+import hashlib
+import numpy as np
+from mtunlearn.data import MultiTaskDataset
+from mtunlearn.model import cell_factors
+rng = np.random.default_rng(0)
+n = 180_000
+x, y = rng.standard_normal((n, 16)), rng.standard_normal((n, 2))
+ds = MultiTaskDataset(inputs=x, targets=[y])
+print(hashlib.sha256(cell_factors(ds, np.arange(n), [0])[0].tobytes()).hexdigest())
+"""
+
+
+def test_cell_factors_do_not_depend_on_the_blas_thread_count():
+    # A BLAS library reads its thread count once, when it loads, so each count
+    # gets a subprocess. One tall QR of the cell can round differently on 1 and
+    # 2 threads; chunks of fixed size merged in a fixed tree do not.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), threads))
+        proc = subprocess.run(
+            [sys.executable, "-c", CELL_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("rows, chunk, fan_in", [(9000, 4096, 64), (100, 5, 3)])
+def test_chunked_cell_factors_hold_the_cells_gram_matrix(monkeypatch, rows, chunk, fan_in):
+    # Three 4096-row chunks merged in one QR, and twenty 5-row chunks merged
+    # over three levels of fan-in 3: R^T R is the Gram matrix of [X, Y_t].
+    from mtunlearn import model
+
+    monkeypatch.setattr(model, "QR_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(model, "TSQR_FAN_IN", fan_in)
+    rng = np.random.default_rng(3)
+    x, targets = rng.standard_normal((rows, 8)), [rng.standard_normal((rows, m)) for m in (2, 3)]
+    ds = MultiTaskDataset(inputs=x, targets=targets)
+    for t, r in zip((1, 0), cell_factors(ds, rng.permutation(rows), (1, 0))):
+        a = np.hstack([x, targets[t]])
+        assert r.shape == (a.shape[1],) * 2 and np.array_equal(r, np.triu(r))
+        gram = a.T @ a
+        assert np.linalg.norm(r.T @ r - gram) <= 1e-12 * np.linalg.norm(gram)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -288,20 +290,37 @@ def test_non_finite_retain_gradient_names_epoch_and_source(pipeline, monkeypatch
         run_unlearning(original, problem, part, subs, cfg, retrain)
 
 
-@pytest.mark.parametrize("anchor_fraction", [1.0, 0.5])
+@pytest.mark.parametrize("anchor_fraction, stacks", [(1.0, 6), (0.5, 11)], ids=["1.0", "0.5"])
 def test_each_epoch_computes_one_residual_and_one_gradient_stack(
-    pipeline, monkeypatch, anchor_fraction
+    pipeline, monkeypatch, anchor_fraction, stacks
 ):
-    # Every model's four losses share one residual, which the next epoch's
-    # per-task gradients reuse; the last model takes no gradient. A subsampled
-    # anchor is one more view of the same stack.
+    # Every model's four losses and the next epoch's per-task gradients share
+    # one residual and one W-gradient stack, computed together. A subsampled
+    # anchor is a stack of its own, read by the 5 models that take a gradient.
     problem, part, _, original, retrain, _, subs = pipeline
     calls = count_stacks(monkeypatch)
     cfg = UnlearnConfig(
         setting="partial", eta1=0.3, eta2=0.05, max_epochs=5, anchor_fraction=anchor_fraction
     )
     run_unlearning(original, problem, part, subs, cfg, retrain)
-    assert calls == {"residual": 6, "gradient": 5}
+    assert calls == {"residual": stacks, "gradient": stacks}
+
+
+@pytest.mark.parametrize("anchor_fraction", [1.0, 0.5])
+def test_a_run_reads_no_pair_grid_but_the_anchors(pipeline, anchor_fraction):
+    # The run takes its subsets, sizes and emptiness checks from the
+    # partition's subsets, so emptying a pair grid that the run does not
+    # subsample changes nothing.
+    problem, part, _, original, retrain, _, subs = pipeline
+    cfg = UnlearnConfig(
+        setting="partial", eta1=0.3, eta2=0.05, max_epochs=5, anchor_fraction=anchor_fraction
+    )
+    emptied = dataclasses.replace(part, forget=part.forget[:0])
+    want = run_unlearning(original, problem, part, subs, cfg, retrain)
+    got = run_unlearning(original, problem, emptied, subs, cfg, retrain)
+    assert repr(got[1]) == repr(want[1])
+    assert got[0].edit.a.tobytes() == want[0].edit.a.tobytes()
+    assert got[0].edit.b.tobytes() == want[0].edit.b.tobytes()
 
 
 def test_a_second_run_over_a_partition_groups_no_subset(pipeline, monkeypatch):
