@@ -33,7 +33,7 @@ from .data import (
     generate_synthetic,
     problem_to_json,
 )
-from .errors import ConfigError, MtUnlearnError
+from .errors import CapacityError, ConfigError, DimensionError, MtUnlearnError
 from .evaluation import EvalReport, UISInput, evaluate, uis
 from .model import (
     MultiTaskModel,
@@ -199,8 +199,13 @@ class RunConfig:
         sub = config_from_doc(SubspaceConfig, {"dim": dim, **top.subspace}, "subspace")
         try:
             check_layout(data.n_tasks, train.rank, sub.dim, sub.mode)
-        except MtUnlearnError as exc:
+        except ConfigError as exc:  # the mode
             raise ConfigError(f"subspace: {exc}") from None
+        except (CapacityError, DimensionError) as exc:  # the widths
+            raise ConfigError(
+                f"subspace: {exc}: set subspace.dim or train.rank "
+                f"(train.rank defaults to data.teacher_rank)"
+            ) from None
         setting = "full" if len(tasks) == data.n_tasks else "partial"
         node = dict(top.unlearn)
         if strategy is not None:
@@ -287,24 +292,31 @@ def _single_run(cfg: RunConfig, out: Path, outputs: dict) -> dict:
         cfg.data.n_tasks, cfg.train.rank, cfg.subspace.dim, cfg.subspace.mode, seed
     )
     unlearned, trace = run_unlearning(original, problem, part, bases, cfg.unlearn, retrain)
-    echo = cfg.to_doc()
+    models = {"original": original, "retrain": retrain, "unlearned": unlearned}
+    reports = {name: evaluate(m, ds, part, problem.val_dataset) for name, m in models.items()}
+    try:
+        score = uis(
+            UISInput(
+                evaluated=reports["unlearned"],
+                original_ref=reports["original"],
+                retrain_ref=reports["retrain"],
+                setting=cfg.unlearn.setting,
+                forget_tasks=frozenset(pc.forget_tasks),
+            )
+        )
+    except ConfigError as exc:
+        # The config has fixed the setting and its tasks, so a reference cell
+        # is zero: an AUC over too few instances, or an underflowed utility.
+        raise MtUnlearnError(
+            f"seed {seed}: {exc} ({len(part.forget_instances)} forgotten and "
+            f"{cfg.data.n_val} validation instances)"
+        ) from None
 
-    reports = {}
-    for name, model in (("original", original), ("retrain", retrain), ("unlearned", unlearned)):
-        reports[name] = evaluate(model, ds, part, problem.val_dataset)
+    echo = cfg.to_doc()
+    for name, model in models.items():
         _write(out / f"eval_{name}.csv", reports[name].to_csv(), outputs)
         _write(out / f"checkpoint_{name}.json", checkpoint_to_json(model, echo), outputs)
     _write(out / "trace.json", trace_to_json(trace), outputs)
-
-    score = uis(
-        UISInput(
-            evaluated=reports["unlearned"],
-            original_ref=reports["original"],
-            retrain_ref=reports["retrain"],
-            setting=cfg.unlearn.setting,
-            forget_tasks=frozenset(pc.forget_tasks),
-        )
-    )
     row = {
         "seed": seed,
         "selected_epoch": trace.selected_epoch,

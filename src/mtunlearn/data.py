@@ -1,9 +1,9 @@
 """Synthetic multi-task datasets and the four-way forget/retain partition.
 
 A dataset is a complete supervision grid: every instance carries a target
-for every task. Subsets of the grid are (n, 2) arrays of (instance, task)
-pairs, each partition block the :func:`grid` of an instance and a task set;
-``model.Subset`` groups them by task for gradient and loss evaluation.
+for every task. A partition stores only its instance and task split; each of
+its four blocks is the :func:`grid` of an instance and a task set, and
+``model.partition_subsets`` factors them per (instance group, task) cell.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ def grid(instances, tasks) -> np.ndarray:
 class PartitionSpec:
     """Four-way split induced by forgotten instances and forgotten tasks.
 
-    Instance arrays and task tuples are sorted complements; each block is a
-    :func:`grid`:
+    Instance arrays and task tuples are sorted complements, and each block
+    is their :func:`grid`, built on demand and stored nowhere:
 
     forget:       forgotten instances x forgotten tasks
     retain_task:  forgotten instances x retained tasks
@@ -168,16 +168,18 @@ class PartitionSpec:
     retain_instances: np.ndarray
     forget_tasks: tuple[int, ...]
     retain_tasks: tuple[int, ...]
-    forget: np.ndarray
-    retain_task: np.ndarray
-    retain_inst: np.ndarray
-    retain_clean: np.ndarray
-    # Grouped from the arrays above on first use: see model.partition_subsets.
+    # Grouped from the split on first use: see model.partition_subsets.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
+    def retain_clean(self) -> np.ndarray:
+        return grid(self.retain_instances, self.retain_tasks)
+
+    @property
     def retain(self) -> np.ndarray:
-        return np.concatenate([self.retain_task, self.retain_inst, self.retain_clean])
+        xf, xr = self.forget_instances, self.retain_instances
+        blocks = (grid(xf, self.retain_tasks), grid(xr, self.forget_tasks), self.retain_clean)
+        return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,9 @@ def generate_synthetic(config: GenConfig) -> SyntheticProblem:
 
 
 def partition(ds: MultiTaskDataset, forget_instances, forget_tasks) -> PartitionSpec:
-    """Assign every (instance, task) pair to exactly one of the four subsets.
+    """Assign every (instance, task) pair to exactly one of the four blocks.
 
-    The spec's arrays are read-only, so the subsets that
+    The spec's instance arrays are read-only, so the subsets that
     ``model.partition_subsets`` memoizes on the spec cannot go stale.
     """
     xf = np.unique(np.asarray(forget_instances, dtype=np.intp))
@@ -266,10 +268,8 @@ def partition(ds: MultiTaskDataset, forget_instances, forget_tasks) -> Partition
         raise DimensionError("forget task out of range")
     xr = np.setdiff1d(np.arange(ds.n_instances, dtype=np.intp), xf, assume_unique=True)
     tr = tuple(t for t in range(ds.n_tasks) if t not in tf)
-    blocks = (grid(xf, tf), grid(xf, tr), grid(xr, tf), grid(xr, tr))
-    for a in (xf, xr, *blocks):
-        a.flags.writeable = False
-    return PartitionSpec(xf, xr, tf, tr, *blocks)
+    xf.flags.writeable = xr.flags.writeable = False
+    return PartitionSpec(xf, xr, tf, tr)
 
 
 def forget_count(n: int, fraction: float) -> int:

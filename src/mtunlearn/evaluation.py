@@ -1,7 +1,7 @@
 """Split-wise metrics, loss-based membership inference, and the impact score.
 
-This module alone turns a model and a split's rows into per-instance
-squared losses, with one ``X W_eff`` product per split. Utility on each
+This module alone turns a model and rows into per-instance squared losses,
+one ``X W_eff`` product per call, indexed by split. Utility on each
 (task, split) cell is exp(-mean squared loss), a value in (0, 1] so
 relative deviations are always well defined. Membership inference is the
 rank statistic of negative losses. The impact score averages, over tasks,
@@ -173,7 +173,8 @@ def evaluate(
     """Fill every (task, split) cell and both per-task membership AUCs.
 
     Splits are by instance: retained instances, forgotten instances, and
-    the held-out validation set.
+    the held-out validation set. One loss call covers all training rows,
+    which each split indexes by its instance ids.
     """
     if ds.n_tasks != val_ds.n_tasks:
         raise DimensionError("train and validation task sets differ")
@@ -181,16 +182,14 @@ def evaluate(
     if not unl_idx.size or not ret_idx.size:
         raise EmptySubsetError("both retained and forgotten instances are required")
     tasks = range(ds.n_tasks)
-    ret = per_instance_losses(model, *_rows(ds, tasks, ret_idx))
-    unl = per_instance_losses(model, *_rows(ds, tasks, unl_idx))
-    val = per_instance_losses(model, *_rows(val_ds, tasks))
+    train, val = (per_instance_losses(model, *_rows(d, tasks)) for d in (ds, val_ds))
     rep = EvalReport(n_tasks=ds.n_tasks)
     for t in tasks:
-        rep.metrics[(t, "ret")] = float(np.exp(-np.mean(ret[t])))
-        rep.metrics[(t, "unl")] = float(np.exp(-np.mean(unl[t])))
-        rep.metrics[(t, "val")] = float(np.exp(-np.mean(val[t])))
-        rep.mia_unl[t] = mia_auc(unl[t], val[t])
-        rep.mia_ret[t] = mia_auc(ret[t], val[t])
+        split = {"ret": train[t][ret_idx], "unl": train[t][unl_idx], "val": val[t]}
+        for name, losses in split.items():
+            rep.metrics[(t, name)] = float(np.exp(-np.mean(losses)))
+        rep.mia_unl[t] = mia_auc(split["unl"], val[t])
+        rep.mia_ret[t] = mia_auc(split["ret"], val[t])
     rep.validate()
     return rep
 
@@ -221,16 +220,15 @@ class UISInput:
 CELLS = ("ret", "unl", "val", "mia")
 
 
-def _reference_cell(inp: UISInput, task: int, cell: str) -> float:
+def _reference(inp: UISInput, task: int, cell: str) -> str:
+    """The name of the reference that scores ``cell`` of ``task``."""
     if inp.setting == "full":
         # retention and generalization against the original model,
         # forgetting and membership against the retrained one
-        ref = inp.retrain_ref if cell in ("unl", "mia") else inp.original_ref
-    elif inp.setting == "partial":
-        ref = inp.retrain_ref if task in inp.forget_tasks else inp.original_ref
-    else:
-        raise ConfigError(f"unknown setting {inp.setting!r}")
-    return ref.cell(task, cell)
+        return "retrain_ref" if cell in ("unl", "mia") else "original_ref"
+    if inp.setting == "partial":
+        return "retrain_ref" if task in inp.forget_tasks else "original_ref"
+    raise ConfigError(f"unknown setting {inp.setting!r}")
 
 
 def uis(inp: UISInput) -> float:
@@ -250,8 +248,9 @@ def uis(inp: UISInput) -> float:
     total = 0.0
     for t in range(n_tasks):
         for cell in CELLS:
-            ref = _reference_cell(inp, t, cell)
+            name = _reference(inp, t, cell)
+            ref = getattr(inp, name).cell(t, cell)
             if ref == 0.0:
-                raise ConfigError(f"zero reference for task {t} cell {cell!r}")
+                raise ConfigError(f"{name}: zero reference for task {t} cell {cell!r}")
             total += abs(inp.evaluated.cell(t, cell) - ref) / ref
     return total / n_tasks

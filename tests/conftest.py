@@ -9,6 +9,7 @@ import scipy.linalg
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mtunlearn import GenConfig, generate_synthetic
+from mtunlearn.data import grid
 from mtunlearn.errors import DegenerateBasisError, DimensionError
 from mtunlearn.linalg import DEPENDENT_COLUMN_RTOL, as_matrix
 from mtunlearn.model import LowRankEdit, subset_loss
@@ -28,6 +29,18 @@ def small_problem():
         n_val=8,
     )
     return generate_synthetic(cfg)
+
+
+def block_pairs(part) -> dict:
+    """The four blocks of the partition ``part``, by name, as the grids of its split."""
+    xf, xr = part.forget_instances, part.retain_instances
+    tf, tr = part.forget_tasks, part.retain_tasks
+    return {
+        "forget": grid(xf, tf),
+        "retain_task": grid(xf, tr),
+        "retain_inst": grid(xr, tf),
+        "retain_clean": grid(xr, tr),
+    }
 
 
 def flatten_params(edit):

@@ -339,6 +339,24 @@ def test_uis_command_rejects_wrong_metric_label(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("setting", ["full", "partial"])
+def test_uis_command_with_a_zero_reference_exits_2_naming_it(tmp_path, capsys, setting):
+    # Task 0's membership cell is scored against Retrain in both settings.
+    cells = [list(c) for c in BENCH_A_ORIGINAL]
+    cells[0][3] = 0.0
+    paths_ = {}
+    for name, report in (("original", BENCH_A_ORIGINAL), ("retrain", cells)):
+        paths_[name] = tmp_path / f"{name}.csv"
+        paths_[name].write_text(report_from_cells(report).to_csv())
+    argv = ["uis", "--evaluated", str(paths_["original"]), "--setting", setting]
+    argv += ["--original", str(paths_["original"]), "--retrain", str(paths_["retrain"])]
+    forget_tasks = ["--forget-tasks", "0"] if setting == "partial" else []
+    assert cli.main([*argv, *forget_tasks]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: retrain_ref: zero reference for task 0 cell 'mia'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("header", ["value,metric,cell,task", None], ids=["reversed", "missing"])
 def test_uis_command_rejects_a_csv_without_its_header(tmp_path, capsys, header):
     report = tmp_path / "report.csv"
@@ -665,6 +683,79 @@ def test_huge_size_or_epoch_count_exits_2_naming_the_field(tmp_path, capsys, pat
     assert re.match(rf"config error: {section}(\.|: ){name}\b", err), err
     assert len(err.encode()) < 1000 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, width, rank",
+    [
+        (("data", "teacher_rank"), 1, 1, 1),
+        (("train", "rank"), 1, 1, 1),
+        (("subspace", "dim"), 2, 2, 2),
+    ],
+    ids=["teacher_rank=1", "rank=1", "dim=2"],
+)
+def test_a_layout_that_does_not_fit_names_dim_and_rank(tmp_path, capsys, path, value, width, rank):
+    doc = base_config()
+    set_path(doc, path, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: subspace: 2 blocks of width {width} do not fit in rank {rank}: "
+        "set subspace.dim or train.rank (train.rank defaults to data.teacher_rank)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_val", [1, 2])
+def test_a_zero_reference_in_run_exits_3_naming_it(tmp_path, capsys, n_val):
+    # With one or two validation instances, Retrain's forget-vs-validation AUC
+    # can be 0. The seed fails before it writes anything.
+    doc = base_config()
+    doc["data"]["n_val"] = n_val
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: seed 0: retrain_ref: zero reference for task 0 cell 'mia' "
+        f"(3 forgotten and {n_val} validation instances)\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def config_fields() -> list[tuple]:
+    """The path of every settable field of a run config, top level last."""
+    doc = cli.RunConfig.from_doc(base_config()).to_doc()
+    sections = [(s, f) for s, node in doc.items() if isinstance(node, dict) for f in node]
+    return sections + [(s,) for s, node in doc.items() if not isinstance(node, dict)]
+
+
+# One bad, odd or edge value of each JSON type, set in turn on every field.
+MUTATIONS = [0, -1, 1e308, float("nan"), "x", None, True, [], {}, 0.5, 1e-320, 1, 2]
+
+
+def test_the_mutation_table_covers_every_settable_field():
+    assert len(config_fields()) == 23
+
+
+@pytest.mark.parametrize("path", config_fields(), ids=".".join)
+def test_every_mutation_of_a_field_exits_0_2_or_3_with_a_short_message(tmp_path, path):
+    for i, value in enumerate(MUTATIONS):
+        doc = base_config()
+        set_path(doc, path, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / f"out{i}")])
+        err = err.getvalue()
+        case = f"{'.'.join(path)}={value!r}: exit {code}, stderr {err!r}"
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), case
+        assert len(err.encode()) < 1000 and "Traceback" not in err, case
+        if code == cli.EXIT_CONFIG:
+            assert path[0] in err and re.search(rf"\b{path[-1]}\b", err), case
 
 
 def test_array_budget_holds_a_config_at_its_edge():

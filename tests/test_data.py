@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decode
+from conftest import block_pairs, decode
 from mtunlearn import (
     GenConfig,
     MultiTaskDataset,
@@ -17,7 +17,12 @@ from mtunlearn import (
     generate_synthetic,
     partition,
 )
-from mtunlearn.data import DATASET_SCHEMA_VERSION, config_from_doc, problem_to_json
+from mtunlearn.data import (
+    DATASET_SCHEMA_VERSION,
+    PartitionSpec,
+    config_from_doc,
+    problem_to_json,
+)
 from mtunlearn.errors import ConfigError, DimensionError
 
 
@@ -92,23 +97,30 @@ def test_gen_config_requires_a_validation_set():
 def test_partition_covers_grid_exactly_once():
     ds = generate_synthetic(make_config()).dataset
     part = partition(ds, forget_instances=[0, 3], forget_tasks=[1])
-    blocks = (part.forget, part.retain_task, part.retain_inst, part.retain_clean)
-    assert all(b.dtype == np.intp and b.ndim == 2 and b.shape[1] == 2 for b in blocks)
-    cells = np.concatenate(blocks).tolist()
+    blocks = block_pairs(part)
+    assert part.retain_clean.dtype == np.intp and part.retain_clean.shape == (8, 2)
+    assert part.retain_clean.tolist() == blocks["retain_clean"].tolist()
+    cells = np.concatenate(list(blocks.values())).tolist()
     assert sorted(cells) == sorted(ds.all_pairs().tolist())
     assert len(set(map(tuple, cells))) == len(cells)
-    assert part.forget.tolist() == [[0, 1], [3, 1]]
-    assert all(i in (0, 3) and t == 0 for i, t in part.retain_task.tolist())
-    assert all(i not in (0, 3) and t == 1 for i, t in part.retain_inst.tolist())
-    assert all(i not in (0, 3) and t == 0 for i, t in part.retain_clean.tolist())
+    assert blocks["forget"].tolist() == [[0, 1], [3, 1]]
+    assert all(i in (0, 3) and t == 0 for i, t in blocks["retain_task"].tolist())
+    assert all(i not in (0, 3) and t == 1 for i, t in blocks["retain_inst"].tolist())
+    assert all(i not in (0, 3) and t == 0 for i, t in blocks["retain_clean"].tolist())
+
+
+def test_a_partition_stores_only_its_split():
+    # The pair grids follow from the split, so no spec can hold grids that
+    # contradict its ids.
+    names = [f.name for f in dataclasses.fields(PartitionSpec)]
+    assert names == ["forget_instances", "retain_instances", "forget_tasks", "retain_tasks", "_memo"]
 
 
 def test_partition_arrays_are_read_only():
     # The model layer memoizes subsets grouped from them on the spec.
     ds = generate_synthetic(make_config()).dataset
     part = partition(ds, forget_instances=[0, 3], forget_tasks=[1])
-    names = ("forget_instances", "retain_instances", "forget", "retain_task", "retain_inst")
-    for name in (*names, "retain_clean"):
+    for name in ("forget_instances", "retain_instances"):
         array = getattr(part, name)
         assert not array.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
@@ -118,10 +130,11 @@ def test_partition_arrays_are_read_only():
 def test_full_task_partition_has_no_cross_subsets():
     ds = generate_synthetic(make_config()).dataset
     part = partition(ds, forget_instances=[1], forget_tasks=[0, 1])
-    assert part.retain_task.shape == (0, 2)
-    assert len(part.retain_inst) == 18
-    assert part.retain_clean.shape == (0, 2)
-    assert len(part.forget) == 2
+    blocks = block_pairs(part)
+    assert blocks["retain_task"].shape == (0, 2)
+    assert len(blocks["retain_inst"]) == 18
+    assert part.retain_clean.shape == blocks["retain_clean"].shape == (0, 2)
+    assert len(blocks["forget"]) == 2
 
 
 def test_partition_rejects_out_of_range():
@@ -169,10 +182,12 @@ def test_partition_matches_double_loop_reference(data):
     ds = MultiTaskDataset(np.zeros((n, 1)), [np.zeros((n, 1))] * k)
     part = partition(ds, forget_ids, tasks)
     ref = reference_partition(n, k, forget_ids, tasks)
+    blocks = block_pairs(part)
     for name, pairs in ref.items():
-        block = getattr(part, name)
+        block = blocks[name]
         assert block.dtype == np.intp and block.shape == (len(pairs), 2)
         assert block.tolist() == pairs
+    assert part.retain_clean.tolist() == ref["retain_clean"]
     retain = ref["retain_task"] + ref["retain_inst"] + ref["retain_clean"]
     assert part.retain.tolist() == retain
     assert ds.all_pairs().tolist() == [[i, t] for i in range(n) for t in range(k)]
@@ -201,7 +216,8 @@ def test_default_forget_split_fraction_and_determinism():
     p2 = default_forget_split(ds, 0.10, [0], seed=3)
     assert len(p1.forget_instances) == 5
     assert np.array_equal(p1.forget_instances, p2.forget_instances)
-    assert np.array_equal(p1.forget, p2.forget)
+    assert np.array_equal(p1.retain_instances, p2.retain_instances)
+    assert p1.forget_tasks == p2.forget_tasks == (0,)
     with pytest.raises(ConfigError):
         default_forget_split(ds, 1.5, [0], seed=3)
     with pytest.raises(ConfigError, match=r"partition\.forget_fraction: 0\.99 forgets all 50"):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 from benchdata import BENCH_A_ORIGINAL, report_from_cells
 from mtunlearn import (
     EvalReport,
+    GenConfig,
     UISInput,
+    default_forget_split,
     evaluate,
+    generate_synthetic,
     mia_auc,
     partition,
     uis,
@@ -148,6 +152,40 @@ def test_evaluate_equals_a_per_cell_reference(small_problem, forget_tasks):
             assert rep.metrics[(t, split)] == float(np.exp(-np.mean(split_losses)))
         assert rep.mia_unl[t] == mia_auc(unl, val_losses)
         assert rep.mia_ret[t] == mia_auc(ret, val_losses)
+
+
+def test_evaluate_indexes_the_splits_without_copying_rows():
+    # One loss pass over all N training rows, indexed by split: a call peaks
+    # below two (N, k) feature arrays. Gathering the retained rows and their
+    # features for a pass of their own passes that.
+    n, k = 20_000, 12
+    config = GenConfig(
+        n_instances=n,
+        input_dim=16,
+        n_tasks=3,
+        task_dims=(2, 2, 2),
+        shared_dim=k,
+        teacher_rank=6,
+        noise_std=0.3,
+        seed=0,
+    )
+    problem = generate_synthetic(config)
+    ds, val = problem.dataset, problem.val_dataset
+    part = default_forget_split(ds, 0.1, [0], seed=0)
+    rng = np.random.default_rng(0)
+    edit = LowRankEdit(
+        w_star=problem.teacher, a=rng.standard_normal((k, 6)), b=rng.standard_normal((16, 6))
+    )
+    model = MultiTaskModel(edit=edit, heads=tuple(problem.heads))
+    first = evaluate(model, ds, part, val)
+    tracemalloc.start()
+    try:
+        second = evaluate(model, ds, part, val)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second.to_csv() == first.to_csv()
+    assert peak < 2 * n * k * 8, peak
 
 
 def test_report_csv_round_trip():

@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_cell_factors, count_stacks, fd_gradient, fd_hessian_from_gradient
+from conftest import (
+    block_pairs,
+    count_cell_factors,
+    count_stacks,
+    fd_gradient,
+    fd_hessian_from_gradient,
+)
 from mtunlearn import (
     GenConfig,
     LowRankEdit,
@@ -462,7 +468,7 @@ def test_views_of_one_stack_give_the_bits_of_fresh_subsets(forget_tasks):
     model = make_model(problem, rank=3, seed=1)
     checked = 0
     for name in LOSS_SUBSETS:
-        view, p = subsets[name], getattr(part, name)
+        view, p = subsets[name], block_pairs(part)[name]
         fresh = Subset.from_pairs(ds, p)
         assert len(view) == len(fresh) == len(p)
         for got, want in zip((view, *view.by_task()), (fresh, *fresh.by_task())):
@@ -526,7 +532,7 @@ def test_loss_subsets_are_grouped_once_per_partition_and_dataset(small_problem, 
     assert len(cells) == 12
     model = make_model(small_problem)
     for name in LOSS_SUBSETS:
-        fresh = Subset.from_pairs(other, getattr(part, name))
+        fresh = Subset.from_pairs(other, block_pairs(part)[name])
         got, want = subset_loss(model, other, rebuilt[name]), subset_loss(model, other, fresh)
         assert repr(got) == repr(want)
 
@@ -547,7 +553,7 @@ def test_loss_subset_cells_have_the_bits_of_from_pairs(small_problem, forget_tas
         sizes = [view.tasks.size for view in views]
         assert [view.start for view in views] == np.cumsum([0, *sizes])[:-1].tolist()
         for got, name in zip(views, LOSS_SUBSETS):
-            want = Subset.from_pairs(ds, getattr(part, name))
+            want = Subset.from_pairs(ds, block_pairs(part)[name])
             assert got.tasks.tolist() == want.tasks.tolist() and got.counts == want.counts
             for array in ("r", "z", "rho"):
                 assert getattr(got, array).tobytes() == getattr(want, array).tobytes(), array

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import block_pairs
 from mtunlearn import (
     EvalReport,
     GenConfig,
@@ -194,8 +195,9 @@ def test_unlearning_epochs_make_the_pinned_model_calls(monkeypatch):
         part = default_forget_split(ds, 0.1, tasks, 0)
         retrain = train_reference(problem, part.retain, tc)
         # Per record: the forget set plus each non-empty retain subset.
+        blocks = block_pairs(part)
         per_record = 1 + sum(
-            bool(getattr(part, name).size) for name in ("retain_clean", "retain_inst", "retain_task")
+            bool(blocks[name].size) for name in ("retain_clean", "retain_inst", "retain_task")
         )
         for strategy in unlearn.STRATEGIES:
             cfg = UnlearnConfig(

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -304,23 +302,6 @@ def test_each_epoch_computes_one_residual_and_one_gradient_stack(
     )
     run_unlearning(original, problem, part, subs, cfg, retrain)
     assert calls == {"residual": stacks, "gradient": stacks}
-
-
-@pytest.mark.parametrize("anchor_fraction", [1.0, 0.5])
-def test_a_run_reads_no_pair_grid_but_the_anchors(pipeline, anchor_fraction):
-    # The run takes its subsets, sizes and emptiness checks from the
-    # partition's subsets, so emptying a pair grid that the run does not
-    # subsample changes nothing.
-    problem, part, _, original, retrain, _, subs = pipeline
-    cfg = UnlearnConfig(
-        setting="partial", eta1=0.3, eta2=0.05, max_epochs=5, anchor_fraction=anchor_fraction
-    )
-    emptied = dataclasses.replace(part, forget=part.forget[:0])
-    want = run_unlearning(original, problem, part, subs, cfg, retrain)
-    got = run_unlearning(original, problem, emptied, subs, cfg, retrain)
-    assert repr(got[1]) == repr(want[1])
-    assert got[0].edit.a.tobytes() == want[0].edit.a.tobytes()
-    assert got[0].edit.b.tobytes() == want[0].edit.b.tobytes()
 
 
 def test_a_second_run_over_a_partition_groups_no_subset(pipeline, monkeypatch):
