@@ -386,49 +386,41 @@ def check_optimal_direction(
 def check_projection_bound(n_draws: int = 1000, seed: int = 0) -> dict:
     """|<G P_t, G' P_t'>| <= spectral_alignment * |G|_F * |G'|_F on random draws.
 
-    Each block draws its bases' seeds and its gradients one draw at a time,
-    in the order a draw-at-a-time loop would, then orthonormalizes the
-    whole block's bases in one call and measures it with one stacked
-    ``alignment`` and one stacked ``project_task``.
+    For each (rank, dim) shape, ``n_draws // 4 + 1`` draws are taken in
+    blocks of up to ``DRAW_BLOCK``: one Gaussian draw of the block's basis
+    pairs, orthonormalized in one call (the law of ``init_subspaces(...,
+    "random")``), one Gaussian draw of its gradient pairs, and one stacked
+    ``alignment`` and ``project_task``.
     """
     _require_count("n_draws", n_draws)
     rng = np.random.default_rng(seed)
+    n_shape = n_draws // 4 + 1
     worst_excess = -np.inf
-    count = 0
     for rank in (4, 16):
         for dim in (1, rank // 2):
-            n_shape = n_draws // 4 + 1
             for start in range(0, n_shape, DRAW_BLOCK):
                 size = min(DRAW_BLOCK, n_shape - start)
-                raw = np.empty((size, 2, rank, dim))  # [u, v] of each draw, before QR
-                grads = np.empty((size, 2, 5, rank))  # [g1, g2] of each draw
-                for i in range(size):
-                    # init_subspaces(2, rank, dim, "random", seed_i)'s draw
-                    raw[i] = np.random.default_rng(rng.integers(2**31)).standard_normal(
-                        (2, rank, dim)
-                    )
-                    grads[i] = rng.standard_normal((2, 5, rank))
-                bases = orthonormalize(raw)
+                bases = orthonormalize(rng.standard_normal((size, 2, rank, dim)))
+                grads = rng.standard_normal((size, 2, 5, rank))
                 _, spectral = alignment(bases[:, 0], bases[:, 1])
                 proj = surgery.project_task(grads, bases)
                 lhs = np.abs(frob_inner(proj[:, 0], proj[:, 1]))
                 norms = frob_norm(grads)
                 rhs = spectral * norms[:, 0] * norms[:, 1]
                 worst_excess = max(worst_excess, float(np.max(lhs - rhs)))
-                count += size
     return {
         "suite": "projection_bound",
-        "draws": count,
+        "draws": 4 * n_shape,
         "worst_excess": float(worst_excess),
         "passed": bool(worst_excess <= 1e-9),
     }
 
 
-def _identity_deviations(draws: list) -> tuple[float, float]:
+def _identity_deviations(draws: np.ndarray) -> tuple[float, float]:
     """Worst relative deviation (eps > 0) and worst exact alignment (eps = 0)
-    of the orthogonalization identity over same-shape ``[g_f, g_r]`` draws."""
-    stacked = np.stack(draws)
-    g_f, g_r = stacked[:, 0], stacked[:, 1]
+    of the orthogonalization identity over a ``(n, 2, rows, cols)`` stack of
+    ``[g_f, g_r]`` draws."""
+    g_f, g_r = draws[:, 0], draws[:, 1]
     base = np.abs(frob_inner(g_f, g_r))
     norm_r = frob_norm(g_r)
     scale = frob_norm(g_f) * norm_r
@@ -451,22 +443,20 @@ def check_orthogonalization_identity(n_draws: int = 1000, seed: int = 0) -> dict
     cancellation-level rounding error, so deviations are measured
     relative to that scale.
 
-    Draws are taken one at a time, in the order a draw-at-a-time loop
-    would, and held per shape; each shape's draws are measured as one
-    stack when ``DRAW_BLOCK`` of them are held, and the rest at the end.
+    Each draw's shape is uniform over the 25 shapes up to 5x5: the
+    per-shape counts are one multinomial draw, and each shape's pairs are
+    Gaussian draws, taken and measured in blocks of up to ``DRAW_BLOCK``.
     """
     _require_count("n_draws", n_draws)
+    shapes = [(rows, cols) for rows in range(1, 6) for cols in range(1, 6)]
     rng = np.random.default_rng(seed)
-    deviations = [(0.0, 0.0)]
-    held = {}
-    for _ in range(n_draws):
-        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        block = held.setdefault(shape, [])
-        block.append(rng.standard_normal((2, *shape)))
-        if len(block) == DRAW_BLOCK:
-            deviations.append(_identity_deviations(held.pop(shape)))
-    deviations += [_identity_deviations(block) for block in held.values()]
-    worst_rel, worst_exact = map(max, zip(*deviations))
+    counts = rng.multinomial(n_draws, [1 / len(shapes)] * len(shapes))
+    worst_rel = worst_exact = 0.0
+    for shape, count in zip(shapes, counts.tolist()):
+        for start in range(0, count, DRAW_BLOCK):
+            draws = rng.standard_normal((min(DRAW_BLOCK, count - start), 2, *shape))
+            rel, exact = _identity_deviations(draws)
+            worst_rel, worst_exact = max(worst_rel, rel), max(worst_exact, exact)
     return {
         "suite": "orthogonalization_identity",
         "worst_relative_deviation": worst_rel,

@@ -66,7 +66,10 @@ class UnlearnConfig:
         if self.setting not in ("full", "partial"):
             raise ConfigError(f"unknown setting {self.setting!r}")
         if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
+            raise ConfigError(
+                f"unknown strategy {self.strategy!r}, expected one of "
+                + ", ".join(map(repr, STRATEGIES))
+            )
         for name in ("eta1", "eta2"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
@@ -239,32 +242,35 @@ def run_unlearning(
             )
         )
 
-    record(0)
-    snapshots = [edit]
-    for epoch in range(1, cfg.max_epochs + 1):
-        projectors = bases @ bases.transpose(0, 2, 1) if project else None
-        grads = {
-            name: _source_gradient(model, ds, subsets, projectors)
-            for name, subsets in sources.items()
-            if subsets
-        }
-        _check_forget_gradient(grads["forget"], epoch)
-        # The retain set is nonempty, so at least one source is weighted.
-        weighted = [
-            GradientPair(grads[name].a * weight, grads[name].b * weight)
-            for name, weight in weights.items()
-        ]
-        descent = sum(weighted[1:], weighted[0])
-        _check_retain_gradients(grads, descent, epoch)
-        forget_dir = sequential_orthogonalize(
-            grads["forget"], [grads[name] for name in stages if name in weights]
-        )
-        edit = apply_update(edit, descent, forget_dir, cfg.eta1, cfg.eta2)
-        model = model.with_edit(edit)
-        if project:
-            bases = regularize_step(bases, REG_STEP_SIZE)
-        record(epoch)
-        snapshots.append(edit)
+    # Overflow is caught by the checks in the loop and in ``record``, which
+    # name the epoch, so numpy need not warn of it too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0)
+        snapshots = [edit]
+        for epoch in range(1, cfg.max_epochs + 1):
+            projectors = bases @ bases.transpose(0, 2, 1) if project else None
+            grads = {
+                name: _source_gradient(model, ds, subsets, projectors)
+                for name, subsets in sources.items()
+                if subsets
+            }
+            _check_forget_gradient(grads["forget"], epoch)
+            # The retain set is nonempty, so at least one source is weighted.
+            weighted = [
+                GradientPair(grads[name].a * weight, grads[name].b * weight)
+                for name, weight in weights.items()
+            ]
+            descent = sum(weighted[1:], weighted[0])
+            _check_retain_gradients(grads, descent, epoch)
+            forget_dir = sequential_orthogonalize(
+                grads["forget"], [grads[name] for name in stages if name in weights]
+            )
+            edit = apply_update(edit, descent, forget_dir, cfg.eta1, cfg.eta2)
+            model = model.with_edit(edit)
+            if project:
+                bases = regularize_step(bases, REG_STEP_SIZE)
+            record(epoch)
+            snapshots.append(edit)
 
     post = [abs(r.mia_auc - trace.reference_auc) for r in trace.records[1:]]
     trace.selected_epoch = 1 + int(np.argmin(post))

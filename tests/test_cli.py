@@ -286,7 +286,7 @@ def test_full_task_run_writes_strict_json(tmp_path):
     assert [row.split(",")[column] for row in rows] == ["", ""]
 
 
-def test_strategy_flag_changes_run(tmp_path):
+def test_strategy_flag_changes_run(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     out1, out2 = tmp_path / "ours", tmp_path / "ng"
     cli.main(["run", "--config", str(cfg), "--out", str(out1)])
@@ -296,9 +296,14 @@ def test_strategy_flag_changes_run(tmp_path):
     assert digest(out1 / "seed_0" / "checkpoint_unlearned.json") != digest(
         out2 / "seed_0" / "checkpoint_unlearned.json"
     )
+    capsys.readouterr()
     assert cli.main(
         ["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--strategy", "bogus"]
     ) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: unlearn: unknown strategy 'bogus', expected one of 'ours', "
+        "'neggrad_plus', 'wo_projection', 'wo_task', 'wo_inst', 'wo_clean'\n"
+    )
 
 
 def test_uis_command_trivial_zero(tmp_path, capsys):
@@ -654,6 +659,23 @@ def test_diverging_gradient_exits_3_naming_the_epoch(tmp_path, capsys):
     assert code == cli.EXIT_NUMERIC
     assert capsys.readouterr().err == (
         "numeric failure: train_reference epoch 1: gradient norm inf\n"
+    )
+
+
+@pytest.mark.parametrize("field", ["eta1", "eta2"])
+def test_overflowing_unlearning_step_exits_3_naming_the_epoch(tmp_path, capsys, field):
+    # Finite, so the config takes it, but the first unlearning step overflows
+    # the forget loss; any numpy warning would be raised here rather than printed.
+    doc = base_config()
+    doc["unlearn"][field] = 1e308
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: run_unlearning epoch 1: forget_loss=inf\n"
     )
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from mtunlearn import surgery, theory
 from mtunlearn.errors import CurvatureError, DimensionError, EmptySubsetError
-from mtunlearn.linalg import frob_inner, frob_norm, solve_spd
-from mtunlearn.subspace import alignment, init_subspaces
+from mtunlearn.linalg import frob_inner, frob_norm, orthonormalize, solve_spd
+from mtunlearn.subspace import alignment
 from mtunlearn.theory import (
     actual_interference,
     aggregate_interference,
@@ -195,26 +195,30 @@ def test_numpy_integer_pair_indices_are_accepted():
 
 
 def projection_bound_reference(n_draws, seed):
-    """``check_projection_bound`` one draw at a time through the 2-D library calls."""
+    """``check_projection_bound`` one draw at a time through the 2-D library
+    calls. Each block draws its bases, then its gradients, as the suite does."""
     rng = np.random.default_rng(seed)
+    n_shape = n_draws // 4 + 1
     worst_excess = -np.inf
     count = 0
     for rank in (4, 16):
         for dim in (1, rank // 2):
-            for _ in range(n_draws // 4 + 1):
-                u, v = init_subspaces(2, rank, dim, mode="random", seed=rng.integers(2**31))
-                g1 = rng.standard_normal((5, rank))
-                g2 = rng.standard_normal((5, rank))
-                _, spectral = alignment(u, v)
-                lhs = abs(
-                    frob_inner(
-                        surgery.project_task(g1, u),
-                        surgery.project_task(g2, v),
+            for start in range(0, n_shape, theory.DRAW_BLOCK):
+                size = min(theory.DRAW_BLOCK, n_shape - start)
+                raw = rng.standard_normal((size, 2, rank, dim))
+                grads = rng.standard_normal((size, 2, 5, rank))
+                for (raw_u, raw_v), (g1, g2) in zip(raw, grads):
+                    u, v = orthonormalize(raw_u), orthonormalize(raw_v)
+                    _, spectral = alignment(u, v)
+                    lhs = abs(
+                        frob_inner(
+                            surgery.project_task(g1, u),
+                            surgery.project_task(g2, v),
+                        )
                     )
-                )
-                rhs = spectral * frob_norm(g1) * frob_norm(g2)
-                worst_excess = max(worst_excess, lhs - rhs)
-                count += 1
+                    rhs = spectral * frob_norm(g1) * frob_norm(g2)
+                    worst_excess = max(worst_excess, lhs - rhs)
+                    count += 1
     return {
         "suite": "projection_bound",
         "draws": count,
@@ -225,25 +229,28 @@ def projection_bound_reference(n_draws, seed):
 
 def orthogonalization_identity_reference(n_draws, seed):
     """``check_orthogonalization_identity`` one draw at a time through the 2-D
-    library calls."""
+    library calls: the per-shape counts, then each shape's draws in turn."""
     rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n_draws, [1 / 25] * 25)
     worst_rel = 0.0
     worst_exact = 0.0
-    for _ in range(n_draws):
-        shape = (rng.integers(1, 6), rng.integers(1, 6))
-        g_f = rng.standard_normal(shape)
-        g_r = rng.standard_normal(shape)
-        base = abs(frob_inner(g_f, g_r))
-        norm_r = frob_norm(g_r)
-        scale = frob_norm(g_f) * norm_r
-        for eps in (0.0, 1e-8, 1e-3, 1.0):
-            out = surgery.orthogonalize(g_f, g_r, eps)
-            residual = abs(frob_inner(out, g_r))
-            expected = eps / (norm_r**2 + eps) * base
-            if eps == 0.0:
-                worst_exact = max(worst_exact, residual / scale)
-            else:
-                worst_rel = max(worst_rel, abs(residual - expected) / scale)
+    for i, count in enumerate(counts):
+        shape = (i // 5 + 1, i % 5 + 1)
+        for _ in range(count):
+            g_f, g_r = rng.standard_normal((2, *shape))
+            base = abs(frob_inner(g_f, g_r))
+            norm_r = frob_norm(g_r)
+            scale = frob_norm(g_f) * norm_r
+            for eps in (0.0, 1e-8, 1e-3, 1.0):
+                out = surgery.orthogonalize(g_f, g_r, eps)
+                residual = abs(frob_inner(out, g_r))
+                # Not norm_r**2: a scalar power goes through pow, which can
+                # differ in the last bit from the suite's array square.
+                expected = eps / (norm_r * norm_r + eps) * base
+                if eps == 0.0:
+                    worst_exact = max(worst_exact, residual / scale)
+                else:
+                    worst_rel = max(worst_rel, abs(residual - expected) / scale)
     return {
         "suite": "orthogonalization_identity",
         "worst_relative_deviation": worst_rel,
@@ -265,6 +272,32 @@ def test_stacked_suites_equal_per_draw_reference(n_draws, seed):
     ]:
         got = theory.report_to_json(suite(n_draws=n_draws, seed=seed))
         assert got == theory.report_to_json(reference(n_draws, seed))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_suites_pass_at_their_defaults(seed):
+    # Both check theorems, so no seed may fail them.
+    assert check_projection_bound(seed=seed)["passed"]
+    assert check_orthogonalization_identity(seed=seed)["passed"]
+
+
+def test_suite_blocks_are_bounded_and_cover_every_shape(monkeypatch):
+    # At the default 1000 draws: the stacks that the suites orthonormalize and
+    # measure hold at most DRAW_BLOCK draws and add up to every draw, and the
+    # orthogonalization suite measures all 25 shapes up to 5x5.
+    stacks = {"orthonormalize": [], "_identity_deviations": []}
+    for name, shapes in stacks.items():
+        call = getattr(theory, name)
+        monkeypatch.setattr(
+            theory, name, lambda a, call=call, shapes=shapes: shapes.append(a.shape) or call(a)
+        )
+    report = check_projection_bound()
+    check_orthogonalization_identity()
+    bases, pairs = stacks["orthonormalize"], stacks["_identity_deviations"]
+    assert sum(shape[0] for shape in bases) == report["draws"] == 4 * 251
+    assert sum(shape[0] for shape in pairs) == 1000
+    assert max(shape[0] for shape in bases + pairs) <= theory.DRAW_BLOCK
+    assert {shape[2:] for shape in pairs} == {(r, c) for r in range(1, 6) for c in range(1, 6)}
 
 
 @pytest.mark.parametrize(
